@@ -14,15 +14,23 @@
 //     machine's minimized PLA: extraction throughput plus the two
 //     technology cost points (two-level vs factored literals, nodes) the
 //     area tables and scripts/bench_diff.py track across PRs.
+//   * BM_BuildAllFigs/<machine> -- figs. 1-4 in both technologies from one
+//     EncodedFsm, as the synthesis flow builds them: figs. 1-3 share the
+//     combined block through the encoding's memo, so the counters show one
+//     minimization and one factoring of C per machine. The realization
+//     (OSTR) is hoisted; the encoding is redone each iteration so every
+//     iteration starts with an empty memo.
 
 #include <benchmark/benchmark.h>
 
 #include "benchdata/iwls93.hpp"
+#include "bist/architectures.hpp"
 #include "encoding/encoded_fsm.hpp"
 #include "logic/cost.hpp"
 #include "logic/espresso_lite.hpp"
 #include "logic/factor.hpp"
 #include "logic/qm.hpp"
+#include "ostr/ostr.hpp"
 
 namespace {
 
@@ -104,6 +112,31 @@ void run_factor(benchmark::State& state, const std::string& machine) {
   state.counters["nodes"] = static_cast<double>(nodes);
 }
 
+/// Every structure of one machine from one fresh encoding per iteration.
+void run_build_all(benchmark::State& state, const std::string& machine) {
+  const MealyMachine m = load_benchmark(machine);
+  const OstrResult ostr = solve_ostr(m, OstrOptions{});
+  const Realization real = build_realization(m, ostr.best.pi, ostr.best.tau);
+  double area = 0.0;
+  BlockMemo::Stats memo;
+  for (auto _ : state) {
+    const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
+    area = 0.0;
+    for (const Technology tech : {Technology::kTwoLevel, Technology::kMultiLevel}) {
+      area += build_fig1(enc, MinimizerKind::kAuto, tech).nl.area_ge();
+      area += build_fig2(enc, MinimizerKind::kAuto, tech).nl.area_ge();
+      area += build_fig3(enc, MinimizerKind::kAuto, tech).nl.area_ge();
+      area += build_fig4(m, real, MinimizerKind::kAuto, tech).nl.area_ge();
+    }
+    benchmark::DoNotOptimize(area);
+    memo = enc.block_memo->stats();
+  }
+  state.counters["area_ge"] = area;
+  state.counters["minimizations"] = static_cast<double>(memo.minimizations);
+  state.counters["factorings"] = static_cast<double>(memo.factorings);
+  state.counters["memo_hits"] = static_cast<double>(memo.hits);
+}
+
 const int kRegistered = [] {
   for (const std::string& name : benchmark_names()) {
     benchmark::RegisterBenchmark(("BM_EspressoMv_" + name).c_str(),
@@ -111,6 +144,10 @@ const int kRegistered = [] {
     benchmark::RegisterBenchmark(("BM_Factor_" + name).c_str(),
                                  [name](benchmark::State& s) { run_factor(s, name); });
   }
+  for (const std::string name : {"dk16", "tbk"})
+    benchmark::RegisterBenchmark(("BM_BuildAllFigs/" + name).c_str(),
+                                 [name](benchmark::State& s) { run_build_all(s, name); })
+        ->Unit(benchmark::kMillisecond);
   return 0;
 }();
 

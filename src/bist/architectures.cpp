@@ -1,29 +1,11 @@
 #include "bist/architectures.hpp"
 
-#include <stdexcept>
+#include <iterator>
 
 #include "logic/espresso_lite.hpp"
 #include "logic/qm.hpp"
-#include "util/error.hpp"
 
 namespace stc {
-
-const char* minimizer_name(MinimizerKind mk) {
-  switch (mk) {
-    case MinimizerKind::kAuto: return "auto";
-    case MinimizerKind::kQuineMcCluskey: return "qm";
-    case MinimizerKind::kEspresso: return "espresso";
-  }
-  return "?";
-}
-
-MinimizerKind parse_minimizer(const std::string& name) {
-  if (name == "auto") return MinimizerKind::kAuto;
-  if (name == "qm") return MinimizerKind::kQuineMcCluskey;
-  if (name == "espresso") return MinimizerKind::kEspresso;
-  throw Error(ErrorCode::kInvalidInput, "unknown minimizer",
-              "minimizer=" + name + "; expected auto|qm|espresso");
-}
 
 namespace {
 
@@ -54,21 +36,25 @@ std::vector<NetId> build_minimized(Netlist& nl, const MinimizedBlock& mb,
   return mb.pla ? build_pla(nl, *mb.pla, vars) : build_block(nl, mb.covers, vars);
 }
 
-/// The one multi-level routing policy (shared by minimize_for and fig3's
-/// restricted copy): factor the PLA when the multi-output engine ran, or
-/// the covers when they fit the 64-output CubeList bound — an oversized
-/// covers block stays two-level rather than failing.
-void maybe_factor(MinimizedBlock& mb, const Budget& budget,
-                  std::vector<Degradation>* degradations) {
+/// The one multi-level routing policy (shared by minimize_for, the
+/// combined-block memo and fig3's restricted copy): factor the PLA when
+/// the multi-output engine ran, or the covers when they fit the 64-output
+/// CubeList bound -- an oversized covers block stays two-level rather than
+/// failing (nullopt).
+std::optional<FactoredNetwork> factor_block(const MinimizedBlock& mb,
+                                            const Budget& budget,
+                                            std::vector<Degradation>* degradations) {
   FactorOptions fopt;
   fopt.budget = budget;
   Degradation deg;
+  std::optional<FactoredNetwork> fn;
   if (mb.pla) {
-    mb.factored = extract_factored(*mb.pla, fopt, &deg);
+    fn = extract_factored(*mb.pla, fopt, &deg);
   } else if (mb.covers.size() <= 64) {
-    mb.factored = extract_factored(mb.covers, fopt, &deg);
+    fn = extract_factored(mb.covers, fopt, &deg);
   }
   if (degradations && deg.degraded) degradations->push_back(std::move(deg));
+  return fn;
 }
 
 /// Accumulate one block into the structure: the two-level cost point
@@ -104,6 +90,40 @@ std::vector<TruthTable> combined_tables(const EncodedFsm& enc) {
   std::vector<TruthTable> tables = enc.next_state;
   tables.insert(tables.end(), enc.outputs.begin(), enc.outputs.end());
   return tables;
+}
+
+/// C of figs 1-3: the combined block of `enc`, minimized (and on the
+/// multi-level path factored) through the encoded machine's memo, so the
+/// figures share one complete result per (minimizer, work allowance)
+/// instead of each recomputing it. A degraded two-level block is never
+/// stored, and neither is a factoring of one.
+MinimizedBlock combined_block(const EncodedFsm& enc, MinimizerKind mk,
+                              Technology tech, const Budget& budget,
+                              std::vector<Degradation>* degradations) {
+  BlockMemo& memo = *enc.block_memo;
+  const BlockMemo::Key key{mk, budget.work_allowance()};
+  std::vector<Degradation> degs;
+  MinimizedBlock mb = *memo.two_level(
+      key,
+      [&](std::vector<Degradation>* d) {
+        return minimize_for(enc.spec, combined_tables(enc), mk,
+                            Technology::kTwoLevel, budget, d);
+      },
+      &degs);
+  if (tech == Technology::kMultiLevel) {
+    if (degs.empty()) {
+      const auto fn = memo.factored(
+          key, [&](std::vector<Degradation>* d) { return factor_block(mb, budget, d); },
+          &degs);
+      if (fn) mb.factored = *fn;
+    } else {
+      mb.factored = factor_block(mb, budget, &degs);
+    }
+  }
+  if (degradations)
+    degradations->insert(degradations->end(), std::make_move_iterator(degs.begin()),
+                         std::make_move_iterator(degs.end()));
+  return mb;
 }
 
 }  // namespace
@@ -147,7 +167,8 @@ MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& 
   // Multi-level: greedy algebraic extraction on the minimized two-level
   // form (the PLA when the multi-output engine ran, the per-output covers
   // on the QM path).
-  if (tech == Technology::kMultiLevel) maybe_factor(mb, budget, degradations);
+  if (tech == Technology::kMultiLevel)
+    mb.factored = factor_block(mb, budget, degradations);
   return mb;
 }
 
@@ -169,8 +190,7 @@ ControllerStructure build_fig1(const EncodedFsm& enc, MinimizerKind mk,
 
   // One multi-output block for next-state and output bits together, so
   // the minimizer can share product terms between the two.
-  const MinimizedBlock mb = minimize_for(enc.spec, combined_tables(enc), mk, tech,
-                                         budget, &cs.degradations);
+  const MinimizedBlock mb = combined_block(enc, mk, tech, budget, &cs.degradations);
   add_block_cost(cs, mb);
   const auto nets = build_minimized(nl, mb, vars);
   for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(r.q[b], nets[b]);
@@ -207,8 +227,7 @@ ControllerStructure build_fig2(const EncodedFsm& enc, MinimizerKind mk,
   std::vector<NetId> vars = cs.pi;
   vars.insert(vars.end(), state_in.begin(), state_in.end());
 
-  const MinimizedBlock mb = minimize_for(enc.spec, combined_tables(enc), mk, tech,
-                                         budget, &cs.degradations);
+  const MinimizedBlock mb = combined_block(enc, mk, tech, budget, &cs.degradations);
   add_block_cost(cs, mb);
   const auto nets = build_minimized(nl, mb, vars);
   for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(r.q[b], nets[b]);
@@ -237,8 +256,7 @@ ControllerStructure build_fig3(const EncodedFsm& enc, MinimizerKind mk,
   cs.reg_a = dff_indices(nl, r1);
   cs.reg_b = dff_indices(nl, r2);
 
-  const MinimizedBlock mb = minimize_for(enc.spec, combined_tables(enc), mk, tech,
-                                         budget, &cs.degradations);
+  const MinimizedBlock mb = combined_block(enc, mk, tech, budget, &cs.degradations);
 
   // Copy C: reads R, feeds R' (and drives the primary outputs). Copy C':
   // reads R', feeds R -- only the next-state part is duplicated, with the
@@ -263,7 +281,7 @@ ControllerStructure build_fig3(const EncodedFsm& enc, MinimizerKind mk,
     next_mb.covers.assign(mb.covers.begin(), mb.covers.begin() + enc.state_bits);
   }
   if (tech == Technology::kMultiLevel)
-    maybe_factor(next_mb, budget, &cs.degradations);
+    next_mb.factored = factor_block(next_mb, budget, &cs.degradations);
   add_block_cost(cs, next_mb);
   const auto nets2 = build_minimized(nl, next_mb, vars2);
   for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(r1.q[b], nets2[b]);

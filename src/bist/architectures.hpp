@@ -18,21 +18,13 @@
 
 #include "bist/faults.hpp"
 #include "encoding/encoded_fsm.hpp"
+#include "logic/block.hpp"
 #include "logic/cost.hpp"
 #include "netlist/builder.hpp"
 #include "ostr/realization.hpp"
 #include "util/budget.hpp"
 
 namespace stc {
-
-/// Which two-level minimizer prepares the covers.
-enum class MinimizerKind { kAuto, kQuineMcCluskey, kEspresso };
-
-/// Stable identifier ("auto", "qm", "espresso") -- spool spec files and
-/// the drivers' --minimizer flag round-trip through these.
-const char* minimizer_name(MinimizerKind mk);
-/// Parse a minimizer_name(); throws Error(kInvalidInput) otherwise.
-MinimizerKind parse_minimizer(const std::string& name);
 
 // The builders take a Technology (logic/cost.hpp) selecting the style of
 // the combinational blocks:
@@ -66,29 +58,11 @@ struct ControllerStructure {
   /// report renders the technology as "multi_level(partial)".
   std::size_t ml_fallback_blocks = 0;
   /// Anytime labels of every minimization/factoring stage the build
-  /// truncated under its budget (empty = nothing degraded). The netlist
+  /// truncated under its budget (empty = nothing degraded; the job cache
+  /// adds the label of a truncated OSTR search to a fig4 build). The netlist
   /// implements the encoded machine exactly in every case -- degradation
   /// only means less optimization, never wrong logic.
   std::vector<Degradation> degradations;
-};
-
-/// One minimized multi-output block. `pla` is set when the cube-calculus
-/// multi-output engine ran (products shared across outputs); the per-output
-/// covers are always available for reporting and the QM build path;
-/// `factored` is set when the block was routed through algebraic
-/// extraction (Technology::kMultiLevel).
-struct MinimizedBlock {
-  std::vector<Cover> covers;
-  std::optional<CubeList> pla;
-  std::optional<FactoredNetwork> factored;
-
-  /// Two-level cost point (always available).
-  LogicCost cost() const { return pla ? pla_cost(*pla) : block_cost(covers); }
-  /// Multi-level cost point (only after extraction).
-  std::optional<LogicCost> multilevel_cost() const {
-    return factored ? std::optional<LogicCost>(factored_cost(*factored))
-                    : std::nullopt;
-  }
 };
 
 /// Route one block through the configured minimizer: exact per-output QM
@@ -115,6 +89,11 @@ MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& 
 // naturally split what remains); truncations are collected in
 // ControllerStructure::degradations. The built netlist is behavior-exact
 // at any budget.
+//
+// Figs. 1-3 take C from the EncodedFsm's block memo (logic/block.hpp):
+// the first build for a (minimizer, work allowance) pair minimizes -- and
+// on the multi-level path factors -- C, the later ones reuse the complete
+// result. A build served from the memo reports no degradation for C.
 
 /// Fig. 1: conventional structure.
 ControllerStructure build_fig1(const EncodedFsm& enc,

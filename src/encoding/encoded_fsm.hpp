@@ -8,13 +8,19 @@
 // i.e. primary inputs occupy the LOW bits, present-state bits the HIGH
 // bits. Input symbol values are their KISS2 bit patterns.
 
+#include <memory>
 #include <vector>
 
 #include "encoding/encoding.hpp"
+#include "logic/block.hpp"
 #include "logic/cubelist.hpp"
 
 namespace stc {
 
+/// The fields are treated as immutable after encode_fsm: copies share one
+/// block memo, which serves results computed from this specification, so
+/// an edited copy would be handed blocks of the original machine. Build a
+/// changed machine with a new encode_fsm instead.
 struct EncodedFsm {
   std::size_t state_bits = 0;
   std::size_t input_bits = 0;
@@ -29,6 +35,11 @@ struct EncodedFsm {
   /// padding input pattern). This is what the multi-output minimizer
   /// consumes -- it never touches the dense tables.
   PlaSpec spec;
+  /// Complete minimized / factored forms of the combined (next-state,
+  /// outputs) block, shared by the fig1-3 builders (bist/architectures).
+  /// Never null: each constructed EncodedFsm gets its own memo, every
+  /// copy shares it, and it is freed with the last one.
+  std::shared_ptr<BlockMemo> block_memo = std::make_shared<BlockMemo>();
 
   std::size_t num_vars() const { return state_bits + input_bits; }
 };

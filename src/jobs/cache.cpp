@@ -80,19 +80,24 @@ std::shared_ptr<JobCache::MachineEntry> JobCache::machine(
   return slot->value;
 }
 
-void JobCache::ensure_ostr(MachineEntry& m, const OstrOptions& options) {
+std::shared_ptr<const JobCache::OstrArtifacts> JobCache::ensure_ostr(
+    MachineEntry& m, const OstrOptions& options) {
   std::lock_guard<std::mutex> lock(m.ostr_mu);
-  if (m.ostr_built) {
+  if (m.ostr) {
     std::lock_guard<std::mutex> stats_lock(mu_);
     ++stats_.ostr_hits;
-    return;
+    return m.ostr;
   }
-  m.ostr = solve_ostr(m.fsm, options);
-  m.realization = build_realization(m.fsm, m.ostr.best.pi, m.ostr.best.tau);
-  m.verification = verify_realization(m.fsm, m.realization);
-  m.ostr_built = true;
+  auto a = std::make_shared<OstrArtifacts>();
+  a->ostr = solve_ostr(m.fsm, options);
+  a->realization = build_realization(m.fsm, a->ostr.best.pi, a->ostr.best.tau);
+  a->verification = verify_realization(m.fsm, a->realization);
+  // Like a structure, a search cut short by this job's budget stays this
+  // job's own; stored, it would reach every later fig4 job.
+  if (!a->ostr.degradation.degraded) m.ostr = a;
   std::lock_guard<std::mutex> stats_lock(mu_);
   ++stats_.ostr_misses;
+  return a;
 }
 
 std::shared_ptr<JobCache::StructureEntry> JobCache::structure(
@@ -104,46 +109,69 @@ std::shared_ptr<JobCache::StructureEntry> JobCache::structure(
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto& s = structures_[key];
-    if (!s) {
-      s = std::make_shared<Slot<StructureEntry>>();
-      ++stats_.structure_misses;
-      if (hit != nullptr) *hit = false;
-    } else {
-      ++stats_.structure_hits;
-      if (hit != nullptr) *hit = true;
-    }
+    if (!s) s = std::make_shared<Slot<StructureEntry>>();
     s->last_use = ++lru_tick_;
     slot = s;
     evict_locked();
   }
   std::lock_guard<std::mutex> build(slot->build_mu);
-  if (!slot->built) {
-    fault_point("cache.structure.build");
-    auto e = std::make_shared<StructureEntry>();
-    switch (arch) {
-      case ArchKind::kFig1:
-        e->cs = build_fig1(m->encoded, minimizer, tech, budget);
-        break;
-      case ArchKind::kFig2:
-        e->cs = build_fig2(m->encoded, minimizer, tech, budget);
-        break;
-      case ArchKind::kFig3:
-        e->cs = build_fig3(m->encoded, minimizer, tech, budget);
-        break;
-      case ArchKind::kFig4:
-        ensure_ostr(*m, ostr_options);
-        e->cs = build_fig4(m->fsm, m->realization, minimizer, tech, budget);
-        break;
+  // Hit or miss is decided under the build mutex: a job that waited on a
+  // build which was not published builds again, and that is a miss.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++(slot->built ? stats_.structure_hits : stats_.structure_misses);
+  }
+  if (hit != nullptr) *hit = slot->built;
+  if (slot->built) return slot->value;
+
+  fault_point("cache.structure.build");
+  auto e = std::make_shared<StructureEntry>();
+  switch (arch) {
+    case ArchKind::kFig1:
+      e->cs = build_fig1(m->encoded, minimizer, tech, budget);
+      break;
+    case ArchKind::kFig2:
+      e->cs = build_fig2(m->encoded, minimizer, tech, budget);
+      break;
+    case ArchKind::kFig3:
+      e->cs = build_fig3(m->encoded, minimizer, tech, budget);
+      break;
+    case ArchKind::kFig4: {
+      const auto search = ensure_ostr(*m, ostr_options);
+      e->cs = build_fig4(m->fsm, search->realization, minimizer, tech, budget);
+      // A truncated search truncates the structure built on it.
+      if (search->ostr.degradation.degraded)
+        e->cs.degradations.insert(e->cs.degradations.begin(),
+                                  search->ostr.degradation);
+      break;
     }
-    slot->value = std::move(e);
+  }
+  // A structure truncated under this job's budget stays this job's own:
+  // published, it would reach every later job on the key, whatever that
+  // job's budget. The slot stays unbuilt so the next job builds again.
+  if (e->cs.degradations.empty()) {
+    e->published = true;
+    std::lock_guard<std::mutex> lock(mu_);  // evict_locked reads the slot under mu_
+    slot->value = e;
     slot->built = true;
   }
-  return slot->value;
+  return e;
 }
 
 std::shared_ptr<CampaignWarmState> JobCache::warm(
     const std::shared_ptr<StructureEntry>& s, std::size_t output_misr_width,
     unsigned lane_words, bool* hit) {
+  if (!s->published) {
+    // A private structure is freed when its job ends, and its address may
+    // then be reused by another structure: a warm entry keyed on it could
+    // be served for the wrong netlist. Compile a private warm state.
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.warm_misses;
+    }
+    if (hit != nullptr) *hit = false;
+    return make_campaign_warm_state(s->cs, output_misr_width, lane_words);
+  }
   const WarmKey key{s.get(), lane_words, output_misr_width};
   std::shared_ptr<Slot<CampaignWarmState>> slot;
   {
@@ -163,10 +191,13 @@ std::shared_ptr<CampaignWarmState> JobCache::warm(
   }
   std::lock_guard<std::mutex> build(slot->build_mu);
   if (!slot->built) {
-    slot->value = make_campaign_warm_state(s->cs, output_misr_width, lane_words);
-    slot->built = true;
+    auto w = make_campaign_warm_state(s->cs, output_misr_width, lane_words);
+    // Published under mu_ as well: evict_locked reads built/value under
+    // mu_ alone.
     std::lock_guard<std::mutex> lock(mu_);
-    all_warms_.push_back(slot->value);
+    slot->value = w;
+    slot->built = true;
+    all_warms_.push_back(std::move(w));
   }
   return slot->value;
 }
@@ -197,7 +228,11 @@ void JobCache::evict_locked() {
     auto sv = structures_.end();
     for (auto it = structures_.begin(); it != structures_.end(); ++it) {
       const auto& slot = it->second;
-      if (!slot->built || slot->value.use_count() > 1) continue;
+      // Pinned: a built value leased by a job, or an unbuilt slot a job is
+      // building in (an idle unbuilt slot -- its last build was degraded
+      // and not published -- may go).
+      if (slot->built ? slot->value.use_count() > 1 : it->second.use_count() > 1)
+        continue;
       // A warm entry keyed on this structure still exists (it was pinned,
       // or younger): the compiled program references the structure's
       // netlist, so the structure must stay.

@@ -6,9 +6,12 @@
 //
 //   machine    name -> { MealyMachine, fingerprint, EncodedFsm }
 //              plus lazily the OSTR result / realization / verification
-//              (only fig4 jobs pay for the search);
+//              (only fig4 jobs pay for the search; only a complete
+//              search is stored);
 //   structure  (fingerprint, arch, tech, minimizer) -> built
 //              ControllerStructure (espresso + factoring baked in);
+//              only complete builds -- one a job's budget truncated is
+//              returned to that job and not stored;
 //   warm       (structure identity, lane_words, MISR width) -> compiled
 //              lane program + scratch free-list (bist/session warm state).
 //
@@ -29,7 +32,11 @@
 //
 // Thread-safe: concurrent jobs requesting the same entry serialize on a
 // per-entry build mutex -- exactly one builds, the rest wait and count a
-// hit. All counters are monotonic; stats() may be read while jobs run.
+// hit (or, when that build was degraded and not stored, build again and
+// count a miss). The fig1-3 jobs of one machine also share its encoded
+// block memo (logic/block.hpp), so a structure miss reuses C when another
+// figure already minimized it. All counters are monotonic; stats() may be
+// read while jobs run.
 
 #include <cstdint>
 #include <memory>
@@ -77,21 +84,31 @@ struct JobCacheStats {
 
 class JobCache {
  public:
-  struct MachineEntry {
-    MealyMachine fsm;
-    std::uint64_t fingerprint = 0;
-    EncodedFsm encoded;  // natural encoding, shared by fig1-fig3 builds
-
-    // OSTR artifacts, built lazily under ostr_mu (fig4 only).
-    std::mutex ostr_mu;
-    bool ostr_built = false;
+  /// One OSTR search, the realization of its best pair, and that
+  /// realization's verification.
+  struct OstrArtifacts {
     OstrResult ostr;
     Realization realization;
     VerifyReport verification;
   };
 
+  struct MachineEntry {
+    MealyMachine fsm;
+    std::uint64_t fingerprint = 0;
+    EncodedFsm encoded;  // natural encoding, shared by fig1-fig3 builds
+                         // (with its block memo: C is minimized once)
+
+    // OSTR artifacts of a complete search, built lazily under ostr_mu
+    // (fig4 only); null until then.
+    std::mutex ostr_mu;
+    std::shared_ptr<const OstrArtifacts> ostr;
+  };
+
   struct StructureEntry {
     ControllerStructure cs;  // stable address: warm states point at it
+    /// Held by the cache. False for a degraded build, which only the job
+    /// that built it sees; warm() then compiles a private warm state.
+    bool published = false;
   };
 
   /// `max_entries` bounds structures + warms together (0 = unbounded).
@@ -111,14 +128,18 @@ class JobCache {
           [](const std::string& n) { return load_benchmark(n); },
       bool* hit = nullptr);
 
-  /// OSTR + realization + verification for a machine, computed once under
-  /// `options` by the first caller (later callers reuse it regardless of
-  /// their own options -- budget included; see DESIGN.md).
-  void ensure_ostr(MachineEntry& m, const OstrOptions& options);
+  /// OSTR + realization + verification for a machine under `options`. A
+  /// complete search is stored and served to every later caller, whatever
+  /// its options. A search the budget truncated (ostr.degradation.degraded)
+  /// is returned to this caller only: the next caller searches again.
+  std::shared_ptr<const OstrArtifacts> ensure_ostr(MachineEntry& m,
+                                                   const OstrOptions& options);
 
-  /// Build (or fetch) one controller structure. `budget` governs only the
-  /// first build; the cached artifact is returned bit-identically to every
-  /// later caller.
+  /// Build (or fetch) one controller structure. `budget` governs the
+  /// build; a complete build is cached and returned bit-identically to
+  /// every later caller. A build the budget truncated (non-empty
+  /// degradations) is returned to this caller only, unpublished: the next
+  /// caller on the key builds again under its own budget.
   std::shared_ptr<StructureEntry> structure(const std::shared_ptr<MachineEntry>& m,
                                             ArchKind arch, Technology tech,
                                             MinimizerKind minimizer,
@@ -169,6 +190,8 @@ class JobCache {
   template <typename Entry>
   struct Slot {
     std::mutex build_mu;
+    // Structure and warm slots: written under build_mu AND mu_, so the
+    // builder (build_mu) and evict_locked (mu_) each read them safely.
     bool built = false;
     std::shared_ptr<Entry> value;
     std::uint64_t last_use = 0;  // LRU stamp, updated under mu_

@@ -369,8 +369,11 @@ TEST(AnytimeFlow, S1MultiLevelUnder50msStaysBehaviorExact) {
   const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
   const ControllerStructure ref =
       build_fig1(enc, MinimizerKind::kAuto, Technology::kTwoLevel);
+  // A separate encoding, so the budgeted build minimizes under its 50 ms
+  // instead of taking ref's finished block from the shared memo.
+  const EncodedFsm own = encode_fsm(m, natural_encoding(m.num_states()));
   const ControllerStructure got =
-      build_fig1(enc, MinimizerKind::kAuto, Technology::kMultiLevel,
+      build_fig1(own, MinimizerKind::kAuto, Technology::kMultiLevel,
                  Budget::deadline_ms(50));
   expect_equivalent(ref.nl, got.nl, 48, 0xA11F);
 }

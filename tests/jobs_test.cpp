@@ -230,6 +230,131 @@ TEST(JobCache, StructureKeyIsContentNotName) {
   EXPECT_TRUE(hit_b);  // same fingerprint -> same entry, no rebuild
 }
 
+TEST(JobCache, DegradedStructureIsNotServedToLaterJobs) {
+  JobCache cache;
+  CampaignJobSpec spec;
+  spec.machine = "dk16";
+  spec.arch = ArchKind::kFig2;
+  spec.tech = Technology::kMultiLevel;
+  spec.minimizer = MinimizerKind::kEspresso;  // budget-governed minimizer
+  spec.bist_cycles = 64;
+
+  // A job starved by its deadline builds a truncated structure...
+  const CampaignJobResult starved =
+      run_campaign_job(spec, cache, Budget::deadline_ms(0));
+  ASSERT_TRUE(starved.error.empty()) << starved.error;
+  EXPECT_FALSE(starved.structure_cached);
+  EXPECT_FALSE(starved.report.degradations.empty());
+
+  // ...which the next job on the same key, with no budget, never sees: it
+  // builds again (a structure miss) and gets the full-quality result.
+  const CampaignJobResult full = run_campaign_job(spec, cache);
+  ASSERT_TRUE(full.error.empty()) << full.error;
+  EXPECT_FALSE(full.structure_cached);
+  EXPECT_FALSE(full.warm_cached);
+  EXPECT_TRUE(full.report.degradations.empty())
+      << render_degradations(full.report.degradations);
+  JobCacheStats st = cache.stats();
+  EXPECT_EQ(st.structure_misses, 2u);
+  EXPECT_EQ(st.structure_hits, 0u);
+
+  // The complete build is published: a third job is served it, whatever
+  // its own budget, along with its cache-keyed warm state.
+  const CampaignJobResult again =
+      run_campaign_job(spec, cache, Budget::deadline_ms(0));
+  EXPECT_TRUE(again.structure_cached);
+  EXPECT_TRUE(again.warm_cached);
+  EXPECT_EQ(again.report.area_ge, full.report.area_ge);
+  st = cache.stats();
+  EXPECT_EQ(st.structure_misses, 2u);
+  EXPECT_EQ(st.structure_hits, 1u);
+}
+
+TEST(JobCache, TruncatedOstrSearchIsNotServedToLaterJobs) {
+  // Fig. 4 builds on the machine's OSTR search, which the machine entry
+  // keeps for all of the machine's fig4 jobs. bbara's search completes
+  // well inside the default node cap.
+  JobCache cache;
+  CampaignJobSpec spec;
+  spec.machine = "bbara";
+  spec.arch = ArchKind::kFig4;
+  spec.tech = Technology::kTwoLevel;
+  spec.bist_cycles = 64;
+
+  const auto has_ostr_stage = [](const CampaignJobResult& r) {
+    for (const Degradation& d : r.report.degradations)
+      if (d.stage == "ostr") return true;
+    return false;
+  };
+
+  // A starved job's search stops at once (the doubling pair); the job
+  // reports it, and neither the search nor the structure is stored...
+  const CampaignJobResult starved =
+      run_campaign_job(spec, cache, Budget::deadline_ms(0));
+  ASSERT_TRUE(starved.error.empty()) << starved.error;
+  EXPECT_TRUE(has_ostr_stage(starved))
+      << render_degradations(starved.report.degradations);
+
+  // ...so an unlimited job searches again and builds the full-quality
+  // structure, the same one a fresh cache builds.
+  const CampaignJobResult full = run_campaign_job(spec, cache);
+  ASSERT_TRUE(full.error.empty()) << full.error;
+  EXPECT_FALSE(full.structure_cached);
+  EXPECT_TRUE(full.report.degradations.empty())
+      << render_degradations(full.report.degradations);
+  JobCache fresh;
+  EXPECT_EQ(full.report.area_ge, run_campaign_job(spec, fresh).report.area_ge);
+  JobCacheStats st = cache.stats();
+  EXPECT_EQ(st.ostr_misses, 2u);
+  EXPECT_EQ(st.structure_misses, 2u);
+
+  // The complete search is stored: a fig4 job in the other technology
+  // reuses it, whatever its own budget.
+  spec.tech = Technology::kMultiLevel;
+  const CampaignJobResult other =
+      run_campaign_job(spec, cache, Budget::deadline_ms(0));
+  ASSERT_TRUE(other.error.empty()) << other.error;
+  EXPECT_FALSE(has_ostr_stage(other))
+      << render_degradations(other.report.degradations);
+  st = cache.stats();
+  EXPECT_EQ(st.ostr_misses, 2u);
+  EXPECT_EQ(st.ostr_hits, 1u);
+}
+
+TEST(JobCache, UnpublishedStructureGetsPrivateWarmStates) {
+  JobCache cache;
+  auto m = cache.machine("dk16");
+  bool hit = true;
+  const auto s = cache.structure(m, ArchKind::kFig3, Technology::kTwoLevel,
+                                 MinimizerKind::kEspresso, OstrOptions{},
+                                 Budget::deadline_ms(0), &hit);
+  EXPECT_FALSE(hit);
+  ASSERT_FALSE(s->cs.degradations.empty());
+  EXPECT_FALSE(s->published);
+  // Never keyed on the private structure's address: every request
+  // compiles its own state and counts a miss.
+  bool warm_hit = true;
+  const auto w1 = cache.warm(s, 16, 1, &warm_hit);
+  EXPECT_FALSE(warm_hit);
+  const auto w2 = cache.warm(s, 16, 1, &warm_hit);
+  EXPECT_FALSE(warm_hit);
+  EXPECT_NE(w1, w2);
+  EXPECT_EQ(cache.stats().warm_misses, 2u);
+  EXPECT_EQ(cache.stats().warm_hits, 0u);
+}
+
+TEST(JobCache, IdleUnbuiltSlotsAreEvictable) {
+  // A key whose only build was degraded holds an unbuilt slot; a bounded
+  // cache must be able to drop it like any unpinned entry.
+  JobCache cache(1);
+  auto m = cache.machine("dk16");
+  cache.structure(m, ArchKind::kFig2, Technology::kTwoLevel,
+                  MinimizerKind::kEspresso, OstrOptions{}, Budget::deadline_ms(0));
+  cache.structure(m, ArchKind::kFig3, Technology::kTwoLevel,
+                  MinimizerKind::kEspresso, OstrOptions{}, Budget::deadline_ms(0));
+  EXPECT_GE(cache.stats().structure_evictions, 1u);
+}
+
 // --- Corpus sweep: determinism and serial equivalence -----------------------
 
 SweepOptions small_sweep(std::size_t jobs) {
