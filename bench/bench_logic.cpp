@@ -14,6 +14,10 @@
 //     machine's minimized PLA: extraction throughput plus the two
 //     technology cost points (two-level vs factored literals, nodes) the
 //     area tables and scripts/bench_diff.py track across PRs.
+//   * BM_FactorTruncated_s1 -- s1's merged ON cover (espresso stopped at
+//     zero rounds) factored under a 255-step work allowance: the shape of
+//     every s1 multi-level job of a 200 ms sweep, whose deadline is first
+//     checked at step 256, but deterministic.
 //   * BM_BuildAllFigs/<machine> -- figs. 1-4 in both technologies from one
 //     EncodedFsm, as the synthesis flow builds them: figs. 1-3 share the
 //     combined block through the encoding's memo, so the counters show one
@@ -111,6 +115,29 @@ void run_factor(benchmark::State& state, const std::string& machine) {
   state.counters["ge_multi_level"] = ml.gate_equivalents;
   state.counters["nodes"] = static_cast<double>(nodes);
 }
+
+/// The factoring of an s1 multi-level sweep job without its clock: the
+/// minimizer stops before its first round (the ON cover with identical
+/// input parts merged) and the extraction after 255 steps.
+void BM_FactorTruncated_s1(benchmark::State& state) {
+  const EncodedFsm enc = encoded("s1");
+  EspressoOptions eopt;
+  eopt.budget = Budget::work_limit(0);
+  const CubeList pla = minimize_espresso_mv(enc.spec, eopt);
+  FactorOptions fopt;
+  fopt.budget = Budget::work_limit(255);
+  LogicCost ml;
+  std::size_t nodes = 0;
+  for (auto _ : state) {
+    const FactoredNetwork fn = extract_factored(pla, fopt);
+    ml = factored_cost(fn);
+    nodes = fn.num_nodes();
+    benchmark::DoNotOptimize(fn.num_literals());
+  }
+  state.counters["literals_multi_level"] = static_cast<double>(ml.literals);
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_FactorTruncated_s1)->Unit(benchmark::kMillisecond);
 
 /// Every structure of one machine from one fresh encoding per iteration.
 void run_build_all(benchmark::State& state, const std::string& machine) {

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <map>
-#include <queue>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+
+#include "logic/pair_queue.hpp"
 
 namespace stc {
 namespace {
@@ -280,8 +282,8 @@ namespace {
 /// The extraction working state: outputs and node definitions live in one
 /// function array (funcs_[b] = output b, funcs_[num_outputs + j] = node j),
 /// with incremental bookkeeping for the cube-divisor search:
-///   * pair_count_ / pair_heap_ -- global occurrence counts of 2-literal
-///     sub-cubes, max-heap with lazy invalidation;
+///   * pairs_ -- global occurrence counts of 2-literal sub-cubes, in a
+///     queue holding one entry per pair that occurs at least twice;
 ///   * lit_cubes_ -- literal -> cube references, also lazily stale: entries
 ///     are validated against the function generation and actual membership
 ///     before use.
@@ -295,6 +297,7 @@ class Extractor {
     gen_.assign(funcs_.size(), 0);
     dirty_.assign(funcs_.size(), true);
     for (std::uint32_t f = 0; f < funcs_.size(); ++f) register_func(f);
+    pairs_.build();
   }
 
   FactoredNetwork run() {
@@ -314,6 +317,9 @@ class Extractor {
   }
 
   bool truncated() const { return truncated_; }
+  /// Completed extraction steps (cube pulls and kernel rounds): the
+  /// FactorOptions::budget work unit.
+  std::uint64_t steps() const { return steps_; }
   /// Budget reason at the stop ("" when not truncated).
   const char* stop_reason() const { return budget_.reason(); }
 
@@ -342,18 +348,8 @@ class Extractor {
 
   void add_pairs(const FCube& c, int delta) {
     for (std::size_t i = 0; i < c.size(); ++i)
-      for (std::size_t j = i + 1; j < c.size(); ++j) {
-        const std::uint64_t key = pair_key(c[i], c[j]);
-        auto it = pair_count_.find(key);
-        if (it == pair_count_.end()) it = pair_count_.emplace(key, 0).first;
-        it->second = static_cast<std::uint32_t>(
-            static_cast<int>(it->second) + delta);
-        if (it->second == 0) {
-          pair_count_.erase(it);
-        } else if (delta > 0 && it->second >= 2) {
-          pair_heap_.push({it->second, key});
-        }
-      }
+      for (std::size_t j = i + 1; j < c.size(); ++j)
+        pairs_.add(pair_key(c[i], c[j]), delta);
   }
 
   /// Register every cube of a function (fresh generation).
@@ -366,15 +362,24 @@ class Extractor {
     }
   }
 
-  /// Replace one cube in place (cube-divisor substitution): removed
-  /// literals leave stale index entries behind; `fresh` literals (never
-  /// seen in this cube before) are indexed.
-  void rewrite_cube(const CubeRef& r, FCube next, LitId fresh) {
+  /// Substitute the cube divisor `divisor` (a subset of the cube) by its
+  /// node literal `x`, in place. Only the pairs that change are counted:
+  /// those touching a divisor literal leave, those with x arrive. Removed
+  /// literals leave stale index entries behind; x is indexed.
+  void rewrite_cube(const CubeRef& r, const FCube& divisor, LitId x) {
     FCube& cur = funcs_[r.func].cubes[r.idx];
-    add_pairs(cur, -1);
-    lit_cubes_[fresh].push_back({r.func, r.idx, r.gen});
+    auto in_divisor = [&](LitId l) {
+      return std::binary_search(divisor.begin(), divisor.end(), l);
+    };
+    for (std::size_t i = 0; i < cur.size(); ++i)
+      for (std::size_t j = i + 1; j < cur.size(); ++j)
+        if (in_divisor(cur[i]) || in_divisor(cur[j]))
+          pairs_.add(pair_key(cur[i], cur[j]), -1);
+    FCube next = cube_difference(cur, divisor);
+    for (LitId l : next) pairs_.add(pair_key(l, x), +1);
+    next.push_back(x);  // x is the largest id: stays sorted
     cur = std::move(next);
-    add_pairs(cur, +1);
+    lit_cubes_[x].push_back({r.func, r.idx, r.gen});
     dirty_[r.func] = true;
   }
 
@@ -519,45 +524,29 @@ class Extractor {
         truncated_ = true;
         break;
       }
-      // Pop the top candidate pairs (lazy heap: entries are revalidated
-      // against the live count).
+      // Probe the top distinct pairs by (count desc, key desc); they stay
+      // out of the queue until this step's rewrite is done.
       constexpr std::size_t kProbe = 16;
-      std::vector<std::pair<std::uint32_t, std::uint64_t>> probed;
       CubeCandidate best;
-      while (probed.size() < kProbe && !pair_heap_.empty()) {
-        const auto top = pair_heap_.top();
-        pair_heap_.pop();
-        auto it = pair_count_.find(top.second);
-        if (it == pair_count_.end()) continue;
-        if (it->second != top.first) {
-          // Stale entry. Increments push fresh entries, so a higher live
-          // count is already represented; a *dropped* count is not
-          // (decrements don't push) and is re-inserted here so a pair
-          // falling back to a still-profitable count stays reachable.
-          if (it->second >= 2 && it->second < top.first)
-            pair_heap_.push({it->second, top.second});
-          continue;
-        }
-        probed.push_back(top);
-        CubeCandidate cand = grow_pair(
-            static_cast<LitId>(top.second >> 32),
-            static_cast<LitId>(top.second & 0xFFFFFFFFu));
+      for (const std::uint64_t key : pairs_.take(kProbe)) {
+        CubeCandidate cand = grow_pair(static_cast<LitId>(key >> 32),
+                                       static_cast<LitId>(key & 0xFFFFFFFFu));
         if (cand.value > best.value) best = std::move(cand);
       }
-      for (const auto& p : probed) pair_heap_.push(p);
-      if (best.value <= 0) break;
-
-      // One AND node for the divisor; every occurrence drops the divisor's
-      // literals and gains a reference to it.
-      const std::uint32_t nf = new_node({best.divisor});
-      const LitId x = lit_of_node(nf - num_outputs_);
-      for (const CubeRef& r : best.targets) {
-        if (!ref_valid(r) || !cube_includes(ref_cube(r), best.divisor))
-          continue;  // the new node's own def is not among the targets
-        FCube next = cube_difference(ref_cube(r), best.divisor);
-        next.push_back(x);  // x is the largest id: stays sorted
-        rewrite_cube(r, std::move(next), x);
+      if (best.value > 0) {
+        // One AND node for the divisor; every occurrence drops the
+        // divisor's literals and gains a reference to it.
+        const std::uint32_t nf = new_node({best.divisor});
+        const LitId x = lit_of_node(nf - num_outputs_);
+        for (const CubeRef& r : best.targets) {
+          if (!ref_valid(r) || !cube_includes(ref_cube(r), best.divisor))
+            continue;  // the new node's own def is not among the targets
+          rewrite_cube(r, best.divisor, x);
+        }
       }
+      pairs_.release();
+      ++steps_;
+      if (best.value <= 0) break;
       any = true;
     }
     return any;
@@ -736,7 +725,9 @@ class Extractor {
         }
         ++it;
       }
-      if (truncated_ || !best) break;
+      if (truncated_) break;
+      ++steps_;  // the rewrite below cannot be interrupted
+      if (!best) break;
 
       // Re-evaluate the winner collecting quotients, then rewrite.
       std::vector<KernelTarget> targets;
@@ -906,11 +897,11 @@ class Extractor {
   FactorOptions opt_;
   Budget budget_;
   bool truncated_ = false;
+  std::uint64_t steps_ = 0;
   std::vector<SopExpr> funcs_;
   std::vector<std::uint32_t> gen_;
   std::vector<bool> dirty_;
-  std::unordered_map<std::uint64_t, std::uint32_t> pair_count_;
-  std::priority_queue<std::pair<std::uint32_t, std::uint64_t>> pair_heap_;
+  PairQueue pairs_;
   std::unordered_map<LitId, std::vector<CubeRef>> lit_cubes_;
   std::vector<std::uint32_t> reach_seen_;
   std::vector<std::uint32_t> reach_stack_;
@@ -927,13 +918,15 @@ FactoredNetwork extract_factored(const CubeList& pla, const FactorOptions& optio
   if (degradation) {
     degradation->stage = "factor";
     degradation->degraded = ex.truncated();
-    degradation->work_done = fn.num_nodes();
+    degradation->work_done = ex.steps();
     degradation->work_total = 0;  // greedy extraction is open-ended
     if (ex.truncated()) {
       degradation->reason =
           *ex.stop_reason() ? ex.stop_reason() : "work-allowance";
       degradation->detail =
-          "divisor extraction stopped early; partial factorization is exact";
+          "divisor extraction stopped early after " +
+          std::to_string(fn.num_nodes()) +
+          " nodes; partial factorization is exact";
     }
   }
   return fn;

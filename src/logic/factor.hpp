@@ -190,7 +190,8 @@ struct FactorOptions {
 /// literals, then inline single-use nodes that do not pay for themselves.
 /// The result computes exactly the same boolean functions as `pla` --
 /// including under an exhausted budget (see FactorOptions::budget). When
-/// `degradation` is non-null it reports whether extraction was cut short.
+/// `degradation` is non-null it reports whether extraction was cut short,
+/// with work_done = the extraction steps completed.
 FactoredNetwork extract_factored(const CubeList& pla, const FactorOptions& options = {},
                                  Degradation* degradation = nullptr);
 

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
 #include "benchdata/iwls93.hpp"
@@ -19,6 +21,7 @@
 #include "logic/cost.hpp"
 #include "logic/espresso_lite.hpp"
 #include "logic/factor.hpp"
+#include "logic/pair_queue.hpp"
 #include "netlist/eval64.hpp"
 #include "ostr/ostr.hpp"
 #include "synth/flow.hpp"
@@ -293,6 +296,138 @@ TEST(Extraction, EspressoOutputOfACorpusMachineFactorsSmaller) {
   // The factored form must beat the flat two-level literal count.
   EXPECT_LT(factored_cost(fn).literals, pla_cost(pla).literals);
   EXPECT_GT(fn.num_nodes(), 0u);
+}
+
+// --- the cube-divisor pair queue ---------------------------------------------
+
+/// Brute-force top-k: every pair with count >= 2 outside `taken`, sorted by
+/// (count desc, key desc).
+std::vector<PairQueue::Key> oracle_top(
+    const std::map<PairQueue::Key, int>& counts,
+    const std::set<PairQueue::Key>& taken, std::size_t k) {
+  std::vector<std::pair<int, PairQueue::Key>> live;
+  for (const auto& [key, count] : counts)
+    if (count >= 2 && !taken.count(key)) live.push_back({count, key});
+  std::sort(live.rbegin(), live.rend());
+  std::vector<PairQueue::Key> out;
+  for (std::size_t i = 0; i < live.size() && i < k; ++i)
+    out.push_back(live[i].second);
+  return out;
+}
+
+std::size_t oracle_heap_size(const std::map<PairQueue::Key, int>& counts) {
+  std::size_t n = 0;
+  for (const auto& [key, count] : counts) n += count >= 2;
+  return n;
+}
+
+TEST(PairQueue, ProbesMatchABruteForceRecount) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(0x9A1C + seed);
+    PairQueue q;
+    std::map<PairQueue::Key, int> counts;
+    // A small key universe (collisions, drops to 0 and re-entries are
+    // frequent) spread over the whole 64-bit key range.
+    const std::size_t universe = 8 + rng.below(120);
+    auto random_key = [&] {
+      const std::uint64_t i = rng.below(universe);
+      return (i << 32) | (i * 7 + 1);
+    };
+    auto step = [&](std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const PairQueue::Key key = random_key();
+        const bool down = counts[key] > 0 && rng.chance(0.45);
+        const int delta = down ? -1 : +1;
+        q.add(key, delta);
+        counts[key] += delta;
+        ASSERT_EQ(q.count(key), static_cast<std::uint32_t>(counts[key]));
+      }
+    };
+    step(40 + rng.below(400));  // bulk registration before the heapify
+    q.build();
+    ASSERT_EQ(q.heap_size(), oracle_heap_size(counts)) << "seed " << seed;
+    for (int probe = 0; probe < 60; ++probe) {
+      step(rng.below(30));
+      ASSERT_EQ(q.heap_size(), oracle_heap_size(counts)) << "seed " << seed;
+
+      const std::vector<PairQueue::Key> got = q.take(16);
+      ASSERT_EQ(got, oracle_top(counts, {}, 16))
+          << "seed " << seed << " probe " << probe;
+      const std::set<PairQueue::Key> taken(got.begin(), got.end());
+      EXPECT_EQ(taken.size(), got.size()) << "a pair returned twice";
+      for (PairQueue::Key key : got) EXPECT_GE(counts[key], 2);
+
+      // Count changes while the pairs are taken (the step's rewrite) reach
+      // the taken pairs too, but a second probe must not return them.
+      step(rng.below(30));
+      ASSERT_EQ(q.take(4), oracle_top(counts, taken, 4));
+      q.release();
+    }
+  }
+}
+
+TEST(PairQueue, EachLivePairHoldsOneEntryUnderChurn) {
+  // The -1/+1 churn a cube rewrite applies to pairs it leaves unchanged
+  // must not grow the heap.
+  PairQueue q;
+  for (PairQueue::Key key = 0; key < 50; ++key)
+    for (int c = 0; c < 5; ++c) q.add(key, +1);
+  q.build();
+  for (int round = 0; round < 100; ++round)
+    for (PairQueue::Key key = 0; key < 50; ++key) {
+      q.add(key, -1);
+      q.add(key, +1);
+    }
+  EXPECT_EQ(q.heap_size(), 50u);
+  q.add(7, -4);  // count 1: leaves the heap
+  EXPECT_EQ(q.heap_size(), 49u);
+  q.add(7, -1);  // count 0: forgotten
+  EXPECT_EQ(q.count(7), 0u);
+  q.add(7, +2);  // back at 2
+  EXPECT_EQ(q.heap_size(), 50u);
+  const std::vector<PairQueue::Key> top = q.take(2);
+  EXPECT_EQ(top, (std::vector<PairQueue::Key>{49, 48}));
+}
+
+TEST(Extraction, RepeatedRunsGiveIdenticalNetworks) {
+  // The pair queue's first heapify walks a hash map; the probe order, and
+  // so the network, must not depend on that walk.
+  for (const std::string& name : benchmark_names()) {
+    if (name == "s1") continue;  // seconds per factoring
+    const MealyMachine m = load_benchmark(name);
+    const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
+    const CubeList pla = minimize_espresso_mv(enc.spec);
+    const FactoredNetwork a = extract_factored(pla);
+    const FactoredNetwork b = extract_factored(pla);
+    EXPECT_EQ(a.nodes, b.nodes) << name;
+    EXPECT_EQ(a.outputs, b.outputs) << name;
+  }
+}
+
+TEST(Extraction, TruncatedFactoringReportsCompletedSteps) {
+  // One work unit is one extraction step, so a factoring cut by a k-unit
+  // allowance reports exactly k steps, whatever number of nodes survive.
+  const MealyMachine m = load_benchmark("tbk");
+  const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
+  const CubeList pla = minimize_espresso_mv(enc.spec);
+  for (const std::uint64_t k : {1u, 7u, 40u, 300u}) {
+    FactorOptions opt;
+    opt.budget = Budget::work_limit(k);
+    Degradation deg;
+    const FactoredNetwork fn = extract_factored(pla, opt, &deg);
+    ASSERT_TRUE(deg.degraded) << k;
+    EXPECT_EQ(deg.stage, "factor");
+    EXPECT_EQ(deg.reason, "work-allowance");
+    EXPECT_EQ(deg.work_done, k);
+    EXPECT_NE(deg.detail.find(std::to_string(fn.num_nodes()) + " nodes"),
+              std::string::npos)
+        << deg.detail;
+  }
+  // An unbudgeted run is not degraded and still counts its steps.
+  Degradation full;
+  extract_factored(pla, FactorOptions{}, &full);
+  EXPECT_FALSE(full.degraded);
+  EXPECT_GT(full.work_done, 300u);
 }
 
 // --- cost tagging (micro-fix) ------------------------------------------------
