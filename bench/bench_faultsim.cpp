@@ -1,17 +1,16 @@
 // Fault-simulation throughput (google-benchmark): serial stuck-at
-// campaigns vs the bit-parallel engines on the pipeline structure,
+// campaigns vs the bit-parallel event engine on the pipeline structure,
 // single-session cost as a function of test length, and the compiled
 // 64-lane evaluator against the scalar interpreter.
 //
-// Engine comparison: BM_FullFaultCampaign (one self-test run per fault)
-// vs BM_FlatCampaign_* (every gate every cycle) vs BM_EventCampaign_*
-// (event-driven: resident values, dense PLA-product sweep, sparse ORs).
-// The campaign benchmarks carry a lane-width axis ("lanes" = 64/256/512,
-// i.e. 63/255/511 faults per self-test run) and report faults simulated
-// per second plus the mean per-cycle activity ratio and machine
-// cycles/second, so the archived BENCH_faultsim.json tracks both the
-// flat-vs-event and the per-width trajectory across PRs (compare two
-// archives with scripts/bench_diff.py).
+// Campaign comparison: BM_FullFaultCampaign (the serial oracle, one
+// self-test run per fault) vs BM_EventCampaign_* (event-driven: resident
+// values, dense PLA-product sweep, sparse ORs). The campaign benchmarks
+// carry a lane-width axis ("lanes" = 64/256/512, i.e. 63/255/511 faults
+// per self-test run) and report faults simulated per second plus the mean
+// per-cycle activity ratio and machine cycles/second, so the archived
+// BENCH_faultsim.json tracks the per-width trajectory across PRs (compare
+// two archives with scripts/bench_diff.py).
 
 #include <benchmark/benchmark.h>
 
@@ -36,10 +35,9 @@ ControllerStructure fig1_for(const char* name) {
 }
 
 void run_campaign_bench(benchmark::State& state, const ControllerStructure& cs,
-                        CampaignEngine engine, std::size_t cycles,
-                        std::size_t threads, unsigned lanes = 64) {
+                        std::size_t cycles, std::size_t threads,
+                        unsigned lanes = 64) {
   CampaignOptions opt;
-  opt.engine = engine;
   opt.num_threads = threads;
   opt.lane_words = lane_words_from_lanes(lanes);
   CampaignResult res;
@@ -78,7 +76,7 @@ void BM_SelfTestSession(benchmark::State& state) {
 }
 BENCHMARK(BM_SelfTestSession)->Arg(64)->Arg(256)->Arg(1024);
 
-// --- full campaigns: serial oracle vs the two lane engines -------------------
+// --- full campaigns: serial oracle vs the lane engine ------------------------
 
 void BM_FullFaultCampaign(benchmark::State& state) {
   static const ControllerStructure cs = pipeline_for("dk27");
@@ -103,23 +101,14 @@ void apply_campaign_axes(benchmark::internal::Benchmark* b) {
   for (const std::int64_t lanes : {256, 512}) b->Args({1, lanes});
 }
 
-void BM_FlatCampaign_dk27_fig4(benchmark::State& state) {
-  static const ControllerStructure cs = pipeline_for("dk27");
-  run_campaign_bench(state, cs, CampaignEngine::kFlat, 128,
-                     static_cast<std::size_t>(state.range(0)),
-                     static_cast<unsigned>(state.range(1)));
-}
-BENCHMARK(BM_FlatCampaign_dk27_fig4)->Apply(apply_campaign_axes);
-
 void BM_EventCampaign_dk27_fig4(benchmark::State& state) {
   static const ControllerStructure cs = pipeline_for("dk27");
-  run_campaign_bench(state, cs, CampaignEngine::kEvent, 128,
-                     static_cast<std::size_t>(state.range(0)),
+  run_campaign_bench(state, cs, 128, static_cast<std::size_t>(state.range(0)),
                      static_cast<unsigned>(state.range(1)));
 }
 BENCHMARK(BM_EventCampaign_dk27_fig4)->Apply(apply_campaign_axes);
 
-// The larger conventional structures stress the engines with thousands of
+// The larger conventional structures stress the engine with thousands of
 // nets; the serial variant is bounded to tbk to keep the bench runnable
 // (s1's serial campaign takes minutes).
 void BM_FullFaultCampaignTbkFig1(benchmark::State& state) {
@@ -131,18 +120,9 @@ void BM_FullFaultCampaignTbkFig1(benchmark::State& state) {
 }
 BENCHMARK(BM_FullFaultCampaignTbkFig1);
 
-void BM_FlatCampaign_tbk_fig1(benchmark::State& state) {
-  static const ControllerStructure cs = fig1_for("tbk");
-  run_campaign_bench(state, cs, CampaignEngine::kFlat, 64,
-                     static_cast<std::size_t>(state.range(0)),
-                     static_cast<unsigned>(state.range(1)));
-}
-BENCHMARK(BM_FlatCampaign_tbk_fig1)->Apply(apply_campaign_axes);
-
 void BM_EventCampaign_tbk_fig1(benchmark::State& state) {
   static const ControllerStructure cs = fig1_for("tbk");
-  run_campaign_bench(state, cs, CampaignEngine::kEvent, 64,
-                     static_cast<std::size_t>(state.range(0)),
+  run_campaign_bench(state, cs, 64, static_cast<std::size_t>(state.range(0)),
                      static_cast<unsigned>(state.range(1)));
 }
 BENCHMARK(BM_EventCampaign_tbk_fig1)->Apply(apply_campaign_axes);
@@ -150,18 +130,9 @@ BENCHMARK(BM_EventCampaign_tbk_fig1)->Apply(apply_campaign_axes);
 // s1: the largest bundled structure (~4.8k nets after PR 3). One thread;
 // the lane axis carries this PR's acceptance bar (faults_per_sec at 256
 // lanes >= 2x the 64-lane value on the event engine).
-void BM_FlatCampaign_s1_fig1(benchmark::State& state) {
-  static const ControllerStructure cs = fig1_for("s1");
-  run_campaign_bench(state, cs, CampaignEngine::kFlat, 64, 1,
-                     static_cast<unsigned>(state.range(0)));
-}
-BENCHMARK(BM_FlatCampaign_s1_fig1)
-    ->ArgName("lanes")->Arg(64)->Arg(256)->Arg(512);
-
 void BM_EventCampaign_s1_fig1(benchmark::State& state) {
   static const ControllerStructure cs = fig1_for("s1");
-  run_campaign_bench(state, cs, CampaignEngine::kEvent, 64, 1,
-                     static_cast<unsigned>(state.range(0)));
+  run_campaign_bench(state, cs, 64, 1, static_cast<unsigned>(state.range(0)));
 }
 BENCHMARK(BM_EventCampaign_s1_fig1)
     ->ArgName("lanes")->Arg(64)->Arg(256)->Arg(512);
@@ -178,7 +149,7 @@ BENCHMARK(BM_CampaignSerialShiftreg);
 
 void BM_EventCampaign_shiftreg_fig4(benchmark::State& state) {
   static const ControllerStructure cs = pipeline_for("shiftreg");
-  run_campaign_bench(state, cs, CampaignEngine::kEvent, 128, 1);
+  run_campaign_bench(state, cs, 128, 1);
 }
 BENCHMARK(BM_EventCampaign_shiftreg_fig4);
 

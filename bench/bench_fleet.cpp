@@ -74,7 +74,7 @@ void BM_FleetShard(benchmark::State& state) {
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
     st = run_fleet_shard(cs, plan, *warm, 0xF1EE7, 0, kInstances, sampler,
-                         CampaignEngine::kEvent, Budget{});
+                         Budget{});
     seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0)
                    .count();

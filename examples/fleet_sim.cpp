@@ -10,8 +10,8 @@
 //                   [--instances 1e6] [--widths 8,16,24,40]
 //                   [--distribution fault_free|single_uniform|clustered]
 //                   [--defect-rate X] [--jobs N] [--lanes 64|256|512]
-//                   [--engine event|flat] [--cycles N] [--seed N]
-//                   [--budget-ms N] [--tech two_level|multi_level]
+//                   [--cycles N] [--seed N] [--budget-ms N]
+//                   [--tech two_level|multi_level]
 //
 // Aggregate counts are bit-identical at every --jobs value and shard size
 // (each instance's outcome is a pure function of its id); only wall time
@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
     spec.machine = cli.get("machine", "dk27");
     spec.arch = parse_arch(cli.get("arch", "fig4"));
     spec.tech = parse_technology(cli.get("tech", "two_level"));
-    spec.engine = parse_campaign_engine(cli.get("engine", "event"));
     spec.lane_words =
         lane_words_from_lanes(static_cast<unsigned>(cli.get_int("lanes", 64)));
     spec.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));

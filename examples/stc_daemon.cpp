@@ -5,8 +5,7 @@
 //                           [--max-attempts N] [--watchdog-grace X]
 //                           [--watchdog-kill-grace X] [--quiet]
 //       ./stc_daemon submit <spool-dir> --machine NAME [--arch fig1..fig4]
-//                           [--tech two_level|multi_level]
-//                           [--engine event|flat|serial] [--lanes 64|256|512]
+//                           [--tech two_level|multi_level] [--lanes 64|256|512]
 //                           [--cycles N] [--minimizer auto|qm|espresso]
 //                           [--no-faultsim] [--budget-ms N] [--count N]
 //                           [--fleet-instances N] [--fleet-widths 8,16,24,40]
@@ -98,7 +97,6 @@ int cmd_submit(const stc::Cli& cli, const std::string& spool) {
   }
   job.spec.arch = parse_arch(cli.get("arch", "fig1"));
   job.spec.tech = parse_technology(cli.get("tech", "two_level"));
-  job.spec.engine = parse_campaign_engine(cli.get("engine", "event"));
   job.spec.lane_words =
       lane_words_from_lanes(static_cast<unsigned>(cli.get_int("lanes", 64)));
   job.spec.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));

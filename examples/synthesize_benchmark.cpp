@@ -3,7 +3,6 @@
 // controller structures -> (optionally) fault simulation.
 //
 // Run:  ./synthesize_benchmark --machine shiftreg [--faultsim] [--threads N]
-//                              [--engine event|flat|serial]
 //                              [--lanes 64|256|512]
 //                              [--tech two_level|multi_level]
 //                              [--time-budget-ms N] [--max-nodes N]
@@ -18,7 +17,7 @@
 // re-runs), and one aggregated corpus report closes the run.
 //
 // With --faultsim the per-structure report includes campaign wall time and
-// (event engine) the mean per-cycle activity ratio. With --tech
+// the event engine's mean per-cycle activity ratio. With --tech
 // multi_level the combinational blocks are algebraically factored
 // (simulation-equivalent) and the report shows both the two-level PLA and
 // the factored cost points.
@@ -64,7 +63,6 @@ int main(int argc, char** argv) {
     sw.ostr_max_nodes =
         static_cast<std::uint64_t>(cli.get_int("max-nodes", 2000000));
     try {
-      sw.engine = parse_campaign_engine(cli.get("engine", "event"));
       sw.lane_words = lane_words_from_lanes(
           static_cast<unsigned>(cli.get_int("lanes", 64)));
       sw.techs = {parse_technology(cli.get("tech", "two_level"))};
@@ -75,8 +73,7 @@ int main(int argc, char** argv) {
     sw.job_budget_ms = static_cast<double>(cli.get_int("time-budget-ms", -1));
     sw.cancel = install_sigint_cancel();
 
-    std::printf("Corpus synthesis sweep: %zu jobs, engine %s%s\n", sw.jobs,
-                campaign_engine_name(sw.engine),
+    std::printf("Corpus synthesis sweep: %zu jobs%s\n", sw.jobs,
                 sw.with_fault_sim ? ", fault simulation on" : "");
     std::printf("%s\n", corpus_row_header().c_str());
     JobCache cache;
@@ -111,7 +108,6 @@ int main(int argc, char** argv) {
   opts.campaign.num_threads = static_cast<std::size_t>(
       cli.get_int("threads", hw > 0 ? static_cast<long>(hw) : 1));
   try {
-    opts.campaign.engine = parse_campaign_engine(cli.get("engine", "event"));
     opts.campaign.lane_words = lane_words_from_lanes(
         static_cast<unsigned>(cli.get_int("lanes", 64)));
     opts.technology = parse_technology(cli.get("tech", "two_level"));

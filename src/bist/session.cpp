@@ -356,7 +356,6 @@ struct CampaignScratch {
   std::vector<std::uint64_t> in_lanes;        // W words per input slot
   std::vector<std::uint64_t> dff_lanes;       // W words per DFF
   std::vector<std::uint64_t> init_dff_lanes;
-  std::vector<std::uint64_t> flat_values;     // flat-engine output buffer
   std::vector<std::uint64_t> diff_mask;       // W-word detected-lane mask
   std::vector<LaneFault> batch;
   std::uint64_t cycles = 0;  // machine cycles simulated by this worker
@@ -389,7 +388,6 @@ struct CampaignScratch {
         input_gen(std::max<std::size_t>(8, cs.pi.size())),
         in_lanes(cs.nl.num_inputs() * proto.lane_words(), 0),
         dff_lanes(cs.nl.num_dffs() * proto.lane_words(), 0),
-        flat_values(cs.nl.num_nets() * proto.lane_words(), 0),
         diff_mask(proto.lane_words(), 0),
         fleet_input_gen(std::max<std::size_t>(8, cs.pi.size()),
                         proto.lane_words()),
@@ -419,8 +417,7 @@ struct CampaignScratch {
 /// signatures differ from the fault-free lane 0 — i.e. the detected
 /// faults of this batch.
 void run_self_test_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
-                         const PinMap& pins, CampaignScratch& sc,
-                         CampaignEngine engine) {
+                         const PinMap& pins, CampaignScratch& sc) {
   const unsigned W = sc.cn.lane_words();
   sc.cn.set_faults(sc.batch);
   sc.out_misr.reset();
@@ -454,15 +451,8 @@ void run_self_test_lanes(const ControllerStructure& cs, const SelfTestPlan& plan
 
       sc.bank_a.deposit(sc.dff_lanes.data());
       sc.bank_b.deposit(sc.dff_lanes.data());
-      const std::uint64_t* values;
-      if (engine == CampaignEngine::kEvent) {
-        sc.cn.evaluate_event(sc.in_lanes.data(), sc.dff_lanes.data(), sc.ev);
-        values = sc.ev.values.data();
-      } else {
-        sc.cn.evaluate(sc.in_lanes.data(), sc.dff_lanes.data(),
-                       sc.flat_values.data());
-        values = sc.flat_values.data();
-      }
+      sc.cn.evaluate_event(sc.in_lanes.data(), sc.dff_lanes.data(), sc.ev);
+      const std::uint64_t* values = sc.ev.values.data();
 
       absorb_output_lanes(sc.out_misr, values, cs.po, W);
 
@@ -495,8 +485,7 @@ constexpr std::uint64_t kFleetGenBSalt = 0x464c4545542d4742ULL;   // "FLEET-GB"
 /// pair masks (even bit 2j = pair j): PO stream diff, compressing-bank D
 /// stream diff, final output-MISR signature diff, and any-signature diff.
 void run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
-                     const PinMap& pins, CampaignScratch& sc,
-                     CampaignEngine engine, std::size_t n_pairs,
+                     const PinMap& pins, CampaignScratch& sc, std::size_t n_pairs,
                      std::uint64_t base_seed, std::uint64_t first_instance) {
   const unsigned W = sc.cn.lane_words();
   constexpr std::uint64_t kEven = 0x5555555555555555ULL;
@@ -552,15 +541,8 @@ void run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
 
       sc.bank_a.deposit(sc.dff_lanes.data());
       sc.bank_b.deposit(sc.dff_lanes.data());
-      const std::uint64_t* values;
-      if (engine == CampaignEngine::kEvent) {
-        sc.cn.evaluate_event(sc.in_lanes.data(), sc.dff_lanes.data(), sc.ev);
-        values = sc.ev.values.data();
-      } else {
-        sc.cn.evaluate(sc.in_lanes.data(), sc.dff_lanes.data(),
-                       sc.flat_values.data());
-        values = sc.flat_values.data();
-      }
+      sc.cn.evaluate_event(sc.in_lanes.data(), sc.dff_lanes.data(), sc.ev);
+      const std::uint64_t* values = sc.ev.values.data();
 
       absorb_output_lanes(sc.out_misr, values, cs.po, W);
       // Streaming observability: did the defect show on a primary output
@@ -671,23 +653,6 @@ std::size_t campaign_warm_builds(const CampaignWarmState& warm) {
   return warm.builds();
 }
 
-CampaignEngine parse_campaign_engine(const std::string& name) {
-  if (name == "event") return CampaignEngine::kEvent;
-  if (name == "flat") return CampaignEngine::kFlat;
-  if (name == "serial") return CampaignEngine::kSerial;
-  throw std::invalid_argument("unknown campaign engine '" + name +
-                              "' (expected event, flat or serial)");
-}
-
-const char* campaign_engine_name(CampaignEngine engine) {
-  switch (engine) {
-    case CampaignEngine::kEvent: return "event";
-    case CampaignEngine::kFlat: return "flat";
-    case CampaignEngine::kSerial: return "serial";
-  }
-  return "?";
-}
-
 unsigned lane_words_from_lanes(unsigned lanes) {
   if (lanes % 64 == 0 && lane_words_supported(lanes / 64)) return lanes / 64;
   throw std::invalid_argument("unsupported lane count " + std::to_string(lanes) +
@@ -702,16 +667,6 @@ void CampaignOptions::validate(const SelfTestPlan& plan) const {
     if (!problems.empty()) problems += "; ";
     problems += p;
   };
-  switch (engine) {
-    case CampaignEngine::kEvent:
-    case CampaignEngine::kFlat:
-    case CampaignEngine::kSerial:
-      break;
-    default:
-      add("engine must be event, flat or serial; got enum value " +
-          std::to_string(static_cast<int>(engine)));
-      break;
-  }
   if (!lane_words_supported(lane_words))
     add("lane_words must be 1, 4 or 8 (64, 256 or 512 lanes); got " +
         std::to_string(lane_words));
@@ -766,19 +721,8 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
   std::vector<char> rep_detected(reps.size(), 0);
   std::vector<char> rep_simulated(reps.size(), 0);
 
-  if (skip_all) {
-    // Nothing ran; fall through to the (all-unsimulated) accounting.
-  } else if (options.engine == CampaignEngine::kSerial) {
-    Budget bud = options.budget;
-    const Signatures golden = run_self_test(cs, plan);
-    res.session_runs = 1;
-    for (std::size_t i = 0; i < reps.size(); ++i) {
-      if (bud.spend(1)) break;
-      rep_detected[i] = run_self_test(cs, plan, reps[i]) != golden ? 1 : 0;
-      rep_simulated[i] = 1;
-      ++res.session_runs;
-    }
-  } else if (!reps.empty()) {
+  // A skipped sweep falls through to the (all-unsimulated) accounting.
+  if (!skip_all && !reps.empty()) {
     // Warm state (when given) carries the compiled program, the pin map
     // and parked scratch for this exact structure; verify the binding
     // before trusting any of it.
@@ -850,8 +794,7 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
       }
       CampaignScratch& sc = warm ? *leased : *local;
       const std::uint64_t cycles0 = sc.cycles;
-      const std::uint64_t ops0 =
-          options.engine == CampaignEngine::kEvent ? sc.ev.ops_evaluated : 0;
+      const std::uint64_t ops0 = sc.ev.ops_evaluated;
       for (std::size_t b = c; b < num_batches; b += num_chunks) {
         if (bud.spend(1)) break;
         const std::size_t begin = b * batch_size;
@@ -860,7 +803,7 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
         for (std::size_t i = begin; i < end; ++i)
           sc.batch.push_back({reps[i].net, reps[i].stuck_value,
                               static_cast<unsigned>(i - begin + 1)});
-        run_self_test_lanes(cs, plan, pins, sc, options.engine);
+        run_self_test_lanes(cs, plan, pins, sc);
         for (std::size_t i = begin; i < end; ++i) {
           rep_simulated[i] = 1;
           const unsigned lane = static_cast<unsigned>(i - begin + 1);
@@ -869,9 +812,7 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
         ++chunk_runs[c];
       }
       chunk_cycles[c] = sc.cycles - cycles0;
-      chunk_ops[c] = options.engine == CampaignEngine::kEvent
-                         ? sc.ev.ops_evaluated - ops0
-                         : chunk_cycles[c] * sc.cn.num_ops();
+      chunk_ops[c] = sc.ev.ops_evaluated - ops0;
     };
 
     if (options.executor && num_chunks > 1) {
@@ -972,15 +913,11 @@ FleetShardStats run_fleet_shard(const ControllerStructure& cs,
                                 std::uint64_t base_seed, std::uint64_t first,
                                 std::uint64_t count,
                                 const FleetDefectSampler& sampler,
-                                CampaignEngine engine, const Budget& budget) {
+                                const Budget& budget) {
   if (!cs.nl.finalized())
     throw std::logic_error("run_fleet_shard: netlist not finalized");
   std::string problems;
-  if (engine != CampaignEngine::kEvent && engine != CampaignEngine::kFlat)
-    problems = "engine must be event or flat (the serial oracle has no lanes "
-               "to pack instances into)";
-  if (plan.sessions.empty())
-    problems += std::string(problems.empty() ? "" : "; ") + "plan has no sessions";
+  if (plan.sessions.empty()) problems = "plan has no sessions";
   if (warm.structure() != &cs)
     problems += std::string(problems.empty() ? "" : "; ") +
                 "warm state was built for a different structure object";
@@ -1025,8 +962,7 @@ FleetShardStats run_fleet_shard(const ControllerStructure& cs,
         sc.batch.push_back(
             {f.net, f.stuck_value, static_cast<unsigned>(2 * j + 1)});
     }
-    run_fleet_lanes(cs, plan, warm.pins(), sc, engine, n, base_seed,
-                    first + done);
+    run_fleet_lanes(cs, plan, warm.pins(), sc, n, base_seed, first + done);
     ++st.session_runs;
 
     for (std::size_t j = 0; j < n; ++j) {
@@ -1065,26 +1001,31 @@ CoverageResult measure_functional_coverage(const ControllerStructure& cs,
       faults ? std::move(*faults) : enumerate_stuck_faults(cs.nl);
   const PinMap pins = map_pins(cs);
 
-  // Golden output trace. Scratch buffers are hoisted so the per-cycle
-  // inner loop performs no heap allocation.
+  // Replay `cycles` LFSR patterns in system mode (test_mode, if any, stays
+  // 0: functional operation). The fault-free replay records the golden
+  // output trace; a faulty replay compares each cycle's outputs with it
+  // and stops at the first mismatch. Scratch buffers are hoisted so the
+  // per-cycle inner loop performs no heap allocation.
   std::vector<bool> in(nl.num_inputs(), false);
-  std::vector<bool> values, outs;
-  auto run_trace = [&](std::optional<Fault> fault) {
+  std::vector<bool> values, outs, golden;
+  golden.reserve(cycles * nl.num_outputs());
+  auto replay = [&](std::optional<Fault> fault) {
     const NetId fnet = fault ? fault->net : kNoNet;
     const bool fval = fault ? fault->stuck_value : false;
     Lfsr gen(std::max<std::size_t>(8, cs.pi.size()), seed);
     Netlist::SimState state = nl.initial_state();
-    std::vector<bool> trace;
-    trace.reserve(cycles * nl.num_outputs());
     for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
       std::fill(in.begin(), in.end(), false);
       for (std::size_t k = 0; k < cs.pi.size(); ++k) in[pins.pi_slot[k]] = gen.bit(k);
-      // test_mode (if any) stays 0: functional operation.
       nl.step(in, state, values, outs, fnet, fval);
-      trace.insert(trace.end(), outs.begin(), outs.end());
+      if (!fault)
+        golden.insert(golden.end(), outs.begin(), outs.end());
+      else if (!std::equal(outs.begin(), outs.end(),
+                           golden.begin() + cycle * outs.size()))
+        return true;
       gen.step();
     }
-    return trace;
+    return false;
   };
 
   CoverageResult res;
@@ -1092,11 +1033,11 @@ CoverageResult measure_functional_coverage(const ControllerStructure& cs,
   Budget bud = budget;
   const bool skip_all = bud.exhausted() || bud.work_allowance() == 0;
   if (!skip_all) {
-    const auto golden = run_trace(std::nullopt);
+    replay(std::nullopt);
     for (const Fault& f : list) {
       if (bud.spend(1)) break;
       ++res.simulated;
-      if (run_trace(f) != golden) {
+      if (replay(f)) {
         ++res.detected;
       } else {
         res.undetected.push_back(f);

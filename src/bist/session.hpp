@@ -110,11 +110,13 @@ CoverageResult measure_coverage(const ControllerStructure& cs, const SelfTestPla
 /// Simulates 64·W − 1 faults per self-test run on W-word uint64_t lane
 /// groups of a compiled levelized netlist (lane 0 = fault-free reference;
 /// W = CampaignOptions::lane_words ∈ {1, 4, 8} for 64/256/512 lanes), so a
-/// campaign costs ceil(F/(64·W−1)) runs instead of F+1. Detection is
-/// signature-exact: a lane is detected iff any final compacting-register
-/// or output-MISR signature differs from lane 0 — the same criterion as
-/// the serial oracle, so the detected-fault sets are identical by
-/// construction at every width and thread count.
+/// campaign costs ceil(F/(64·W−1)) runs instead of F+1. Each cycle is
+/// evaluated event-driven (CompiledNetlist::evaluate_event): net words stay
+/// resident and only the fanout cones of changed words are re-evaluated.
+/// Detection is signature-exact: a lane is detected iff any final
+/// compacting-register or output-MISR signature differs from lane 0 — the
+/// same criterion as the serial oracle, so the detected-fault sets are
+/// identical by construction at every width and thread count.
 
 /// Faults simulated per self-test run at a given lane width: one per lane
 /// minus the reserved fault-free reference lane 0.
@@ -126,23 +128,6 @@ inline constexpr std::size_t faults_per_run(unsigned lane_words) {
 /// count of CampaignOptions::lane_words; throws std::invalid_argument
 /// naming the accepted values.
 unsigned lane_words_from_lanes(unsigned lanes);
-
-enum class CampaignEngine {
-  /// Event-driven 64-lane engine: resident net words, fanout-cone
-  /// scheduling, only changed cones re-evaluated per cycle (default).
-  kEvent,
-  /// Flat 64-lane engine: every gate, every cycle (reference for the
-  /// event engine; previous default).
-  kFlat,
-  /// One serial self-test per simulated fault (still honors `collapse`);
-  /// the differential-testing oracle.
-  kSerial,
-};
-
-/// Parse "event" / "flat" / "serial" (the --engine flag of the drivers);
-/// throws std::invalid_argument on anything else.
-CampaignEngine parse_campaign_engine(const std::string& name);
-const char* campaign_engine_name(CampaignEngine engine);
 
 /// Shared-pool execution hook for the campaign's independent fault-batch
 /// chunks. When CampaignOptions::executor is set, run_fault_campaign
@@ -193,22 +178,19 @@ struct CampaignOptions {
   /// Structural fault collapsing: simulate one representative per
   /// equivalence class (see collapse_faults) and expand the verdicts.
   bool collapse = true;
-  /// Evaluation engine; all three produce identical detected-fault sets.
-  CampaignEngine engine = CampaignEngine::kEvent;
   /// uint64_t words per lane group: 1, 4 or 8 (64, 256 or 512 simulation
   /// lanes, batching faults_per_run(lane_words) faults per self-test run).
-  /// Validated up front by run_fault_campaign; the serial engine ignores
-  /// it. Results are identical for any supported value.
+  /// Validated up front by run_fault_campaign. Results are identical for
+  /// any supported value.
   unsigned lane_words = 1;
-  /// Anytime governance. One work unit = one self-test run (a fault batch
-  /// on the bit-parallel engines, a single fault serially), charged per
-  /// worker thread, checked between runs. Every verdict of a completed
-  /// batch is exact; an exhausted budget truncates the sweep and the
-  /// result reports faults_simulated < raw.total with coverage() counting
-  /// unsimulated faults as undetected (pessimistic). Under a deadline or
-  /// cancellation WHICH batches completed may depend on thread timing; the
-  /// work allowance is deterministic per worker (use num_threads = 1 for a
-  /// deterministic truncated subset).
+  /// Anytime governance. One work unit = one self-test run (one fault
+  /// batch), charged per worker thread, checked between runs. Every
+  /// verdict of a completed batch is exact; an exhausted budget truncates
+  /// the sweep and the result reports faults_simulated < raw.total with
+  /// coverage() counting unsimulated faults as undetected (pessimistic).
+  /// Under a deadline or cancellation WHICH batches completed may depend on
+  /// thread timing; the work allowance is deterministic per worker (use
+  /// num_threads = 1 for a deterministic truncated subset).
   Budget budget;
   /// Scheduler-owned campaigns: when set, the batch loop is sharded over
   /// this executor's shared pool and num_threads MUST stay 1 (validate()
@@ -221,7 +203,7 @@ struct CampaignOptions {
   CampaignWarmState* warm = nullptr;
 
   /// Check every field against `plan` and report ALL problems in one
-  /// Error(kInvalidInput) -- engine, lane_words, num_threads, empty plan,
+  /// Error(kInvalidInput) -- lane_words, num_threads, empty plan,
   /// MISR width, executor/num_threads nesting. Called by run_fault_campaign
   /// before any simulation work.
   void validate(const SelfTestPlan& plan) const;
@@ -241,9 +223,8 @@ struct CampaignResult {
   Degradation degradation;
   std::size_t session_runs = 0;        // full self-test executions performed
 
-  // Activity accounting (bit-parallel engines only; zero on the serial
-  // path). ops_per_cycle is the compiled netlist's combinational op count,
-  // i.e. the cost of one flat evaluation.
+  // Activity accounting. ops_per_cycle is the compiled netlist's
+  // combinational op count, i.e. the cost of one full evaluation.
   std::uint64_t cycles_simulated = 0;
   std::uint64_t ops_evaluated = 0;
   std::size_t ops_per_cycle = 0;
@@ -256,7 +237,7 @@ struct CampaignResult {
                      static_cast<double>(collapsed_total);
   }
   /// Mean fraction of combinational ops re-evaluated to a fresh value per
-  /// cycle (1.0 for the flat and serial engines). An *event rate*: dense
+  /// cycle (1.0 when nothing was simulated). An *event rate*: dense
   /// PLA products whose cheap resident-word check confirms the old value
   /// are not counted, so this tracks how quiescent the netlist is, not
   /// the engine's wall-clock cost -- compare campaign wall times for that.
@@ -345,13 +326,14 @@ FleetShardStats run_fleet_shard(const ControllerStructure& cs,
                                 std::uint64_t base_seed, std::uint64_t first,
                                 std::uint64_t count,
                                 const FleetDefectSampler& sampler,
-                                CampaignEngine engine, const Budget& budget);
+                                const Budget& budget);
 
 /// Functional (non-BIST) baseline: drive `cycles` LFSR input patterns in
-/// system mode and compare primary outputs cycle by cycle. This is what an
-/// external random test of the Fig. 1 structure can observe. The budget is
-/// checked between faults (one work unit = one fault trace); a truncated
-/// sweep reports simulated < total, optionally labeled via `degradation`.
+/// system mode and compare primary outputs cycle by cycle; a fault's replay
+/// stops at its first mismatching cycle. This is what an external random
+/// test of the Fig. 1 structure can observe. The budget is checked between
+/// faults (one work unit = one fault replay); a truncated sweep reports
+/// simulated < total, optionally labeled via `degradation`.
 CoverageResult measure_functional_coverage(const ControllerStructure& cs,
                                            std::size_t cycles,
                                            std::optional<std::vector<Fault>> faults =

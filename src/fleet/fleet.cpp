@@ -45,8 +45,6 @@ void FleetOptions::validate() const {
   if (shard_instances == 0) problems.push_back("shard_instances must be > 0");
   if (lane_words != 1 && lane_words != 4 && lane_words != 8)
     problems.push_back("lane_words must be 1, 4 or 8");
-  if (engine != CampaignEngine::kEvent && engine != CampaignEngine::kFlat)
-    problems.push_back("fleet runs need a bit-parallel engine (event or flat)");
   if (plan.sessions.empty()) problems.push_back("plan has no sessions");
   if (executor && jobs > 1)
     problems.push_back(
@@ -81,7 +79,7 @@ FleetShardStats run_fleet_pass(const ControllerStructure& cs,
     const std::uint64_t first = static_cast<std::uint64_t>(s) * per_shard;
     const std::uint64_t count = std::min(per_shard, instances - first);
     shard_stats[s] = run_fleet_shard(cs, plan, warm, opt.base_seed, first,
-                                     count, sampler, opt.engine, opt.budget);
+                                     count, sampler, opt.budget);
   };
 
   if (opt.executor && n_shards > 1) {

@@ -57,7 +57,6 @@ struct FleetOptions {
   /// Worker threads when no executor is given (0 = hardware concurrency).
   std::size_t jobs = 1;
   unsigned lane_words = 1;
-  CampaignEngine engine = CampaignEngine::kEvent;
   /// Plan template; output_misr_width is overridden per sweep entry and
   /// session cycles per curve point.
   SelfTestPlan plan = SelfTestPlan::two_session(256);

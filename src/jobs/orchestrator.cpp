@@ -57,7 +57,6 @@ std::vector<CampaignJobSpec> expand_sweep(const SweepOptions& opt) {
           s.machine = name;
           s.arch = arch;
           s.tech = tech;
-          s.engine = opt.engine;
           s.lane_words = opt.lane_words;
           s.bist_cycles = opt.bist_cycles;
           s.functional_cycles = opt.functional_cycles;
@@ -113,7 +112,6 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     fopt.bist_cycles = spec.bist_cycles;
     fopt.functional_cycles = spec.functional_cycles;
     fopt.budget = budget;
-    fopt.campaign.engine = spec.engine;
     fopt.campaign.lane_words = spec.lane_words;
     // Scheduler-owned: inner parallelism goes through the shared pool (or
     // stays serial when there is none) -- never a nested per-campaign pool.
@@ -121,10 +119,9 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     fopt.campaign.executor = executor;
 
     // Warm compiled-netlist + scratch for the campaign-driven structures
-    // (the serial oracle engine compiles nothing, fig1 runs no sessions).
+    // (fig1 runs no sessions).
     std::shared_ptr<CampaignWarmState> warm;
-    if (fopt.with_fault_sim && spec.arch != ArchKind::kFig1 &&
-        spec.engine != CampaignEngine::kSerial) {
+    if (fopt.with_fault_sim && spec.arch != ArchKind::kFig1) {
       warm = cache.warm(s, plan_for(spec).output_misr_width, spec.lane_words,
                         &r.warm_cached);
       fopt.campaign.warm = warm.get();
@@ -137,7 +134,6 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
       flo.instances = spec.fleet_instances;
       flo.misr_widths = spec.fleet_widths;
       flo.lane_words = spec.lane_words;
-      flo.engine = spec.engine;
       flo.plan = plan_for(spec);
       flo.base_seed = spec.fleet_seed;
       flo.defects.model = spec.fleet_distribution;

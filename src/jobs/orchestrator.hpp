@@ -27,7 +27,6 @@ struct CampaignJobSpec {
   std::string machine;
   ArchKind arch = ArchKind::kFig1;
   Technology tech = Technology::kTwoLevel;
-  CampaignEngine engine = CampaignEngine::kEvent;
   unsigned lane_words = 1;
   std::size_t bist_cycles = 256;       // per session (figs 2-4 plans)
   std::size_t functional_cycles = 512; // fig1 baseline
@@ -37,7 +36,7 @@ struct CampaignJobSpec {
   /// Fleet mode: when > 0 the job is a deployment simulation -- synthesize
   /// the structure as usual (area/depth metrics still reported, fault sweep
   /// skipped), then run `fleet_instances` chip instances per MISR width
-  /// through run_fleet on the job's engine/lane width, with defects drawn
+  /// through run_fleet at the job's lane width, with defects drawn
   /// from `fleet_distribution`. 0 = ordinary campaign job.
   std::uint64_t fleet_instances = 0;
   std::vector<std::size_t> fleet_widths = {8, 16, 24, 40};
@@ -83,7 +82,6 @@ struct SweepOptions {
   std::vector<ArchKind> archs = {ArchKind::kFig1, ArchKind::kFig2,
                                  ArchKind::kFig3, ArchKind::kFig4};
   std::vector<Technology> techs = {Technology::kTwoLevel};
-  CampaignEngine engine = CampaignEngine::kEvent;
   unsigned lane_words = 1;
   std::size_t bist_cycles = 256;
   std::size_t functional_cycles = 512;

@@ -170,7 +170,6 @@ std::string render_spool_job(const SpoolJob& job) {
   out += "machine = " + job.spec.machine + "\n";
   out += std::string("arch = ") + arch_name(job.spec.arch) + "\n";
   out += std::string("tech = ") + technology_name(job.spec.tech) + "\n";
-  out += std::string("engine = ") + campaign_engine_name(job.spec.engine) + "\n";
   out += "lanes = " + std::to_string(64u * job.spec.lane_words) + "\n";
   out += "bist_cycles = " + std::to_string(job.spec.bist_cycles) + "\n";
   out +=
@@ -178,8 +177,8 @@ std::string render_spool_job(const SpoolJob& job) {
   out += std::string("minimizer = ") + minimizer_name(job.spec.minimizer) + "\n";
   out += std::string("faultsim = ") + (job.spec.with_fault_sim ? "1" : "0") +
          "\n";
-  // Fleet-mode keys ride along only when the job IS a fleet job, so spool
-  // files written before fleet mode existed round-trip byte-identically.
+  // Fleet-mode keys ride along only when the job IS a fleet job, so
+  // ordinary specs keep the layout they had before fleet mode existed.
   if (job.spec.fleet_instances > 0) {
     out += "fleet_instances = " + std::to_string(job.spec.fleet_instances) +
            "\n";
@@ -215,7 +214,15 @@ SpoolJob parse_spool_job(const std::string& text, const std::string& origin) {
       } else if (key == "tech") {
         job.spec.tech = parse_technology(value);
       } else if (key == "engine") {
-        job.spec.engine = parse_campaign_engine(value);
+        // Specs written while the campaign engine was selectable carry
+        // "engine = event"; that is the only engine left, so the line is
+        // ignored. A queued flat or serial job fails instead of being
+        // silently run on another engine.
+        if (value != "event")
+          throw Error(ErrorCode::kInvalidInput,
+                      "unsupported campaign engine in spool spec",
+                      "file=" + origin + "; line=" + std::to_string(line) +
+                          "; key=engine; value=" + value);
       } else if (key == "lanes") {
         job.spec.lane_words = lane_words_from_lanes(static_cast<unsigned>(
             parse_u64_field(value, origin, line, key)));
@@ -262,13 +269,13 @@ SpoolJob parse_spool_job(const std::string& text, const std::string& origin) {
                         "; key=" + key);
       }
     } catch (const Error& e) {
-      // Give enum parse errors (arch/tech/engine/minimizer/lanes) the file
+      // Give enum parse errors (arch/tech/minimizer/lanes) the file
       // position; errors that already carry it pass through.
       if (e.context().find("file=") != std::string::npos) throw;
       throw Error(e.code(), e.what(),
                   "file=" + origin + "; line=" + std::to_string(line));
     } catch (const std::invalid_argument& e) {
-      // Some enum parsers (tech/engine/distribution) use the library-wide
+      // Some enum parsers (tech/distribution) use the library-wide
       // std::invalid_argument idiom; a bad value must surface as a typed
       // parse error so claim() retires the file instead of crashing.
       throw Error(ErrorCode::kInvalidInput, e.what(),

@@ -25,10 +25,8 @@ struct FlowOptions {
   bool with_fault_sim = false;       // fault simulation is the expensive part
   std::size_t bist_cycles = 256;     // per session
   std::size_t functional_cycles = 512;
-  /// Options of the campaign engine used for the BIST structures
-  /// (figs. 2-4): event-driven by default, selectable via
-  /// CampaignOptions::engine; every engine produces the identical
-  /// detected-fault set, they only differ in speed.
+  /// Options of the event-driven campaign engine used for the BIST
+  /// structures (figs. 2-4).
   CampaignOptions campaign;
   /// Whole-flow anytime budget. When set (not unlimited) it is handed to
   /// EVERY governed stage -- the OSTR search, each structure's espresso

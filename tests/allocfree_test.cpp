@@ -39,10 +39,9 @@ ControllerStructure fig1_for(const std::string& name) {
 }
 
 std::uint64_t count_campaign_allocs(const ControllerStructure& cs,
-                                    std::size_t cycles, CampaignEngine engine,
-                                    bool collapse, unsigned lane_words = 1) {
+                                    std::size_t cycles, bool collapse,
+                                    unsigned lane_words = 1) {
   CampaignOptions opt;
-  opt.engine = engine;
   opt.num_threads = 1;  // worker threads allocate their own stacks
   opt.collapse = collapse;
   opt.lane_words = lane_words;
@@ -53,54 +52,39 @@ std::uint64_t count_campaign_allocs(const ControllerStructure& cs,
   return g_allocations.load() - before;
 }
 
-class CampaignAllocations : public ::testing::TestWithParam<CampaignEngine> {};
-
-TEST_P(CampaignAllocations, IndependentOfCycleCount) {
+TEST(CampaignAllocations, IndependentOfCycleCount) {
   const ControllerStructure cs = fig1_for("dk27");
-  const CampaignEngine engine = GetParam();
   // collapse off: 78 faults -> 2 batches, so the count also covers scratch
   // reuse across batches (banks reset, masks swapped, resident values
   // re-seeded) -- all without touching the heap.
-  const std::uint64_t short_run = count_campaign_allocs(cs, 24, engine, false);
-  const std::uint64_t long_run = count_campaign_allocs(cs, 240, engine, false);
+  const std::uint64_t short_run = count_campaign_allocs(cs, 24, false);
+  const std::uint64_t long_run = count_campaign_allocs(cs, 240, false);
   EXPECT_EQ(short_run, long_run)
-      << "campaign allocations must not scale with BIST cycles (engine "
-      << campaign_engine_name(engine) << ")";
+      << "campaign allocations must not scale with BIST cycles";
 }
 
-TEST_P(CampaignAllocations, IndependentOfLaneWords) {
+TEST(CampaignAllocations, IndependentOfLaneWords) {
   // Wide scratch allocates *larger* vectors, not more of them: the W-word
   // lane groups live in the same per-worker buffers (sized once), the wide
   // banks/MISR keep one row vector each, and the batch/diff-mask vectors
   // are reserved up front. So the allocation count is invariant in the
   // lane width, on top of being invariant in the cycle count.
   const ControllerStructure cs = fig1_for("dk27");
-  const CampaignEngine engine = GetParam();
-  const std::uint64_t narrow = count_campaign_allocs(cs, 48, engine, false, 1);
+  const std::uint64_t narrow = count_campaign_allocs(cs, 48, false, 1);
   for (const unsigned lane_words : {4u, 8u}) {
-    const std::uint64_t wide =
-        count_campaign_allocs(cs, 48, engine, false, lane_words);
+    const std::uint64_t wide = count_campaign_allocs(cs, 48, false, lane_words);
     EXPECT_EQ(narrow, wide)
-        << "campaign allocations must not scale with lane words (engine "
-        << campaign_engine_name(engine) << ", W=" << lane_words << ")";
+        << "campaign allocations must not scale with lane words (W="
+        << lane_words << ")";
   }
 }
 
-TEST_P(CampaignAllocations, StableAcrossRepeatedCampaigns) {
+TEST(CampaignAllocations, StableAcrossRepeatedCampaigns) {
   const ControllerStructure cs = fig1_for("shiftreg");
-  const CampaignEngine engine = GetParam();
-  const std::uint64_t first = count_campaign_allocs(cs, 48, engine, true);
-  const std::uint64_t second = count_campaign_allocs(cs, 48, engine, true);
-  EXPECT_EQ(first, second) << campaign_engine_name(engine);
+  const std::uint64_t first = count_campaign_allocs(cs, 48, true);
+  const std::uint64_t second = count_campaign_allocs(cs, 48, true);
+  EXPECT_EQ(first, second);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothLaneEngines, CampaignAllocations,
-                         ::testing::Values(CampaignEngine::kEvent,
-                                           CampaignEngine::kFlat),
-                         [](const auto& info) {
-                           return std::string(
-                               campaign_engine_name(info.param));
-                         });
 
 }  // namespace
 }  // namespace stc

@@ -288,8 +288,8 @@ TEST(EventEvaluator, ProductReadingALevelOneProductIsChainedNotSlab) {
 }
 
 TEST(EventEvaluator, FaultsOnPrimaryInputAndDffOutputNets) {
-  // A fault on a source net is applied at drive time; both the campaign
-  // engines and the serial oracle must agree on its detection.
+  // A fault on a source net is applied at drive time; the campaign engine
+  // and the serial oracle must agree on its detection at every lane width.
   ControllerStructure cs;
   Netlist& nl = cs.nl;
   const NetId a = nl.add_input("a");
@@ -306,15 +306,13 @@ TEST(EventEvaluator, FaultsOnPrimaryInputAndDffOutputNets) {
   const SelfTestPlan plan = SelfTestPlan::two_session(32);
   const std::vector<Fault> list = faults_on_nets({a, q});
   const CoverageResult serial = measure_coverage(cs, plan, list);
-  for (const CampaignEngine engine :
-       {CampaignEngine::kEvent, CampaignEngine::kFlat}) {
+  for (const unsigned lane_words : kSupportedLaneWords) {
     CampaignOptions opt;
-    opt.engine = engine;
+    opt.lane_words = lane_words;
     const CampaignResult par = run_fault_campaign(cs, plan, opt, list);
-    EXPECT_EQ(par.raw.detected, serial.detected)
-        << campaign_engine_name(engine);
+    EXPECT_EQ(par.raw.detected, serial.detected) << "lane_words=" << lane_words;
     EXPECT_EQ(fault_set(par.raw.undetected), fault_set(serial.undetected))
-        << campaign_engine_name(engine);
+        << "lane_words=" << lane_words;
   }
 }
 

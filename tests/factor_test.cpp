@@ -574,7 +574,7 @@ std::set<std::pair<NetId, bool>> fault_set(const std::vector<Fault>& faults) {
 }
 
 /// Multi-level cones interact with fanout-cone scheduling, glitch
-/// suppression and fault masks on intermediate nets; both lane engines
+/// suppression and fault masks on intermediate nets; the event engine
 /// must still match the serial oracle fault for fault.
 void expect_campaign_parity(const ControllerStructure& cs, std::size_t cycles) {
   const SelfTestPlan plan = SelfTestPlan::two_session(cycles);
@@ -586,19 +586,14 @@ void expect_campaign_parity(const ControllerStructure& cs, std::size_t cycles) {
 
   const CoverageResult serial = measure_coverage(cs, plan, list);
   const auto serial_undet = fault_set(serial.undetected);
-  for (const CampaignEngine engine :
-       {CampaignEngine::kEvent, CampaignEngine::kFlat}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      CampaignOptions opt;
-      opt.engine = engine;
-      opt.num_threads = threads;
-      const CampaignResult par = run_fault_campaign(cs, plan, opt, list);
-      EXPECT_EQ(par.raw.total, serial.total);
-      EXPECT_EQ(par.raw.detected, serial.detected)
-          << campaign_engine_name(engine) << " threads=" << threads;
-      EXPECT_EQ(fault_set(par.raw.undetected), serial_undet)
-          << campaign_engine_name(engine) << " threads=" << threads;
-    }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    CampaignOptions opt;
+    opt.num_threads = threads;
+    const CampaignResult par = run_fault_campaign(cs, plan, opt, list);
+    EXPECT_EQ(par.raw.total, serial.total);
+    EXPECT_EQ(par.raw.detected, serial.detected) << "threads=" << threads;
+    EXPECT_EQ(fault_set(par.raw.undetected), serial_undet)
+        << "threads=" << threads;
   }
 }
 

@@ -276,18 +276,6 @@ TEST(Fleet, BitIdenticalAcrossJobsAndShardSizes) {
   }
 }
 
-TEST(Fleet, EnginesAgree) {
-  const ControllerStructure cs = fleet_structure();
-  FleetOptions ev = small_fleet();
-  ev.curve_cycles.clear();
-  FleetOptions fl = ev;
-  fl.engine = CampaignEngine::kFlat;
-  const FleetReport a = run_fleet(cs, ev);
-  const FleetReport b = run_fleet(cs, fl);
-  for (std::size_t i = 0; i < a.widths.size(); ++i)
-    expect_same_stats(a.widths[i].stats, b.widths[i].stats, "engine");
-}
-
 TEST(Fleet, WidePackingMatchesSingleWord) {
   const ControllerStructure cs = fleet_structure();
   FleetOptions one = small_fleet();

@@ -41,7 +41,6 @@ SpoolJob sample_job() {
   job.spec.machine = "shiftreg";
   job.spec.arch = ArchKind::kFig3;
   job.spec.tech = Technology::kMultiLevel;
-  job.spec.engine = CampaignEngine::kEvent;
   job.spec.lane_words = 4;
   job.spec.bist_cycles = 128;
   job.spec.functional_cycles = 300;
@@ -71,7 +70,6 @@ TEST_F(QueueTest, JobRoundTripPreservesEveryField) {
   EXPECT_EQ(back.spec.machine, "shiftreg");
   EXPECT_EQ(back.spec.arch, ArchKind::kFig3);
   EXPECT_EQ(back.spec.tech, Technology::kMultiLevel);
-  EXPECT_EQ(back.spec.engine, CampaignEngine::kEvent);
   EXPECT_EQ(back.spec.lane_words, 4u);
   EXPECT_EQ(back.spec.bist_cycles, 128u);
   EXPECT_EQ(back.spec.functional_cycles, 300u);
@@ -126,6 +124,46 @@ TEST_F(QueueTest, ParseErrorsNameFileAndLine) {
   }
   EXPECT_THROW(parse_spool_job("arch = fig1\n", "spec.job"), Error);  // no machine
   EXPECT_THROW(parse_spool_job("not a kv line\n", "spec.job"), Error);
+}
+
+TEST_F(QueueTest, LegacyEventEngineLineIsIgnored) {
+  // Specs written while the campaign engine was selectable carry an
+  // "engine = event" line; they still parse, to the same job.
+  const std::string rendered = render_spool_job(sample_job());
+  EXPECT_EQ(rendered.find("engine"), std::string::npos) << rendered;
+  const SpoolJob legacy =
+      parse_spool_job(rendered + "engine = event\n", "legacy.job");
+  EXPECT_EQ(render_spool_job(legacy), rendered);
+}
+
+TEST_F(QueueTest, RetiredEngineValuesAreTypedErrors) {
+  // A queued flat or serial job fails visibly instead of silently running
+  // on the event engine.
+  for (const char* value : {"flat", "serial", "bogus"}) {
+    try {
+      parse_spool_job(std::string("machine = dk27\nengine = ") + value + "\n",
+                      "old.job");
+      FAIL() << "engine = " << value << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+      EXPECT_NE(e.context().find("key=engine"), std::string::npos)
+          << e.context();
+      EXPECT_NE(e.context().find("file=old.job"), std::string::npos)
+          << e.context();
+      EXPECT_NE(e.context().find("line=2"), std::string::npos) << e.context();
+    }
+  }
+  // Claiming retires such a spec to failed/ with the typed error code.
+  TempSpool spool;
+  JobQueue q(spool.path);
+  write_raw(spool.path + "/pending/00000000-bbbb-0000.job",
+            "machine = dk27\narch = fig4\nengine = flat\n");
+  EXPECT_FALSE(q.claim().has_value());
+  EXPECT_EQ(q.scan().failed, 1u);
+  const auto r = q.result("00000000-bbbb-0000");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, "failed");
+  EXPECT_EQ(r->error_code, "invalid_input");
 }
 
 TEST_F(QueueTest, ClaimReturnsJobsInSubmissionOrder) {
