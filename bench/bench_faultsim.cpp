@@ -1,7 +1,8 @@
 // Fault-simulation throughput (google-benchmark): serial stuck-at
 // campaigns vs the bit-parallel event engine on the pipeline structure,
 // single-session cost as a function of test length, and the compiled
-// 64-lane evaluator against the scalar interpreter.
+// 64-lane evaluator against the scalar interpreter. BM_FunctionalBaseline_*
+// times the Fig. 1 functional baseline, which runs on the same lane engine.
 //
 // Campaign comparison: BM_FullFaultCampaign (the serial oracle, one
 // self-test run per fault) vs BM_EventCampaign_* (event-driven: resident
@@ -126,6 +127,23 @@ void BM_EventCampaign_tbk_fig1(benchmark::State& state) {
                      static_cast<unsigned>(state.range(1)));
 }
 BENCHMARK(BM_EventCampaign_tbk_fig1)->Apply(apply_campaign_axes);
+
+// The Fig. 1 functional baseline on the lane engine: tbk's full fig1 list
+// at the flow's 512 cycles (FlowOptions::functional_cycles).
+void BM_FunctionalBaseline_tbk_fig1(benchmark::State& state) {
+  static const ControllerStructure cs = fig1_for("tbk");
+  CoverageResult res;
+  for (auto _ : state) {
+    res = measure_functional_coverage(cs, 512);
+    benchmark::DoNotOptimize(res.detected);
+  }
+  state.counters["faults"] = static_cast<double>(res.total);
+  state.counters["detected"] = static_cast<double>(res.detected);
+  state.counters["faults_per_sec"] = benchmark::Counter(
+      static_cast<double>(res.total) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FunctionalBaseline_tbk_fig1)->Unit(benchmark::kMillisecond);
 
 // s1: the largest bundled structure (~4.8k nets after PR 3). One thread;
 // the lane axis carries this PR's acceptance bar (faults_per_sec at 256

@@ -1,15 +1,15 @@
 #include "bist/session.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "bist/lfsr.hpp"
 #include "netlist/eval64.hpp"
+#include "util/bitvec.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -576,6 +576,15 @@ void run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
   sc.cn.clear_faults();
 }
 
+/// Ends a scratch lease, also when a sampler or engine throw unwinds the
+/// worker: a warm state's scratch goes back to its free-list, chunk-local
+/// scratch (warm == nullptr) is freed.
+struct ScratchReturn {
+  CampaignWarmState* warm = nullptr;
+  void operator()(CampaignScratch* sc) const;
+};
+using ScratchLease = std::unique_ptr<CampaignScratch, ScratchReturn>;
+
 }  // namespace
 
 // --- warm campaign state -----------------------------------------------------
@@ -603,23 +612,24 @@ class CampaignWarmState {
   const CompiledNetlist& proto() const { return proto_; }
 
   /// Lease a scratch: reuse a parked one (warm start) or build a fresh one.
-  std::unique_ptr<CampaignScratch> acquire(const ControllerStructure& cs) {
+  ScratchLease acquire(const ControllerStructure& cs) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!free_.empty()) {
-        std::unique_ptr<CampaignScratch> sc = std::move(free_.back());
+        ScratchLease sc(free_.back().release(), {this});
         free_.pop_back();
         reuses_.fetch_add(1, std::memory_order_relaxed);
         return sc;
       }
     }
     builds_.fetch_add(1, std::memory_order_relaxed);
-    return std::make_unique<CampaignScratch>(cs, proto_, misr_width_, pins_);
+    return ScratchLease(new CampaignScratch(cs, proto_, misr_width_, pins_),
+                        {this});
   }
 
-  void release(std::unique_ptr<CampaignScratch> sc) {
+  void release(CampaignScratch* sc) {
     std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(sc));
+    free_.emplace_back(sc);
   }
 
   std::size_t reuses() const { return reuses_.load(std::memory_order_relaxed); }
@@ -635,6 +645,11 @@ class CampaignWarmState {
   std::atomic<std::size_t> reuses_{0};
   std::atomic<std::size_t> builds_{0};
 };
+
+void ScratchReturn::operator()(CampaignScratch* sc) const {
+  if (warm != nullptr) return warm->release(sc);
+  delete sc;
+}
 
 std::shared_ptr<CampaignWarmState> make_campaign_warm_state(
     const ControllerStructure& cs, std::size_t output_misr_width,
@@ -686,18 +701,19 @@ void CampaignOptions::validate(const SelfTestPlan& plan) const {
                 problems);
 }
 
-CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestPlan& plan,
-                                  const CampaignOptions& options,
-                                  std::optional<std::vector<Fault>> faults) {
-  const Netlist& nl = cs.nl;
-  if (!nl.finalized())
-    throw std::logic_error("run_fault_campaign: netlist not finalized");
-  // Reject every bad option before any simulation work, so a bad driver
-  // flag fails loudly instead of misbehaving batches later.
-  options.validate(plan);
-  const std::vector<Fault> list =
-      faults ? std::move(*faults) : enumerate_stuck_faults(nl);
+namespace {
 
+/// The batch loop and verdict bookkeeping of every lane fault simulation.
+/// Batches one fault per lane (lane 0 stays fault-free), hands each batch
+/// to `kernel` -- which fills sc.diff_mask with the detected lanes -- and
+/// expands the per-class verdicts over the full list. One budget work unit
+/// is one run, or one fault when `per_fault`; `stage` labels degradation.
+CampaignResult sweep_fault_batches(
+    const ControllerStructure& cs, std::size_t output_misr_width,
+    const CampaignOptions& options, const std::vector<Fault>& list,
+    bool per_fault, const char* stage,
+    const std::function<void(const PinMap&, CampaignScratch&)>& kernel) {
+  const Netlist& nl = cs.nl;
   CampaignResult res;
   res.raw.total = list.size();
   // A budget that is exhausted (or empty) on arrival skips all simulation:
@@ -734,10 +750,10 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
       else if (warm->lane_words() != options.lane_words)
         mismatch = "warm lane_words=" + std::to_string(warm->lane_words()) +
                    " != options lane_words=" + std::to_string(options.lane_words);
-      else if (warm->misr_width() != plan.output_misr_width)
+      else if (warm->misr_width() != output_misr_width)
         mismatch = "warm misr_width=" + std::to_string(warm->misr_width()) +
                    " != plan output_misr_width=" +
-                   std::to_string(plan.output_misr_width);
+                   std::to_string(output_misr_width);
       if (!mismatch.empty())
         throw Error(ErrorCode::kInvalidInput,
                     "run_fault_campaign: incompatible warm state", mismatch);
@@ -774,36 +790,29 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
     auto chunk_fn = [&](std::size_t c) {
       Budget bud = options.budget;  // per-chunk copy, absolute deadline
       // Lease warm scratch when available (zero rebuild on reuse);
-      // otherwise build chunk-local scratch the way each worker used to.
-      // The lease returns to the free-list via RAII so an engine throw
-      // mid-batch (rethrown by the executor's exception barrier) does not
-      // leak the scratch out of the warm state.
-      std::unique_ptr<CampaignScratch> leased;
-      std::optional<CampaignScratch> local;
-      struct LeaseReturn {
-        CampaignWarmState* warm;
-        std::unique_ptr<CampaignScratch>& sc;
-        ~LeaseReturn() {
-          if (warm != nullptr && sc) warm->release(std::move(sc));
-        }
-      } lease_return{warm, leased};
-      if (warm) {
-        leased = warm->acquire(cs);
-      } else {
-        local.emplace(cs, proto, plan.output_misr_width, pins);
-      }
-      CampaignScratch& sc = warm ? *leased : *local;
+      // otherwise build chunk-local scratch.
+      const ScratchLease lease =
+          warm ? warm->acquire(cs)
+               : ScratchLease(new CampaignScratch(cs, proto, output_misr_width, pins));
+      CampaignScratch& sc = *lease;
       const std::uint64_t cycles0 = sc.cycles;
       const std::uint64_t ops0 = sc.ev.ops_evaluated;
       for (std::size_t b = c; b < num_batches; b += num_chunks) {
-        if (bud.spend(1)) break;
         const std::size_t begin = b * batch_size;
-        const std::size_t end = std::min(reps.size(), begin + batch_size);
+        std::size_t end = std::min(reps.size(), begin + batch_size);
+        if (per_fault) {  // trim the run to the allowance left
+          end = begin + std::min<std::uint64_t>(
+                            end - begin, bud.work_allowance() - bud.work_spent());
+          if (end == begin || bud.exhausted()) break;
+          bud.spend(end - begin);
+        } else if (bud.spend(1)) {
+          break;
+        }
         sc.batch.clear();
         for (std::size_t i = begin; i < end; ++i)
           sc.batch.push_back({reps[i].net, reps[i].stuck_value,
                               static_cast<unsigned>(i - begin + 1)});
-        run_self_test_lanes(cs, plan, pins, sc);
+        kernel(pins, sc);
         for (std::size_t i = begin; i < end; ++i) {
           rep_simulated[i] = 1;
           const unsigned lane = static_cast<unsigned>(i - begin + 1);
@@ -817,27 +826,8 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
 
     if (options.executor && num_chunks > 1) {
       options.executor->run_chunks(num_chunks, chunk_fn);
-    } else if (num_chunks == 1) {
-      chunk_fn(0);
     } else {
-      // Same exception barrier as PoolChunkExecutor: a throw escaping a
-      // std::thread terminates the process, so park the first exception
-      // and rethrow it here after every worker joined.
-      std::mutex err_mu;
-      std::exception_ptr first_error;
-      std::vector<std::thread> pool;
-      pool.reserve(num_chunks);
-      for (std::size_t c = 0; c < num_chunks; ++c)
-        pool.emplace_back([&, c] {
-          try {
-            chunk_fn(c);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(err_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-        });
-      for (std::thread& t : pool) t.join();
-      if (first_error) std::rethrow_exception(first_error);
+      run_on_threads(num_chunks, chunk_fn);
     }
     res.ops_per_cycle = nl.topo_order().size();
     for (std::size_t c = 0; c < num_chunks; ++c) {
@@ -868,7 +858,7 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
     res.collapsed_simulated += rep_simulated[i] ? 1 : 0;
   }
 
-  res.degradation.stage = "campaign";
+  res.degradation.stage = stage;
   res.degradation.work_done = res.collapsed_simulated;
   res.degradation.work_total = res.collapsed_total;
   res.degradation.degraded = res.collapsed_simulated < res.collapsed_total;
@@ -881,6 +871,25 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
                   res.faults_simulated, res.raw.total);
   }
   return res;
+}
+
+}  // namespace
+
+CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestPlan& plan,
+                                  const CampaignOptions& options,
+                                  std::optional<std::vector<Fault>> faults) {
+  if (!cs.nl.finalized())
+    throw std::logic_error("run_fault_campaign: netlist not finalized");
+  // Reject every bad option before any simulation work, so a bad driver
+  // flag fails loudly instead of misbehaving batches later.
+  options.validate(plan);
+  return sweep_fault_batches(
+      cs, plan.output_misr_width, options,
+      faults ? std::move(*faults) : enumerate_stuck_faults(cs.nl),
+      /*per_fault=*/false, "campaign",
+      [&](const PinMap& pins, CampaignScratch& sc) {
+        run_self_test_lanes(cs, plan, pins, sc);
+      });
 }
 
 // --- fleet shard kernel ------------------------------------------------------
@@ -931,15 +940,8 @@ FleetShardStats run_fleet_shard(const ControllerStructure& cs,
   if (!problems.empty())
     throw Error(ErrorCode::kInvalidInput, "invalid fleet shard", problems);
 
-  // Lease warm scratch with the campaign's RAII return, so a sampler or
-  // engine throw never leaks the scratch out of the free-list.
-  std::unique_ptr<CampaignScratch> leased = warm.acquire(*warm.structure());
-  struct LeaseReturn {
-    CampaignWarmState* warm;
-    std::unique_ptr<CampaignScratch>& sc;
-    ~LeaseReturn() { warm->release(std::move(sc)); }
-  } lease_return{&warm, leased};
-  CampaignScratch& sc = *leased;
+  const ScratchLease lease = warm.acquire(*warm.structure());
+  CampaignScratch& sc = *lease;
 
   const unsigned W = sc.cn.lane_words();
   const std::size_t per_run = fleet_instances_per_run(W);
@@ -996,68 +998,62 @@ CoverageResult measure_functional_coverage(const ControllerStructure& cs,
                                            std::optional<std::vector<Fault>> faults,
                                            std::uint64_t seed, const Budget& budget,
                                            Degradation* degradation) {
-  const Netlist& nl = cs.nl;
   const std::vector<Fault> list =
       faults ? std::move(*faults) : enumerate_stuck_faults(cs.nl);
-  const PinMap pins = map_pins(cs);
-
-  // Replay `cycles` LFSR patterns in system mode (test_mode, if any, stays
-  // 0: functional operation). The fault-free replay records the golden
-  // output trace; a faulty replay compares each cycle's outputs with it
-  // and stops at the first mismatch. Scratch buffers are hoisted so the
-  // per-cycle inner loop performs no heap allocation.
-  std::vector<bool> in(nl.num_inputs(), false);
-  std::vector<bool> values, outs, golden;
-  golden.reserve(cycles * nl.num_outputs());
-  auto replay = [&](std::optional<Fault> fault) {
-    const NetId fnet = fault ? fault->net : kNoNet;
-    const bool fval = fault ? fault->stuck_value : false;
-    Lfsr gen(std::max<std::size_t>(8, cs.pi.size()), seed);
-    Netlist::SimState state = nl.initial_state();
-    for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
-      std::fill(in.begin(), in.end(), false);
-      for (std::size_t k = 0; k < cs.pi.size(); ++k) in[pins.pi_slot[k]] = gen.bit(k);
-      nl.step(in, state, values, outs, fnet, fval);
-      if (!fault)
-        golden.insert(golden.end(), outs.begin(), outs.end());
-      else if (!std::equal(outs.begin(), outs.end(),
-                           golden.begin() + cycle * outs.size()))
-        return true;
-      gen.step();
-    }
-    return false;
-  };
-
-  CoverageResult res;
-  res.total = list.size();
-  Budget bud = budget;
-  const bool skip_all = bud.exhausted() || bud.work_allowance() == 0;
-  if (!skip_all) {
-    replay(std::nullopt);
-    for (const Fault& f : list) {
-      if (bud.spend(1)) break;
-      ++res.simulated;
-      if (replay(f)) {
-        ++res.detected;
-      } else {
-        res.undetected.push_back(f);
-      }
-    }
-  }
-  if (degradation) {
-    degradation->stage = "functional-coverage";
-    degradation->work_done = res.simulated;
-    degradation->work_total = res.total;
-    degradation->degraded = res.simulated < res.total;
-    if (degradation->degraded) {
-      degradation->reason = *bud.reason() ? bud.reason() : "work-allowance";
-      degradation->detail =
-          strprintf("simulated %zu/%zu faults functionally; coverage() counts "
-                    "the rest as undetected",
-                    res.simulated, res.total);
-    }
-  }
-  return res;
+  // Uncollapsed, one worker, one work unit per fault; runs are as wide as
+  // the list fills. The scratch's output MISR idles at its default width.
+  CampaignOptions opt;
+  opt.collapse = false;
+  opt.budget = budget;
+  opt.lane_words = list.size() >= faults_per_run(8)   ? 8
+                   : list.size() >= faults_per_run(4) ? 4
+                                                      : 1;
+  CampaignResult camp = sweep_fault_batches(
+      cs, SelfTestPlan().output_misr_width, opt, list, /*per_fault=*/true,
+      "functional-coverage",
+      [&](const PinMap& pins, CampaignScratch& sc) {
+        // One run: broadcast Lfsr(max(8, |pi|), seed) to the functional
+        // inputs, clock every DFF from its D net, and OR each cycle's
+        // primary-output difference from lane 0 into sc.diff_mask.
+        const unsigned W = sc.cn.lane_words();
+        sc.cn.set_faults(sc.batch);
+        std::fill(sc.diff_mask.begin(), sc.diff_mask.end(), 0);
+        // Self-test runs keep the test_mode row at 1; hold it at 0 here.
+        std::uint64_t* test_row = pins.test_slot == SIZE_MAX
+                                      ? nullptr
+                                      : sc.in_lanes.data() + pins.test_slot * W;
+        if (test_row) std::fill(test_row, test_row + W, 0);
+        sc.input_gen.seed(seed);
+        sc.dff_lanes = sc.init_dff_lanes;
+        sc.cn.reset(sc.ev);
+        for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
+          // Unchanged input rows raise no events in evaluate_event.
+          for (std::size_t k = 0; k < cs.pi.size(); ++k)
+            std::fill_n(sc.in_lanes.data() + pins.pi_slot[k] * W, W,
+                        sc.input_gen.bit_lanes(k));
+          sc.cn.evaluate_event(sc.in_lanes.data(), sc.dff_lanes.data(), sc.ev);
+          const std::uint64_t* values = sc.ev.values.data();
+          ++sc.cycles;
+          for (NetId net : cs.nl.outputs()) {
+            const std::uint64_t* src = values + std::size_t{net} * W;
+            for (unsigned w = 0; w < W; ++w)
+              sc.diff_mask[w] |= src[w] ^ (0 - (src[0] & 1));
+          }
+          // Lane 0 and the unused lanes of a short run are fault-free, so
+          // the set bits are exactly the diverged faults: stop once all are.
+          std::size_t diverged = 0;
+          for (unsigned w = 0; w < W; ++w) diverged += popcount64(sc.diff_mask[w]);
+          if (diverged == sc.batch.size()) break;
+          for (std::size_t k = 0; k < sc.cn.num_dffs(); ++k)
+            std::copy_n(values + std::size_t{sc.cn.dff_d(k)} * W, W,
+                        sc.dff_lanes.data() + k * W);
+          sc.input_gen.step();
+        }
+        if (test_row) std::fill(test_row, test_row + W, ~std::uint64_t{0});
+        sc.cn.clear_faults();
+      });
+  if (degradation) *degradation = std::move(camp.degradation);
+  return std::move(camp.raw);
 }
 
 }  // namespace stc

@@ -329,11 +329,11 @@ FleetShardStats run_fleet_shard(const ControllerStructure& cs,
                                 const Budget& budget);
 
 /// Functional (non-BIST) baseline: drive `cycles` LFSR input patterns in
-/// system mode and compare primary outputs cycle by cycle; a fault's replay
-/// stops at its first mismatching cycle. This is what an external random
-/// test of the Fig. 1 structure can observe. The budget is checked between
-/// faults (one work unit = one fault replay); a truncated sweep reports
-/// simulated < total, optionally labeled via `degradation`.
+/// system mode (test_mode held at 0) on the campaign's lane engine; a fault
+/// is detected at its first cycle whose primary outputs differ from the
+/// fault-free lane. This is what an external random test of the Fig. 1
+/// structure can observe. One work unit = one fault (work_limit(k) simulates
+/// min(k, total)); a truncated sweep reports simulated < total.
 CoverageResult measure_functional_coverage(const ControllerStructure& cs,
                                            std::size_t cycles,
                                            std::optional<std::vector<Fault>> faults =

@@ -4,11 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <iomanip>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace stc {
 
@@ -89,28 +89,10 @@ FleetShardStats run_fleet_pass(const ControllerStructure& cs,
                               ? opt.jobs
                               : std::max(1u, std::thread::hardware_concurrency());
     workers = std::min(workers, n_shards);
-    if (workers <= 1) {
-      for (std::size_t s = 0; s < n_shards; ++s) shard_fn(s);
-    } else {
-      // Chunk-strided worker assignment with the usual exception barrier: a
-      // throw escaping a std::thread terminates the process, so park the
-      // first exception and rethrow after every worker joined.
-      std::mutex err_mu;
-      std::exception_ptr first_error;
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (std::size_t t = 0; t < workers; ++t)
-        pool.emplace_back([&, t] {
-          try {
-            for (std::size_t s = t; s < n_shards; s += workers) shard_fn(s);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(err_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-        });
-      for (std::thread& t : pool) t.join();
-      if (first_error) std::rethrow_exception(first_error);
-    }
+    // Chunk-strided worker assignment: worker t takes shards t, t+workers, ...
+    run_on_threads(workers, [&](std::size_t t) {
+      for (std::size_t s = t; s < n_shards; s += workers) shard_fn(s);
+    });
   }
 
   FleetShardStats total;

@@ -5,9 +5,9 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "fsm/minimize.hpp"
+#include "util/parallel.hpp"
 
 namespace stc {
 
@@ -396,40 +396,21 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
       if (run_tasks.empty()) break;
       active = run_tasks;
 
-      if (num_threads <= 1) {
-        for (std::size_t rank = 0; rank < active.size(); ++rank) {
+      // Worker w pulls the next task rank off the shared counter; a single
+      // worker runs inline on the caller's context, in rank order.
+      std::atomic<std::size_t> next_rank{0};
+      run_on_threads(num_threads, [&](std::size_t w) {
+        WorkerCtx& ctx = num_threads == 1 ? main_ctx : *worker_ctxs[w];
+        for (;;) {
+          const std::size_t rank =
+              next_rank.fetch_add(1, std::memory_order_relaxed);
+          if (rank >= active.size()) break;
           if (reached_floor(bound.load())) break;  // optimum already in hand
-          TaskRun t(main_ctx, quotas[rank], doubling);
+          TaskRun t(ctx, quotas[rank], doubling);
           t.run_subtree(active[rank]);
           task_results[active[rank]] = std::move(t.res);
         }
-      } else {
-        std::atomic<std::size_t> next_rank{0};
-        std::vector<std::exception_ptr> errors(num_threads);
-        std::vector<std::thread> threads;
-        threads.reserve(num_threads);
-        for (std::size_t w = 0; w < num_threads; ++w) {
-          threads.emplace_back([&, w] {
-            try {
-              WorkerCtx& ctx = *worker_ctxs[w];
-              for (;;) {
-                const std::size_t rank =
-                    next_rank.fetch_add(1, std::memory_order_relaxed);
-                if (rank >= active.size()) break;
-                if (reached_floor(bound.load())) break;
-                TaskRun t(ctx, quotas[rank], doubling);
-                t.run_subtree(active[rank]);
-                task_results[active[rank]] = std::move(t.res);
-              }
-            } catch (...) {
-              errors[w] = std::current_exception();
-            }
-          });
-        }
-        for (auto& t : threads) t.join();
-        for (auto& e : errors)
-          if (e) std::rethrow_exception(e);
-      }
+      });
 
       // Deterministic accounting: every node visited this round (including
       // replayed prefixes of restarted tasks) draws down the budget.

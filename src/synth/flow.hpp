@@ -61,9 +61,9 @@ struct StructureReport {
   std::optional<double> coverage;            // all single stuck-at faults
   std::optional<double> feedback_coverage;   // faults on R -> C lines only
   std::size_t total_faults = 0;
-  /// Campaign wall time (seconds; includes the functional baseline for
-  /// fig1) and the event engine's mean per-cycle activity ratio — the
-  /// paper-table drivers double as the perf harness.
+  /// Fault-simulation wall time: the campaign for fig2-4, the functional
+  /// baseline alone for fig1. `activity` is the campaign's mean per-cycle
+  /// activity ratio — the paper-table drivers double as the perf harness.
   double campaign_seconds = 0.0;
   std::optional<double> activity;
   /// Anytime labels: every stage of this structure's build or measurement

@@ -61,6 +61,16 @@ TEST(CampaignAllocations, IndependentOfCycleCount) {
   const std::uint64_t long_run = count_campaign_allocs(cs, 240, false);
   EXPECT_EQ(short_run, long_run)
       << "campaign allocations must not scale with BIST cycles";
+
+  // The Fig. 1 functional baseline runs on the same lane scratch.
+  const auto count_baseline_allocs = [&cs](std::size_t cycles) {
+    const std::uint64_t before = g_allocations.load();
+    const CoverageResult res = measure_functional_coverage(cs, cycles);
+    EXPECT_GT(res.total, 0u);
+    return g_allocations.load() - before;
+  };
+  EXPECT_EQ(count_baseline_allocs(24), count_baseline_allocs(240))
+      << "functional baseline allocations must not scale with cycles";
 }
 
 TEST(CampaignAllocations, IndependentOfLaneWords) {

@@ -319,6 +319,19 @@ TEST(AnytimeCampaign, FunctionalCoverageHonorsTheBudget) {
   EXPECT_LT(r.simulated, r.total);
   EXPECT_TRUE(deg.degraded);
   EXPECT_EQ(deg.stage, "functional-coverage");
+
+  // A limit that ends inside a later run still simulates exactly that many
+  // faults: dk27's 78 faults run 63 per run, bbara's 304 run 255 per run.
+  for (const auto& [name, k] : {std::pair<const char*, std::size_t>{"dk27", 70},
+                                {"bbara", 270}}) {
+    Degradation later;
+    const CoverageResult rk = measure_functional_coverage(
+        fig1_of(name), 64, std::nullopt, 0x5EED, Budget::work_limit(k), &later);
+    EXPECT_EQ(rk.simulated, k) << name;
+    EXPECT_LT(rk.simulated, rk.total) << name;
+    EXPECT_TRUE(later.degraded) << name;
+    EXPECT_EQ(later.stage, "functional-coverage") << name;
+  }
 }
 
 // --- the whole flow under a wall-clock budget --------------------------------

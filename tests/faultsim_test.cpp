@@ -580,17 +580,9 @@ bool lockstep_detects(const ControllerStructure& cs, const Fault& f,
 TEST(FunctionalBaseline, DetectedSetsMatchLockstepReplay) {
   constexpr std::size_t kCycles = 256;
   constexpr std::uint64_t kSeed = 0x5EED;
-  for (const char* name : {"dk27", "shiftreg", "bbara", "tbk"}) {
-    const ControllerStructure cs = fig1_for(name);
-    // tbk's full list costs seconds per replay pass; compare a
-    // deterministic stride sample of it, every fault elsewhere.
-    const auto all = enumerate_stuck_faults(cs.nl);
-    const std::size_t cap = 64;
-    const std::size_t stride =
-        std::string(name) == "tbk" ? (all.size() + cap - 1) / cap : 1;
-    std::vector<Fault> list;
-    for (std::size_t i = 0; i < all.size(); i += stride) list.push_back(all[i]);
-
+  const auto expect_match = [&](const std::string& name,
+                                const ControllerStructure& cs,
+                                const std::vector<Fault>& list) {
     std::vector<Fault> expect_undetected;
     for (const Fault& f : list)
       if (!lockstep_detects(cs, f, kCycles, kSeed)) expect_undetected.push_back(f);
@@ -602,6 +594,46 @@ TEST(FunctionalBaseline, DetectedSetsMatchLockstepReplay) {
     EXPECT_EQ(fault_set(r.undetected), fault_set(expect_undetected)) << name;
     // A sample with no detection would make the comparison vacuous.
     EXPECT_GT(r.detected, 0u) << name;
+  };
+
+  // Every fault of every corpus machine but the two largest.
+  for (const std::string& name : benchmark_names()) {
+    if (name == "s1" || name == "tbk") continue;
+    const ControllerStructure cs = fig1_for(name);
+    expect_match(name, cs, enumerate_stuck_faults(cs.nl));
+  }
+
+  // tbk's full list costs seconds per replay pass; compare a
+  // deterministic stride sample of it.
+  {
+    const ControllerStructure cs = fig1_for("tbk");
+    const auto all = enumerate_stuck_faults(cs.nl);
+    const std::size_t cap = 64;
+    const std::size_t stride = (all.size() + cap - 1) / cap;
+    std::vector<Fault> list;
+    for (std::size_t i = 0; i < all.size(); i += stride) list.push_back(all[i]);
+    expect_match("tbk", cs, list);
+  }
+
+  // Fig. 2 has a test_mode pin; the baseline holds it at 0 like the replay.
+  {
+    const MealyMachine m = load_benchmark("bbara");
+    const ControllerStructure cs =
+        build_fig2(encode_fsm(m, natural_encoding(m.num_states())));
+    ASSERT_NE(cs.test_mode, kNoNet);
+    expect_match("bbara fig2", cs, enumerate_stuck_faults(cs.nl));
+  }
+
+  // A duplicated fault takes two lanes and yields two verdicts, and 127
+  // faults are two full 63-fault runs plus a one-fault run.
+  {
+    const ControllerStructure cs = fig1_for("dk16");
+    const auto all = enumerate_stuck_faults(cs.nl);
+    ASSERT_GE(all.size(), 126u);
+    std::vector<Fault> list(all.begin(), all.begin() + 126);
+    list.push_back(list.front());
+    ASSERT_NE(list.size() % faults_per_run(1), 0u);
+    expect_match("dk16 duplicate", cs, list);
   }
 }
 
