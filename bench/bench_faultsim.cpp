@@ -1,17 +1,19 @@
 // Fault-simulation throughput (google-benchmark): serial stuck-at
 // campaigns vs the bit-parallel event engine on the pipeline structure,
 // single-session cost as a function of test length, and the compiled
-// 64-lane evaluator against the scalar interpreter. BM_FunctionalBaseline_*
+// lane evaluator against the scalar interpreter. BM_FunctionalBaseline_*
 // times the Fig. 1 functional baseline, which runs on the same lane engine.
 //
 // Campaign comparison: BM_FullFaultCampaign (the serial oracle, one
 // self-test run per fault) vs BM_EventCampaign_* (event-driven: resident
-// values, dense PLA-product sweep, sparse ORs). The campaign benchmarks
-// carry a lane-width axis ("lanes" = 64/256/512, i.e. 63/255/511 faults
-// per self-test run) and report faults simulated per second plus the mean
-// per-cycle activity ratio and machine cycles/second, so the archived
-// BENCH_faultsim.json tracks the per-width trajectory across PRs (compare
-// two archives with scripts/bench_diff.py).
+// values, dense PLA-product sweep, sparse ORs) at the lane width the
+// engine picks. They report faults simulated per second plus the mean
+// per-cycle activity ratio and machine cycles/second. The lane-width axis
+// ("lanes" = 64/256/512, i.e. 63/255/511 faults per run) lives on the
+// evaluator bench BM_CompiledEvalEvent, where the width is a
+// CompiledNetlist argument, so the archived BENCH_faultsim.json tracks the
+// per-width trajectory across PRs (compare two archives with
+// scripts/bench_diff.py).
 
 #include <benchmark/benchmark.h>
 
@@ -36,11 +38,9 @@ ControllerStructure fig1_for(const char* name) {
 }
 
 void run_campaign_bench(benchmark::State& state, const ControllerStructure& cs,
-                        std::size_t cycles, std::size_t threads,
-                        unsigned lanes = 64) {
+                        std::size_t cycles, std::size_t threads) {
   CampaignOptions opt;
   opt.num_threads = threads;
-  opt.lane_words = lane_words_from_lanes(lanes);
   CampaignResult res;
   for (auto _ : state) {
     res = run_fault_campaign(cs, SelfTestPlan::two_session(cycles), opt);
@@ -51,7 +51,7 @@ void run_campaign_bench(benchmark::State& state, const ControllerStructure& cs,
   state.counters["classes"] = static_cast<double>(res.collapsed_total);
   state.counters["session_runs"] = static_cast<double>(res.session_runs);
   state.counters["activity"] = res.mean_activity();
-  // Machine cycles simulated per second of wall time (x `lanes` machine
+  // Machine cycles simulated per second of wall time (x 64·W machine
   // copies each).
   state.counters["cycles_per_sec"] = benchmark::Counter(
       static_cast<double>(res.cycles_simulated) *
@@ -93,19 +93,15 @@ void BM_FullFaultCampaign(benchmark::State& state) {
 }
 BENCHMARK(BM_FullFaultCampaign);
 
-// Campaign benchmark axes: {threads, lanes}. The thread sweep runs at 64
-// lanes; the lane-width sweep (the wide-lane acceptance axis) runs on one
-// thread so the per-width speedup is not confounded with thread scaling.
+// Campaign benchmark axis: threads. The engine picks each run's lane width
+// from one worker's share of the fault classes.
 void apply_campaign_axes(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"threads", "lanes"});
-  for (const std::int64_t threads : {1, 2, 4}) b->Args({threads, 64});
-  for (const std::int64_t lanes : {256, 512}) b->Args({1, lanes});
+  b->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
 }
 
 void BM_EventCampaign_dk27_fig4(benchmark::State& state) {
   static const ControllerStructure cs = pipeline_for("dk27");
-  run_campaign_bench(state, cs, 128, static_cast<std::size_t>(state.range(0)),
-                     static_cast<unsigned>(state.range(1)));
+  run_campaign_bench(state, cs, 128, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_EventCampaign_dk27_fig4)->Apply(apply_campaign_axes);
 
@@ -123,8 +119,7 @@ BENCHMARK(BM_FullFaultCampaignTbkFig1);
 
 void BM_EventCampaign_tbk_fig1(benchmark::State& state) {
   static const ControllerStructure cs = fig1_for("tbk");
-  run_campaign_bench(state, cs, 64, static_cast<std::size_t>(state.range(0)),
-                     static_cast<unsigned>(state.range(1)));
+  run_campaign_bench(state, cs, 64, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_EventCampaign_tbk_fig1)->Apply(apply_campaign_axes);
 
@@ -145,15 +140,12 @@ void BM_FunctionalBaseline_tbk_fig1(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalBaseline_tbk_fig1)->Unit(benchmark::kMillisecond);
 
-// s1: the largest bundled structure (~4.8k nets after PR 3). One thread;
-// the lane axis carries this PR's acceptance bar (faults_per_sec at 256
-// lanes >= 2x the 64-lane value on the event engine).
+// s1: the largest bundled structure (~4.8k nets), on one thread.
 void BM_EventCampaign_s1_fig1(benchmark::State& state) {
   static const ControllerStructure cs = fig1_for("s1");
-  run_campaign_bench(state, cs, 64, 1, static_cast<unsigned>(state.range(0)));
+  run_campaign_bench(state, cs, 64, 1);
 }
-BENCHMARK(BM_EventCampaign_s1_fig1)
-    ->ArgName("lanes")->Arg(64)->Arg(256)->Arg(512);
+BENCHMARK(BM_EventCampaign_s1_fig1);
 
 // shiftreg: the other machine named by the PR 2 acceptance bar.
 void BM_CampaignSerialShiftreg(benchmark::State& state) {
@@ -205,27 +197,44 @@ void BM_CompiledEval64(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledEval64);
 
-void BM_CompiledEval64Event(benchmark::State& state) {
+// The lane-width axis: one event-driven cycle of tbk fig1 at 64/256/512
+// lanes with a full batch of 64·W − 1 faults installed. faults_per_sec
+// counts fault-cycles (one fault evaluated for one cycle) per second, the
+// per-width throughput scripts/bench_diff.py tabulates against 64 lanes.
+void BM_CompiledEvalEvent(benchmark::State& state) {
   static const ControllerStructure cs = fig1_for("tbk");
   const Netlist& nl = cs.nl;
-  CompiledNetlist cn(nl);
+  const unsigned W = static_cast<unsigned>(state.range(0)) / 64;
+  CompiledNetlist cn(nl, W);
+  const std::vector<Fault> faults = enumerate_stuck_faults(nl);
+  std::vector<LaneFault> batch;
+  for (unsigned lane = 1; lane < 64 * W; ++lane) {
+    const Fault& f = faults[(lane - 1) % faults.size()];
+    batch.push_back({f.net, f.stuck_value, lane});
+  }
+  cn.set_faults(batch);
   EventScratch ev;
-  std::vector<std::uint64_t> in_lanes(nl.num_inputs(), 0);
-  std::vector<std::uint64_t> dff_lanes(nl.num_dffs(), 0);
+  std::vector<std::uint64_t> in_lanes(nl.num_inputs() * W, 0);
+  std::vector<std::uint64_t> dff_lanes(nl.num_dffs() * W, 0);
   std::size_t k = 0;
   for (auto _ : state) {
-    in_lanes[0] = (++k) & 1 ? ~std::uint64_t{0} : 0;
+    const std::uint64_t word = (++k) & 1 ? ~std::uint64_t{0} : 0;
+    for (unsigned w = 0; w < W; ++w) in_lanes[w] = word;
     cn.evaluate_event(in_lanes.data(), dff_lanes.data(), ev);
-    benchmark::DoNotOptimize(ev.values[nl.num_nets() - 1]);
+    benchmark::DoNotOptimize(ev.values[(nl.num_nets() - 1) * W]);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 * W);
+  state.counters["faults_per_sec"] = benchmark::Counter(
+      static_cast<double>(faults_per_run(W)) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
   state.counters["activity"] =
       ev.cycles == 0 ? 0.0
                      : static_cast<double>(ev.ops_evaluated) /
                            (static_cast<double>(ev.cycles) *
                             static_cast<double>(cn.num_ops()));
 }
-BENCHMARK(BM_CompiledEval64Event);
+BENCHMARK(BM_CompiledEvalEvent)->ArgName("lanes")->Arg(64)->Arg(256)->Arg(512);
 
 }  // namespace
 

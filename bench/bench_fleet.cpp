@@ -2,14 +2,16 @@
 // runs on the pair-packed bit-parallel kernel.
 //
 // Axes and counters:
-//   * BM_FleetShard/width:K      -- one warm shard at MISR width K:
+//   * BM_FleetShard/width:K      -- one warm 2048-instance shard (512
+//     lanes) at MISR width K:
 //     instances/sec of the inner kernel, plus the measured alias and
 //     escape rates (quality counters: the alias rate should track 2^-K).
 //   * BM_Fleet_Jobs/jobs:N       -- a whole run_fleet pass as the worker
 //     pool widens (thread-scaling of the shard fan-out; counts are
 //     bit-identical at every N, only the time moves).
-//   * BM_Fleet_LaneWords/words:W -- W x 64-lane packing: 32*W instances
-//     per self-test run.
+//   * BM_Fleet_ShardSize/shard:S -- shards of 32, 128 and 256 instances,
+//     which the kernel packs at 64, 256 and 512 lanes (S instances per
+//     self-test run).
 //
 // Archived as BENCH_fleet.json; scripts/bench_diff.py renders a dedicated
 // fleet section (instances/sec regressions and alias-rate drift).
@@ -66,7 +68,7 @@ void BM_FleetShard(benchmark::State& state) {
   const std::size_t width = static_cast<std::size_t>(state.range(0));
   SelfTestPlan plan = SelfTestPlan::two_session(64);
   plan.output_misr_width = width;
-  auto warm = make_campaign_warm_state(cs, width, 1);
+  auto warm = make_campaign_warm_state(cs, width);
   const FleetDefectSampler sampler = make_defect_sampler(cs, DefectSpec{});
   constexpr std::uint64_t kInstances = 2048;
   FleetShardStats st;
@@ -104,10 +106,10 @@ BENCHMARK(BM_Fleet_Jobs)
     ->ArgName("jobs")->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void BM_Fleet_LaneWords(benchmark::State& state) {
+void BM_Fleet_ShardSize(benchmark::State& state) {
   const ControllerStructure& cs = dk27_fig4();
   FleetOptions opt = fleet_options(8192);
-  opt.lane_words = static_cast<unsigned>(state.range(0));
+  opt.shard_instances = static_cast<std::size_t>(state.range(0));
   FleetReport rep;
   double seconds = 0.0;
   for (auto _ : state) {
@@ -117,8 +119,8 @@ void BM_Fleet_LaneWords(benchmark::State& state) {
   }
   report_quality(state, rep.widths.front().stats, seconds);
 }
-BENCHMARK(BM_Fleet_LaneWords)
-    ->ArgName("words")->Arg(1)->Arg(4)->Arg(8)
+BENCHMARK(BM_Fleet_ShardSize)
+    ->ArgName("shard")->Arg(32)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

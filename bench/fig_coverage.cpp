@@ -16,26 +16,13 @@
 // submission order, and a corpus summary (cache hit rate, pool
 // utilization) closes the run.
 //
-// Options:
-//   --all         sweep the WHOLE KISS corpus x fig1-fig4 x
-//                 two_level+multi_level in one command (aggregated report)
-//   --jobs N      scheduler workers (default: hardware concurrency;
-//                 results are identical for any value)
-//   --repeat N    enqueue the job list N times (cache-warm re-runs: every
-//                 repeat after the first is all cache hits, no recompiles)
-//   --cycles N    BIST cycles per session (default 256)
-//   --threads N   campaign threads of the dk27 coverage series (default:
-//                 hardware concurrency)
-//   --lanes L     simulation lanes per run: 64 (default), 256 or 512
-//                 (faults per self-test run = lanes - 1; identical
-//                 detected sets at every width)
-//   --tech T      implementation technology: two_level (default) or
-//                 multi_level (ignored under --all, which sweeps both)
-//   --time-budget-ms N
-//                 anytime wall-clock budget per JOB (the deadline starts
-//                 when the job starts). Truncated stages are labeled.
-//                 Ctrl-C cancels gracefully: queued jobs drain as skipped
-//                 rows and the summary aggregates whatever completed.
+// Options: see kUsage below. An unknown flag or a non-integer value prints
+// the usage and exits 2. The campaign engine picks its own lane width (64,
+// 256 or 512 lanes) from each fault list; detected sets are identical at
+// every width. --time-budget-ms is an anytime wall-clock budget per JOB
+// (the deadline starts when the job starts); truncated stages are labeled.
+// Ctrl-C cancels gracefully: queued jobs drain as skipped rows and the
+// summary aggregates whatever completed.
 
 #include <cstdio>
 #include <thread>
@@ -52,7 +39,20 @@ namespace {
 
 using namespace stc;
 
-void coverage_series(unsigned lane_words, const std::shared_ptr<CancelToken>& cancel,
+const char kUsage[] =
+    "usage: fig_coverage [--all] [--jobs N] [--repeat N] [--cycles N]\n"
+    "                    [--threads N] [--tech two_level|multi_level]\n"
+    "                    [--time-budget-ms N]\n"
+    "  --all       sweep the whole KISS corpus x fig1-fig4 x\n"
+    "              two_level+multi_level (aggregated report)\n"
+    "  --jobs      scheduler workers (default: hardware concurrency)\n"
+    "  --repeat    enqueue the job list N times (cache-warm re-runs)\n"
+    "  --cycles    BIST cycles per session (default 256)\n"
+    "  --threads   campaign threads of the dk27 coverage series\n"
+    "  --tech      technology (ignored under --all, which sweeps both)\n"
+    "  --time-budget-ms  wall-clock budget per job\n";
+
+void coverage_series(const std::shared_ptr<CancelToken>& cancel,
                      long budget_ms, std::size_t threads) {
   // Coverage vs test length for the pipeline structure (series data).
   std::printf("Pipeline (fig4) coverage vs cycles per session, machine dk27 "
@@ -63,7 +63,6 @@ void coverage_series(unsigned lane_words, const std::shared_ptr<CancelToken>& ca
   const ControllerStructure fig4 = build_fig4(m, real);
   CampaignOptions copt;
   copt.num_threads = threads;
-  copt.lane_words = lane_words;
   copt.budget.with_cancel(cancel);
   if (budget_ms >= 0)
     copt.budget.with_deadline_ms(static_cast<double>(budget_ms));
@@ -80,19 +79,20 @@ void coverage_series(unsigned lane_words, const std::shared_ptr<CancelToken>& ca
 
 int main(int argc, char** argv) {
   using namespace stc;
-  const Cli cli(argc, argv);
+  const auto parsed =
+      parse_cli(argc, argv, kUsage, {"all", "tech"},
+                {"jobs", "repeat", "cycles", "threads", "time-budget-ms"});
+  if (!parsed) return 2;
+  const Cli& cli = *parsed;
   faultpoints::arm_from_env();
 
   // Parse + validate every flag ONCE, up front (the per-machine loop used
   // to re-read --cycles on every iteration); a bad value is one typed
   // error before any synthesis work starts.
   Technology tech;
-  unsigned lane_words;
   std::size_t bist_cycles;
   try {
     tech = parse_technology(cli.get("tech", "two_level"));
-    lane_words = lane_words_from_lanes(
-        static_cast<unsigned>(cli.get_int("lanes", 64)));
     const long cycles_raw = cli.get_int("cycles", 256);
     if (cycles_raw < 1 || cycles_raw > 1'000'000)
       throw Error(ErrorCode::kInvalidInput, "invalid --cycles",
@@ -118,7 +118,6 @@ int main(int argc, char** argv) {
   sw.techs = all ? std::vector<Technology>{Technology::kTwoLevel,
                                            Technology::kMultiLevel}
                  : std::vector<Technology>{tech};
-  sw.lane_words = lane_words;
   sw.bist_cycles = bist_cycles;
   sw.jobs = static_cast<std::size_t>(
       cli.get_int("jobs", hw > 0 ? static_cast<long>(hw) : 1));
@@ -126,10 +125,10 @@ int main(int argc, char** argv) {
   sw.job_budget_ms = static_cast<double>(budget_ms);
   sw.cancel = cancel;
 
-  std::printf("Corpus sweep: %s, %zu lanes, %zu jobs%s\n",
+  std::printf("Corpus sweep: %s, %zu jobs%s\n",
               all ? "full KISS corpus x fig1-fig4 x two_level+multi_level"
                   : "paper set x fig1-fig4",
-              64 * (std::size_t)lane_words, sw.jobs,
+              sw.jobs,
               sw.repeat > 1 ? " (repeated)" : "");
   std::printf("%s\n", corpus_row_header().c_str());
   JobCache cache;
@@ -149,7 +148,7 @@ int main(int argc, char** argv) {
   if (!all && !(cancel && cancel->requested())) {
     const std::size_t threads = static_cast<std::size_t>(
         cli.get_int("threads", hw > 0 ? static_cast<long>(hw) : 1));
-    coverage_series(lane_words, cancel, budget_ms, threads);
+    coverage_series(cancel, budget_ms, threads);
   }
   return 0;
 }

@@ -3,6 +3,7 @@
 //
 // Run:  ./export_verilog [--machine shiftreg] [--structure fig4]
 //                        [--out /tmp/ctrl]   (writes <out>.v and <out>.blif)
+// An unknown flag prints the usage and exits 2.
 
 #include <cstdio>
 #include <fstream>
@@ -15,7 +16,13 @@
 
 int main(int argc, char** argv) {
   using namespace stc;
-  const Cli cli(argc, argv);
+  const auto parsed =
+      parse_cli(argc, argv,
+                "usage: export_verilog [--machine shiftreg] [--structure fig4]\n"
+                "                      [--out /tmp/ctrl]\n",
+                {"machine", "structure", "out"});
+  if (!parsed) return 2;
+  const Cli& cli = *parsed;
   const std::string name = cli.get("machine", "shiftreg");
   const std::string structure = cli.get("structure", "fig4");
   const std::string out_base = cli.get("out", "/tmp/" + name + "_" + structure);

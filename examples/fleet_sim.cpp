@@ -6,18 +6,16 @@
 // bound per signature width, defect escape rates, and the test-length /
 // detection tradeoff curve.
 //
-// Run:  ./fleet_sim [--machine dk27] [--arch fig2|fig3|fig4]
-//                   [--instances 1e6] [--widths 8,16,24,40]
-//                   [--distribution fault_free|single_uniform|clustered]
-//                   [--defect-rate X] [--jobs N] [--lanes 64|256|512]
-//                   [--cycles N] [--seed N] [--budget-ms N]
-//                   [--tech two_level|multi_level]
+// Run: see kUsage below.
 //
 // Aggregate counts are bit-identical at every --jobs value and shard size
 // (each instance's outcome is a pure function of its id); only wall time
-// differs. Ctrl-C / --budget-ms truncate gracefully with exact partial
-// counts, labeled in the report. Exits 0 with a final "fleet_sim ok:" line
-// (the CI smoke greps for it), 1 on failure.
+// differs. Shards of 256 or more instances run 256 per self-test run (512
+// lanes). Ctrl-C
+// / --budget-ms truncate gracefully with exact partial counts, labeled in
+// the report. Exits 0 with a final "fleet_sim ok:" line (the CI smoke
+// greps for it), 1 on failure, 2 on an unknown flag or a non-integer
+// value (after printing the usage).
 
 #include <cstdio>
 #include <cstdlib>
@@ -28,16 +26,31 @@
 #include "util/cli.hpp"
 #include "util/strings.hpp"
 
+namespace {
+
+const char kUsage[] =
+    "usage: fleet_sim [--machine dk27] [--arch fig2|fig3|fig4]\n"
+    "                 [--instances 1e6] [--widths 8,16,24,40]\n"
+    "                 [--distribution fault_free|single_uniform|clustered]\n"
+    "                 [--defect-rate X] [--jobs N] [--cycles N] [--seed N]\n"
+    "                 [--budget-ms N] [--tech two_level|multi_level]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace stc;
-  const Cli cli(argc, argv);
+  const auto parsed = parse_cli(
+      argc, argv, kUsage,
+      {"machine", "arch", "tech", "instances", "widths", "distribution",
+       "defect-rate"},
+      {"cycles", "seed", "jobs", "budget-ms"});
+  if (!parsed) return 2;
+  const Cli& cli = *parsed;
   try {
     CampaignJobSpec spec;
     spec.machine = cli.get("machine", "dk27");
     spec.arch = parse_arch(cli.get("arch", "fig4"));
     spec.tech = parse_technology(cli.get("tech", "two_level"));
-    spec.lane_words =
-        lane_words_from_lanes(static_cast<unsigned>(cli.get_int("lanes", 64)));
     spec.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
 
     // --instances accepts scientific notation ("1e6") -- fleets are big.

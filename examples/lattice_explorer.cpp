@@ -4,6 +4,7 @@
 // classical decomposition theory.
 //
 // Run:  ./lattice_explorer [--machine paper_fig5] [--max 2000]
+// An unknown flag or a non-integer value prints the usage and exits 2.
 
 #include <cstdio>
 
@@ -14,7 +15,12 @@
 
 int main(int argc, char** argv) {
   using namespace stc;
-  const Cli cli(argc, argv);
+  const auto parsed =
+      parse_cli(argc, argv,
+                "usage: lattice_explorer [--machine paper_fig5] [--max 2000]\n",
+                {"machine"}, {"max"});
+  if (!parsed) return 2;
+  const Cli& cli = *parsed;
   const std::string name = cli.get("machine", "paper_fig5");
   const std::size_t max_elems = static_cast<std::size_t>(cli.get_int("max", 2000));
 

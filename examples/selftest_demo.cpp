@@ -11,6 +11,7 @@
 //      conventional scheme (drawback (3) of Section 1).
 //
 // Run:  ./selftest_demo [--machine shiftreg] [--cycles 256] [--threads 1]
+// An unknown flag or a non-integer value prints the usage and exits 2.
 
 #include <cstdio>
 
@@ -20,7 +21,12 @@
 
 int main(int argc, char** argv) {
   using namespace stc;
-  const Cli cli(argc, argv);
+  const auto parsed = parse_cli(
+      argc, argv,
+      "usage: selftest_demo [--machine shiftreg] [--cycles 256] [--threads 1]\n",
+      {"machine"}, {"cycles", "threads"});
+  if (!parsed) return 2;
+  const Cli& cli = *parsed;
   const std::string name = cli.get("machine", "shiftreg");
   const std::size_t cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
 
@@ -45,7 +51,7 @@ int main(int argc, char** argv) {
   std::printf("fig2 (conventional BIST): %s\n", fig2.nl.stats().c_str());
   std::printf("fig4 (pipeline):          %s\n\n", fig4.nl.stats().c_str());
 
-  // Campaigns run on the bit-parallel engine (63 faults per session run);
+  // Campaigns run on the bit-parallel engine (63, 255 or 511 faults per run);
   // the detected sets are identical to the serial per-fault oracle.
   CampaignOptions copt;
   copt.num_threads = static_cast<std::size_t>(cli.get_int("threads", 1));

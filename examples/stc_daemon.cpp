@@ -1,17 +1,7 @@
 // stcd -- the durable BIST-synthesis daemon over a file-backed job spool.
 //
-// Run:  ./stc_daemon serve  <spool-dir> [--jobs N] [--budget-ms N]
-//                           [--drain] [--cache-max-entries N]
-//                           [--max-attempts N] [--watchdog-grace X]
-//                           [--watchdog-kill-grace X] [--quiet]
-//       ./stc_daemon submit <spool-dir> --machine NAME [--arch fig1..fig4]
-//                           [--tech two_level|multi_level] [--lanes 64|256|512]
-//                           [--cycles N] [--minimizer auto|qm|espresso]
-//                           [--no-faultsim] [--budget-ms N] [--count N]
-//                           [--fleet-instances N] [--fleet-widths 8,16,24,40]
-//                           [--distribution fault_free|single_uniform|clustered]
-//                           [--defect-rate X] [--fleet-seed N]
-//       ./stc_daemon status <spool-dir>
+// Run: see kUsage below. An unknown flag or a non-integer value prints the
+// usage and exits 2.
 //
 // serve claims jobs from <spool-dir>/pending, runs them on one persistent
 // pool + artifact cache, and retires them into done/ or failed/ with a
@@ -40,11 +30,24 @@
 
 namespace {
 
-int usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s serve|submit|status <spool-dir> [options]\n"
-               "       (see the header of examples/stc_daemon.cpp)\n",
-               prog);
+const char kUsage[] =
+    "usage: stc_daemon serve  <spool-dir> [--jobs N] [--budget-ms N]\n"
+    "                         [--drain] [--cache-max-entries N]\n"
+    "                         [--max-attempts N] [--max-recoveries N]\n"
+    "                         [--watchdog-grace N] [--watchdog-kill-grace N]\n"
+    "                         [--quiet]\n"
+    "       stc_daemon submit <spool-dir> --machine NAME [--arch fig1..fig4]\n"
+    "                         [--tech two_level|multi_level] [--cycles N]\n"
+    "                         [--functional-cycles N]\n"
+    "                         [--minimizer auto|qm|espresso] [--no-faultsim]\n"
+    "                         [--budget-ms N] [--count N]\n"
+    "                         [--fleet-instances N] [--fleet-widths 8,16,24,40]\n"
+    "                         [--distribution fault_free|single_uniform|clustered]\n"
+    "                         [--defect-rate X] [--fleet-seed N]\n"
+    "       stc_daemon status <spool-dir>\n";
+
+int usage() {
+  std::fputs(kUsage, stderr);
   return 2;
 }
 
@@ -97,8 +100,6 @@ int cmd_submit(const stc::Cli& cli, const std::string& spool) {
   }
   job.spec.arch = parse_arch(cli.get("arch", "fig1"));
   job.spec.tech = parse_technology(cli.get("tech", "two_level"));
-  job.spec.lane_words =
-      lane_words_from_lanes(static_cast<unsigned>(cli.get_int("lanes", 64)));
   job.spec.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
   job.spec.functional_cycles =
       static_cast<std::size_t>(cli.get_int("functional-cycles", 512));
@@ -166,8 +167,16 @@ int cmd_status(const std::string& spool) {
 
 int main(int argc, char** argv) {
   using namespace stc;
-  const Cli cli(argc, argv);
-  if (cli.positional().size() < 2) return usage(argv[0]);
+  const auto parsed = parse_cli(
+      argc, argv, kUsage,
+      {"drain", "quiet", "machine", "arch", "tech", "minimizer", "no-faultsim",
+       "fleet-widths", "distribution", "defect-rate"},
+      {"jobs", "budget-ms", "cache-max-entries", "max-attempts",
+       "max-recoveries", "watchdog-grace", "watchdog-kill-grace", "cycles",
+       "functional-cycles", "count", "fleet-instances", "fleet-seed"});
+  if (!parsed) return 2;
+  const Cli& cli = *parsed;
+  if (cli.positional().size() < 2) return usage();
   const std::string& cmd = cli.positional()[0];
   const std::string& spool = cli.positional()[1];
 
@@ -180,5 +189,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return usage(argv[0]);
+  return usage();
 }

@@ -2,13 +2,8 @@
 // OSTR -> realization -> encoding -> logic minimization -> the four
 // controller structures -> (optionally) fault simulation.
 //
-// Run:  ./synthesize_benchmark --machine shiftreg [--faultsim] [--threads N]
-//                              [--lanes 64|256|512]
-//                              [--tech two_level|multi_level]
-//                              [--time-budget-ms N] [--max-nodes N]
-//       ./synthesize_benchmark --all [--jobs N] [--repeat N] [--faultsim]
-//       ./synthesize_benchmark --kiss path/to/machine.kiss2
-//       ./synthesize_benchmark --list
+// Run: see kUsage below. An unknown flag or a non-integer value prints the
+// usage and exits 2.
 //
 // --all synthesizes the WHOLE corpus (every machine x fig1-fig4 x the
 // selected --tech) as CampaignJobs on the jobs/ work-stealing scheduler:
@@ -17,7 +12,8 @@
 // re-runs), and one aggregated corpus report closes the run.
 //
 // With --faultsim the per-structure report includes campaign wall time and
-// the event engine's mean per-cycle activity ratio. With --tech
+// the event engine's mean per-cycle activity ratio; the engine picks its
+// lane width (64, 256 or 512) from the fault count. With --tech
 // multi_level the combinational blocks are algebraically factored
 // (simulation-equivalent) and the report shows both the two-level PLA and
 // the factored cost points.
@@ -39,9 +35,27 @@
 #include "util/cli.hpp"
 #include "util/faultpoint.hpp"
 
+namespace {
+
+const char kUsage[] =
+    "usage: synthesize_benchmark --machine NAME [--faultsim] [--threads N]\n"
+    "                            [--tech two_level|multi_level] [--cycles N]\n"
+    "                            [--time-budget-ms N] [--max-nodes N]\n"
+    "       synthesize_benchmark --all [--jobs N] [--repeat N] [--faultsim]\n"
+    "       synthesize_benchmark --kiss path/to/machine.kiss2\n"
+    "       synthesize_benchmark --list\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace stc;
-  const Cli cli(argc, argv);
+  const auto parsed =
+      parse_cli(argc, argv, kUsage,
+                {"list", "all", "faultsim", "kiss", "machine", "tech"},
+                {"jobs", "repeat", "cycles", "max-nodes", "threads",
+                 "time-budget-ms"});
+  if (!parsed) return 2;
+  const Cli& cli = *parsed;
   faultpoints::arm_from_env();
 
   if (cli.has("list")) {
@@ -63,8 +77,6 @@ int main(int argc, char** argv) {
     sw.ostr_max_nodes =
         static_cast<std::uint64_t>(cli.get_int("max-nodes", 2000000));
     try {
-      sw.lane_words = lane_words_from_lanes(
-          static_cast<unsigned>(cli.get_int("lanes", 64)));
       sw.techs = {parse_technology(cli.get("tech", "two_level"))};
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
@@ -108,8 +120,6 @@ int main(int argc, char** argv) {
   opts.campaign.num_threads = static_cast<std::size_t>(
       cli.get_int("threads", hw > 0 ? static_cast<long>(hw) : 1));
   try {
-    opts.campaign.lane_words = lane_words_from_lanes(
-        static_cast<unsigned>(cli.get_int("lanes", 64)));
     opts.technology = parse_technology(cli.get("tech", "two_level"));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

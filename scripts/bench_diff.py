@@ -6,7 +6,8 @@ Usage:
 
 Matches benchmarks by name, prints old/new real_time with the relative
 change, plus any requested counters (default: activity, cycles_per_sec and
-faults_per_sec if present). Campaign benchmarks carrying a lanes:N axis
+faults_per_sec if present). Benchmarks carrying a lanes:N axis (the lane
+evaluator bench BM_CompiledEvalEvent)
 additionally get a lane-width scaling table: faults_per_sec at each width
 relative to the 64-lane run of the same benchmark, for both archives --
 the wide-lane speedup tracked across PRs. Orchestrator benchmarks carrying

@@ -375,8 +375,8 @@ struct CampaignScratch {
   /// vectors is far cheaper than re-running the compile (CSR build +
   /// AND-node folding fixpoint) once per thread, and each worker still
   /// gets its own mutable mask state. Takes only `output_misr_width`, not
-  /// the whole SelfTestPlan: scratch is cached/pooled per (structure,
-  /// lane_words, MISR width) tuple -- see JobCache's warm key -- and this
+  /// the whole SelfTestPlan: scratch is pooled per (structure, MISR width)
+  /// warm state and lane width -- see JobCache's warm key -- and this
   /// signature is what proves plans differing in anything else can share
   /// it safely.
   CampaignScratch(const ControllerStructure& cs, const CompiledNetlist& proto,
@@ -577,8 +577,7 @@ void run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
 }
 
 /// Ends a scratch lease, also when a sampler or engine throw unwinds the
-/// worker: a warm state's scratch goes back to its free-list, chunk-local
-/// scratch (warm == nullptr) is freed.
+/// worker: the scratch goes back to its warm state's free-list.
 struct ScratchReturn {
   CampaignWarmState* warm = nullptr;
   void operator()(CampaignScratch* sc) const;
@@ -589,76 +588,77 @@ using ScratchLease = std::unique_ptr<CampaignScratch, ScratchReturn>;
 
 // --- warm campaign state -----------------------------------------------------
 
-/// Compiled program + pin map + scratch free-list for one (structure, MISR
-/// width, lane_words) tuple. Defined here so it can hold the TU-local
+/// Pin map plus, per lane width, a compiled program (built on first lease)
+/// and a scratch free-list. Defined here so it can hold the TU-local
 /// CampaignScratch; callers only ever see the opaque handle.
 class CampaignWarmState {
  public:
   // Deliberately takes output_misr_width rather than a SelfTestPlan: the
-  // cache keys warm state on (structure, lane_words, MISR width) only, and
-  // this constructor consuming nothing else from a plan is what makes that
-  // key sufficient by construction.
-  CampaignWarmState(const ControllerStructure& cs, std::size_t output_misr_width,
-                    unsigned lane_words)
-      : cs_(&cs),
-        misr_width_(output_misr_width),
-        pins_(map_pins(cs)),
-        proto_(cs.nl, lane_words) {}
+  // cache keys warm state on (structure, MISR width) only, and this
+  // constructor consuming nothing else from a plan is what makes that key
+  // sufficient by construction.
+  CampaignWarmState(const ControllerStructure& cs, std::size_t output_misr_width)
+      : cs_(&cs), misr_width_(output_misr_width), pins_(map_pins(cs)) {}
 
-  const ControllerStructure* structure() const { return cs_; }
-  std::size_t misr_width() const { return misr_width_; }
-  unsigned lane_words() const { return proto_.lane_words(); }
   const PinMap& pins() const { return pins_; }
-  const CompiledNetlist& proto() const { return proto_; }
 
-  /// Lease a scratch: reuse a parked one (warm start) or build a fresh one.
-  ScratchLease acquire(const ControllerStructure& cs) {
+  /// Why this state cannot serve (cs, misr_width); empty when it can.
+  std::string mismatch(const ControllerStructure& cs, std::size_t misr_width) const {
+    if (&cs != cs_) return "warm state was built for a different structure object";
+    if (misr_width == misr_width_) return "";
+    return "warm misr_width=" + std::to_string(misr_width_) +
+           " != plan output_misr_width=" + std::to_string(misr_width);
+  }
+
+  /// Lease a scratch of lane width W: reuse a parked one (warm start) or
+  /// build a fresh one from W's program, compiling it on first use.
+  ScratchLease acquire(unsigned W) {
+    Width& wd = width(W);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!free_.empty()) {
-        ScratchLease sc(free_.back().release(), {this});
-        free_.pop_back();
+      if (!wd.free.empty()) {
+        ScratchLease sc(wd.free.back().release(), {this});
+        wd.free.pop_back();
         reuses_.fetch_add(1, std::memory_order_relaxed);
         return sc;
       }
+      if (!wd.proto) wd.proto = std::make_unique<CompiledNetlist>(cs_->nl, W);
     }
+    // A published program is immutable: copying it needs no lock.
     builds_.fetch_add(1, std::memory_order_relaxed);
-    return ScratchLease(new CampaignScratch(cs, proto_, misr_width_, pins_),
+    return ScratchLease(new CampaignScratch(*cs_, *wd.proto, misr_width_, pins_),
                         {this});
   }
 
   void release(CampaignScratch* sc) {
     std::lock_guard<std::mutex> lock(mu_);
-    free_.emplace_back(sc);
+    width(sc->cn.lane_words()).free.emplace_back(sc);
   }
 
   std::size_t reuses() const { return reuses_.load(std::memory_order_relaxed); }
   std::size_t builds() const { return builds_.load(std::memory_order_relaxed); }
 
  private:
+  struct Width {
+    std::unique_ptr<const CompiledNetlist> proto;
+    std::vector<std::unique_ptr<CampaignScratch>> free;
+  };
+  Width& width(unsigned W) { return widths_[W == 8 ? 2 : W == 4 ? 1 : 0]; }
+
   const ControllerStructure* cs_;
   std::size_t misr_width_;
   PinMap pins_;
-  CompiledNetlist proto_;
   std::mutex mu_;
-  std::vector<std::unique_ptr<CampaignScratch>> free_;
+  std::array<Width, 3> widths_;  // W = 1, 4, 8
   std::atomic<std::size_t> reuses_{0};
   std::atomic<std::size_t> builds_{0};
 };
 
-void ScratchReturn::operator()(CampaignScratch* sc) const {
-  if (warm != nullptr) return warm->release(sc);
-  delete sc;
-}
+void ScratchReturn::operator()(CampaignScratch* sc) const { warm->release(sc); }
 
 std::shared_ptr<CampaignWarmState> make_campaign_warm_state(
-    const ControllerStructure& cs, std::size_t output_misr_width,
-    unsigned lane_words) {
-  if (!lane_words_supported(lane_words))
-    throw Error(ErrorCode::kInvalidInput,
-                "make_campaign_warm_state: unsupported lane_words",
-                "lane_words=" + std::to_string(lane_words));
-  return std::make_shared<CampaignWarmState>(cs, output_misr_width, lane_words);
+    const ControllerStructure& cs, std::size_t output_misr_width) {
+  return std::make_shared<CampaignWarmState>(cs, output_misr_width);
 }
 
 std::size_t campaign_warm_reuses(const CampaignWarmState& warm) {
@@ -666,12 +666,6 @@ std::size_t campaign_warm_reuses(const CampaignWarmState& warm) {
 }
 std::size_t campaign_warm_builds(const CampaignWarmState& warm) {
   return warm.builds();
-}
-
-unsigned lane_words_from_lanes(unsigned lanes) {
-  if (lanes % 64 == 0 && lane_words_supported(lanes / 64)) return lanes / 64;
-  throw std::invalid_argument("unsupported lane count " + std::to_string(lanes) +
-                              " (expected 64, 256 or 512)");
 }
 
 void CampaignOptions::validate(const SelfTestPlan& plan) const {
@@ -682,9 +676,6 @@ void CampaignOptions::validate(const SelfTestPlan& plan) const {
     if (!problems.empty()) problems += "; ";
     problems += p;
   };
-  if (!lane_words_supported(lane_words))
-    add("lane_words must be 1, 4 or 8 (64, 256 or 512 lanes); got " +
-        std::to_string(lane_words));
   if (num_threads == 0) add("num_threads must be >= 1; got 0");
   if (executor != nullptr && num_threads > 1)
     add("scheduler-owned campaign (executor set) must pass num_threads = 1: "
@@ -704,14 +695,15 @@ void CampaignOptions::validate(const SelfTestPlan& plan) const {
 namespace {
 
 /// The batch loop and verdict bookkeeping of every lane fault simulation.
-/// Batches one fault per lane (lane 0 stays fault-free), hands each batch
-/// to `kernel` -- which fills sc.diff_mask with the detected lanes -- and
-/// expands the per-class verdicts over the full list. One budget work unit
-/// is one run, or one fault when `per_fault`; `stage` labels degradation.
+/// Batches one fault per lane (lane 0 stays fault-free) at the width
+/// fill_lane_words picks for one worker's share of the classes, hands each
+/// batch to `kernel` -- which fills sc.diff_mask with the detected lanes --
+/// and expands the per-class verdicts over the full list. One budget work
+/// unit is one fault class; `stage` labels degradation.
 CampaignResult sweep_fault_batches(
     const ControllerStructure& cs, std::size_t output_misr_width,
     const CampaignOptions& options, const std::vector<Fault>& list,
-    bool per_fault, const char* stage,
+    const char* stage,
     const std::function<void(const PinMap&, CampaignScratch&)>& kernel) {
   const Netlist& nl = cs.nl;
   CampaignResult res;
@@ -739,43 +731,28 @@ CampaignResult sweep_fault_batches(
 
   // A skipped sweep falls through to the (all-unsimulated) accounting.
   if (!skip_all && !reps.empty()) {
-    // Warm state (when given) carries the compiled program, the pin map
-    // and parked scratch for this exact structure; verify the binding
-    // before trusting any of it.
-    CampaignWarmState* warm = options.warm;
-    if (warm != nullptr) {
-      std::string mismatch;
-      if (warm->structure() != &cs)
-        mismatch = "warm state was built for a different structure object";
-      else if (warm->lane_words() != options.lane_words)
-        mismatch = "warm lane_words=" + std::to_string(warm->lane_words()) +
-                   " != options lane_words=" + std::to_string(options.lane_words);
-      else if (warm->misr_width() != output_misr_width)
-        mismatch = "warm misr_width=" + std::to_string(warm->misr_width()) +
-                   " != plan output_misr_width=" +
-                   std::to_string(output_misr_width);
-      if (!mismatch.empty())
-        throw Error(ErrorCode::kInvalidInput,
-                    "run_fault_campaign: incompatible warm state", mismatch);
-    }
-    const PinMap pins = warm ? warm->pins() : map_pins(cs);
-    // Each run simulates one fault per lane, minus the reserved fault-free
-    // reference lane 0.
-    const std::size_t batch_size = faults_per_run(options.lane_words);
-    const std::size_t num_batches = (reps.size() + batch_size - 1) / batch_size;
+    // Warm state carries the compiled programs, the pin map and parked
+    // scratch for this exact structure; verify the binding before trusting
+    // any of it. A local one compiles the program once for all chunks.
+    std::optional<CampaignWarmState> local_warm;
+    CampaignWarmState& warm =
+        options.warm ? *options.warm : local_warm.emplace(cs, output_misr_width);
+    const std::string mismatch = warm.mismatch(cs, output_misr_width);
+    if (!mismatch.empty())
+      throw Error(ErrorCode::kInvalidInput,
+                  "run_fault_campaign: incompatible warm state", mismatch);
+    const PinMap& pins = warm.pins();
     const std::size_t parallelism =
         options.executor
             ? std::max<std::size_t>(1, options.executor->max_parallelism())
             : options.num_threads;
+    // Each run simulates one fault per lane, minus the reserved fault-free
+    // reference lane 0, at the widest width one worker's share fills.
+    const unsigned W = fill_lane_words(reps.size() / parallelism, faults_per_run);
+    const std::size_t batch_size = faults_per_run(W);
+    const std::size_t num_batches = (reps.size() + batch_size - 1) / batch_size;
     const std::size_t num_chunks =
         std::max<std::size_t>(1, std::min(parallelism, num_batches));
-
-    // Compile once per structure: reuse the warm state's program when
-    // given, otherwise compile here; chunks copy the program (cheap)
-    // instead of re-running the compile.
-    std::optional<CompiledNetlist> local_proto;
-    if (!warm) local_proto.emplace(nl, options.lane_words);
-    const CompiledNetlist& proto = warm ? warm->proto() : *local_proto;
 
     // Batch b covers reps [Bb, Bb+B); chunk c takes batches c, c+K, ...
     // (K = num_chunks). Chunks write disjoint rep_detected / rep_simulated
@@ -789,25 +766,19 @@ CampaignResult sweep_fault_batches(
     std::vector<std::size_t> chunk_runs(num_chunks, 0);
     auto chunk_fn = [&](std::size_t c) {
       Budget bud = options.budget;  // per-chunk copy, absolute deadline
-      // Lease warm scratch when available (zero rebuild on reuse);
-      // otherwise build chunk-local scratch.
-      const ScratchLease lease =
-          warm ? warm->acquire(cs)
-               : ScratchLease(new CampaignScratch(cs, proto, output_misr_width, pins));
+      const ScratchLease lease = warm.acquire(W);  // zero rebuild on reuse
       CampaignScratch& sc = *lease;
       const std::uint64_t cycles0 = sc.cycles;
       const std::uint64_t ops0 = sc.ev.ops_evaluated;
       for (std::size_t b = c; b < num_batches; b += num_chunks) {
+        // Trim the run to the allowance left.
         const std::size_t begin = b * batch_size;
-        std::size_t end = std::min(reps.size(), begin + batch_size);
-        if (per_fault) {  // trim the run to the allowance left
-          end = begin + std::min<std::uint64_t>(
-                            end - begin, bud.work_allowance() - bud.work_spent());
-          if (end == begin || bud.exhausted()) break;
-          bud.spend(end - begin);
-        } else if (bud.spend(1)) {
-          break;
-        }
+        const std::size_t end =
+            begin + std::min<std::uint64_t>(
+                        std::min(reps.size(), begin + batch_size) - begin,
+                        bud.work_allowance() - bud.work_spent());
+        if (end == begin || bud.exhausted()) break;
+        bud.spend(end - begin);
         sc.batch.clear();
         for (std::size_t i = begin; i < end; ++i)
           sc.batch.push_back({reps[i].net, reps[i].stuck_value,
@@ -885,8 +856,7 @@ CampaignResult run_fault_campaign(const ControllerStructure& cs, const SelfTestP
   options.validate(plan);
   return sweep_fault_batches(
       cs, plan.output_misr_width, options,
-      faults ? std::move(*faults) : enumerate_stuck_faults(cs.nl),
-      /*per_fault=*/false, "campaign",
+      faults ? std::move(*faults) : enumerate_stuck_faults(cs.nl), "campaign",
       [&](const PinMap& pins, CampaignScratch& sc) {
         run_self_test_lanes(cs, plan, pins, sc);
       });
@@ -927,33 +897,32 @@ FleetShardStats run_fleet_shard(const ControllerStructure& cs,
     throw std::logic_error("run_fleet_shard: netlist not finalized");
   std::string problems;
   if (plan.sessions.empty()) problems = "plan has no sessions";
-  if (warm.structure() != &cs)
-    problems += std::string(problems.empty() ? "" : "; ") +
-                "warm state was built for a different structure object";
-  else if (warm.misr_width() != plan.output_misr_width)
-    problems += std::string(problems.empty() ? "" : "; ") +
-                "warm misr_width=" + std::to_string(warm.misr_width()) +
-                " != plan output_misr_width=" +
-                std::to_string(plan.output_misr_width);
+  const std::string mismatch = warm.mismatch(cs, plan.output_misr_width);
+  if (!mismatch.empty())
+    problems += std::string(problems.empty() ? "" : "; ") + mismatch;
   if (!sampler)
     problems += std::string(problems.empty() ? "" : "; ") + "null defect sampler";
   if (!problems.empty())
     throw Error(ErrorCode::kInvalidInput, "invalid fleet shard", problems);
 
-  const ScratchLease lease = warm.acquire(*warm.structure());
-  CampaignScratch& sc = *lease;
-
-  const unsigned W = sc.cn.lane_words();
+  // Runs as wide as the shard fills.
+  const unsigned W =
+      fill_lane_words(static_cast<std::size_t>(count), fleet_instances_per_run);
   const std::size_t per_run = fleet_instances_per_run(W);
+  const ScratchLease lease = warm.acquire(W);
+  CampaignScratch& sc = *lease;
   const std::uint64_t cycles0 = sc.cycles;
   Budget bud = budget;
 
   FleetShardStats st;
   std::uint64_t done = 0;
   while (done < count) {
-    if (bud.spend(1)) break;  // truncation: st.instances < count, all exact
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(per_run, count - done));
+    // Trim the run to the allowance left; truncation leaves
+    // st.instances < count with every count exact.
+    const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
+        {per_run, count - done, bud.work_allowance() - bud.work_spent()}));
+    if (n == 0 || bud.exhausted()) break;
+    bud.spend(n);
     sc.batch.clear();
     for (std::size_t j = 0; j < n; ++j) {
       const std::uint64_t instance = first + done + j;
@@ -1000,17 +969,13 @@ CoverageResult measure_functional_coverage(const ControllerStructure& cs,
                                            Degradation* degradation) {
   const std::vector<Fault> list =
       faults ? std::move(*faults) : enumerate_stuck_faults(cs.nl);
-  // Uncollapsed, one worker, one work unit per fault; runs are as wide as
-  // the list fills. The scratch's output MISR idles at its default width.
+  // Uncollapsed on one worker, so runs are as wide as the list fills. The
+  // scratch's output MISR idles at its default width.
   CampaignOptions opt;
   opt.collapse = false;
   opt.budget = budget;
-  opt.lane_words = list.size() >= faults_per_run(8)   ? 8
-                   : list.size() >= faults_per_run(4) ? 4
-                                                      : 1;
   CampaignResult camp = sweep_fault_batches(
-      cs, SelfTestPlan().output_misr_width, opt, list, /*per_fault=*/true,
-      "functional-coverage",
+      cs, SelfTestPlan().output_misr_width, opt, list, "functional-coverage",
       [&](const PinMap& pins, CampaignScratch& sc) {
         // One run: broadcast Lfsr(max(8, |pi|), seed) to the functional
         // inputs, clock every DFF from its D net, and OR each cycle's

@@ -109,14 +109,15 @@ CoverageResult measure_coverage(const ControllerStructure& cs, const SelfTestPla
 ///
 /// Simulates 64·W − 1 faults per self-test run on W-word uint64_t lane
 /// groups of a compiled levelized netlist (lane 0 = fault-free reference;
-/// W = CampaignOptions::lane_words ∈ {1, 4, 8} for 64/256/512 lanes), so a
+/// W ∈ {1, 4, 8} for 64/256/512 lanes, picked by fill_lane_words), so a
 /// campaign costs ceil(F/(64·W−1)) runs instead of F+1. Each cycle is
-/// evaluated event-driven (CompiledNetlist::evaluate_event): net words stay
-/// resident and only the fanout cones of changed words are re-evaluated.
-/// Detection is signature-exact: a lane is detected iff any final
-/// compacting-register or output-MISR signature differs from lane 0 — the
-/// same criterion as the serial oracle, so the detected-fault sets are
-/// identical by construction at every width and thread count.
+/// evaluated event-driven
+/// (CompiledNetlist::evaluate_event): net words stay resident and only the
+/// fanout cones of changed words are re-evaluated. Detection is
+/// signature-exact: a lane is detected iff any final compacting-register
+/// or output-MISR signature differs from lane 0 — the same criterion as the
+/// serial oracle, so the detected-fault sets are identical by construction
+/// at every width and thread count.
 
 /// Faults simulated per self-test run at a given lane width: one per lane
 /// minus the reserved fault-free reference lane 0.
@@ -124,10 +125,13 @@ inline constexpr std::size_t faults_per_run(unsigned lane_words) {
   return 64u * lane_words - 1;
 }
 
-/// Map a driver-facing --lanes value (64, 256 or 512) to the lane-word
-/// count of CampaignOptions::lane_words; throws std::invalid_argument
-/// naming the accepted values.
-unsigned lane_words_from_lanes(unsigned lanes);
+/// The lane-width rule: the widest W ∈ {8, 4, 1} whose run of per_run(W)
+/// units one worker's `share` fills -- collapsed classes / parallelism for
+/// campaigns, a shard's instance count for fleets.
+inline constexpr unsigned fill_lane_words(std::size_t share,
+                                          std::size_t (*per_run)(unsigned)) {
+  return share >= per_run(8) ? 8 : share >= per_run(4) ? 4 : 1;
+}
 
 /// Shared-pool execution hook for the campaign's independent fault-batch
 /// chunks. When CampaignOptions::executor is set, run_fault_campaign
@@ -147,23 +151,22 @@ class CampaignChunkExecutor {
                           const std::function<void(std::size_t)>& fn) = 0;
 };
 
-/// Warm per-structure campaign state: the compiled lane program plus a
-/// free-list of per-worker scratch (lane buffers, banks, event residency).
-/// Building one costs the netlist compile; a campaign handed a warm state
-/// via CampaignOptions::warm skips the compile entirely and its workers
-/// lease scratch instead of allocating it -- re-queued jobs on a cached
-/// structure start hot. Bound to one (structure, MISR width, lane_words)
-/// tuple; run_fault_campaign rejects a mismatched warm state with a typed
-/// Error. Thread-safe: concurrent campaigns may share one warm state.
+/// Warm per-structure campaign state: per lane width, the compiled lane
+/// program (built on first use) plus a free-list of per-worker scratch
+/// (lane buffers, banks, event residency). A campaign handed a warm state
+/// via CampaignOptions::warm skips the compile and its workers lease
+/// scratch instead of allocating it -- re-queued jobs on a cached
+/// structure start hot. Bound to one (structure, MISR width) pair;
+/// run_fault_campaign rejects a mismatched warm state with a typed Error.
+/// Thread-safe: concurrent campaigns may share one warm state.
 class CampaignWarmState;
 
-/// Takes `output_misr_width` (not a SelfTestPlan) on purpose: the three
+/// Takes `output_misr_width` (not a SelfTestPlan) on purpose: the two
 /// parameters here ARE the warm state's full identity, so any two plans
 /// agreeing on output_misr_width may share one warm state -- the property
 /// JobCache's warm key relies on.
 std::shared_ptr<CampaignWarmState> make_campaign_warm_state(
-    const ControllerStructure& cs, std::size_t output_misr_width,
-    unsigned lane_words);
+    const ControllerStructure& cs, std::size_t output_misr_width);
 
 /// How many times a leased scratch was *reused* (warm starts) -- the
 /// hit-counter the cache tests and the orchestrator report assert on.
@@ -178,13 +181,9 @@ struct CampaignOptions {
   /// Structural fault collapsing: simulate one representative per
   /// equivalence class (see collapse_faults) and expand the verdicts.
   bool collapse = true;
-  /// uint64_t words per lane group: 1, 4 or 8 (64, 256 or 512 simulation
-  /// lanes, batching faults_per_run(lane_words) faults per self-test run).
-  /// Validated up front by run_fault_campaign. Results are identical for
-  /// any supported value.
-  unsigned lane_words = 1;
-  /// Anytime governance. One work unit = one self-test run (one fault
-  /// batch), charged per worker thread, checked between runs. Every
+  /// Anytime governance. One work unit = one fault class, charged per
+  /// worker thread and checked between runs; the allowance trims the last
+  /// run, so one worker's work_limit(k) simulates min(k, classes). Every
   /// verdict of a completed batch is exact; an exhausted budget truncates
   /// the sweep and the result reports faults_simulated < raw.total with
   /// coverage() counting unsimulated faults as undetected (pessimistic).
@@ -203,8 +202,8 @@ struct CampaignOptions {
   CampaignWarmState* warm = nullptr;
 
   /// Check every field against `plan` and report ALL problems in one
-  /// Error(kInvalidInput) -- lane_words, num_threads, empty plan,
-  /// MISR width, executor/num_threads nesting. Called by run_fault_campaign
+  /// Error(kInvalidInput) -- num_threads, empty plan, MISR width,
+  /// executor/num_threads nesting. Called by run_fault_campaign
   /// before any simulation work.
   void validate(const SelfTestPlan& plan) const;
 };
@@ -316,9 +315,9 @@ struct FleetShardStats {
 };
 
 /// Simulate chip instances [first, first + count) of a fleet in packed
-/// runs of fleet_instances_per_run(W), leasing scratch from `warm` (which
-/// must be bound to (cs, plan.output_misr_width, W)). The budget is
-/// charged one unit per self-test run; exhaustion truncates the shard
+/// runs as wide as `count` fills, leasing scratch from `warm` (bound to
+/// (cs, plan.output_misr_width)). The budget is charged one unit per
+/// instance, trimming the last run; exhaustion truncates the shard
 /// (stats.instances < count) with every completed run's counts exact.
 FleetShardStats run_fleet_shard(const ControllerStructure& cs,
                                 const SelfTestPlan& plan,

@@ -43,8 +43,6 @@ void FleetOptions::validate() const {
       break;
     }
   if (shard_instances == 0) problems.push_back("shard_instances must be > 0");
-  if (lane_words != 1 && lane_words != 4 && lane_words != 8)
-    problems.push_back("lane_words must be 1, 4 or 8");
   if (plan.sessions.empty()) problems.push_back("plan has no sessions");
   if (executor && jobs > 1)
     problems.push_back(
@@ -124,8 +122,7 @@ FleetReport run_fleet(const ControllerStructure& cs, const FleetOptions& opt) {
     SelfTestPlan plan = opt.plan;
     plan.output_misr_width = width;
     std::shared_ptr<CampaignWarmState> warm =
-        opt.warm ? opt.warm(width)
-                 : make_campaign_warm_state(cs, width, opt.lane_words);
+        opt.warm ? opt.warm(width) : make_campaign_warm_state(cs, width);
     FleetWidthResult wr;
     wr.misr_width = width;
     wr.stats = run_fleet_pass(cs, plan, *warm, opt, sampler, opt.instances);
@@ -138,8 +135,7 @@ FleetReport run_fleet(const ControllerStructure& cs, const FleetOptions& opt) {
     const std::uint64_t n = std::min(opt.curve_instances, opt.instances);
     std::shared_ptr<CampaignWarmState> warm =
         opt.warm ? opt.warm(rep.curve_misr_width)
-                 : make_campaign_warm_state(cs, rep.curve_misr_width,
-                                            opt.lane_words);
+                 : make_campaign_warm_state(cs, rep.curve_misr_width);
     for (std::size_t cycles : opt.curve_cycles) {
       SelfTestPlan plan = opt.plan;
       plan.output_misr_width = rep.curve_misr_width;

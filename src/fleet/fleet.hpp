@@ -52,11 +52,11 @@ struct FleetOptions {
   /// Instances per scheduled shard. The shard partition is a function of
   /// this value only -- never of jobs/executor -- and every instance's
   /// outcome is a pure function of its id, so aggregate counts are
-  /// bit-identical across worker counts AND shard sizes.
+  /// bit-identical across worker counts AND shard sizes. Shards of >= 256
+  /// (128) instances run at 512 (256) lanes, smaller ones at 64.
   std::size_t shard_instances = 4096;
   /// Worker threads when no executor is given (0 = hardware concurrency).
   std::size_t jobs = 1;
-  unsigned lane_words = 1;
   /// Plan template; output_misr_width is overridden per sweep entry and
   /// session cycles per curve point.
   SelfTestPlan plan = SelfTestPlan::two_session(256);
@@ -67,8 +67,8 @@ struct FleetOptions {
   std::uint64_t curve_instances = 4096;
   std::uint64_t base_seed = 0xF1EE7;
   DefectSpec defects;
-  /// Anytime governance: one work unit = one packed self-test run.
-  /// Exhaustion truncates with exact partial counts, labeled in the
+  /// Anytime governance: one work unit = one chip instance, charged per
+  /// shard. Exhaustion truncates with exact partial counts, labeled in the
   /// report's degradation.
   Budget budget;
   /// Shared-pool hook (jobs/ scheduler); when set, `jobs` must stay 1.

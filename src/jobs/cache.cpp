@@ -41,7 +41,6 @@ std::size_t JobCache::StructKeyHash::operator()(const StructKey& k) const {
 std::size_t JobCache::WarmKeyHash::operator()(const WarmKey& k) const {
   std::uint64_t h = kFnvOffset;
   h = fnv1a_u64(h, reinterpret_cast<std::uintptr_t>(k.structure));
-  h = fnv1a_u64(h, k.lane_words);
   h = fnv1a_u64(h, k.misr_width);
   return static_cast<std::size_t>(h);
 }
@@ -160,7 +159,7 @@ std::shared_ptr<JobCache::StructureEntry> JobCache::structure(
 
 std::shared_ptr<CampaignWarmState> JobCache::warm(
     const std::shared_ptr<StructureEntry>& s, std::size_t output_misr_width,
-    unsigned lane_words, bool* hit) {
+    bool* hit) {
   if (!s->published) {
     // A private structure is freed when its job ends, and its address may
     // then be reused by another structure: a warm entry keyed on it could
@@ -170,9 +169,9 @@ std::shared_ptr<CampaignWarmState> JobCache::warm(
       ++stats_.warm_misses;
     }
     if (hit != nullptr) *hit = false;
-    return make_campaign_warm_state(s->cs, output_misr_width, lane_words);
+    return make_campaign_warm_state(s->cs, output_misr_width);
   }
-  const WarmKey key{s.get(), lane_words, output_misr_width};
+  const WarmKey key{s.get(), output_misr_width};
   std::shared_ptr<Slot<CampaignWarmState>> slot;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -191,7 +190,7 @@ std::shared_ptr<CampaignWarmState> JobCache::warm(
   }
   std::lock_guard<std::mutex> build(slot->build_mu);
   if (!slot->built) {
-    auto w = make_campaign_warm_state(s->cs, output_misr_width, lane_words);
+    auto w = make_campaign_warm_state(s->cs, output_misr_width);
     // Published under mu_ as well: evict_locked reads built/value under
     // mu_ alone.
     std::lock_guard<std::mutex> lock(mu_);

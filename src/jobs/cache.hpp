@@ -12,8 +12,8 @@
 //              ControllerStructure (espresso + factoring baked in);
 //              only complete builds -- one a job's budget truncated is
 //              returned to that job and not stored;
-//   warm       (structure identity, lane_words, MISR width) -> compiled
-//              lane program + scratch free-list (bist/session warm state).
+//   warm       (structure identity, MISR width) -> compiled lane programs
+//              + scratch free-lists (bist/session warm state).
 //
 // The structure key uses the machine's CONTENT fingerprint, not its name:
 // identical machines share entries however they were loaded, and a
@@ -147,15 +147,13 @@ class JobCache {
                                             const Budget& budget,
                                             bool* hit = nullptr);
 
-  /// Compiled lane program + scratch free-list for a cached structure.
-  /// Keyed (and parameterized) on exactly (structure, lane_words, MISR
-  /// width): callers pass plan.output_misr_width, and because the warm
-  /// state cannot consume anything else from a plan (its constructor does
-  /// not see one), plans differing in sessions/cycles/seeds share entries
-  /// safely.
+  /// Compiled lane programs + scratch free-lists for a cached structure.
+  /// Keyed (and parameterized) on exactly (structure, MISR width): callers
+  /// pass plan.output_misr_width, and because the warm state cannot
+  /// consume anything else from a plan (its constructor does not see one),
+  /// plans differing in sessions/cycles/seeds share entries safely.
   std::shared_ptr<CampaignWarmState> warm(const std::shared_ptr<StructureEntry>& s,
                                           std::size_t output_misr_width,
-                                          unsigned lane_words,
                                           bool* hit = nullptr);
 
   JobCacheStats stats() const;
@@ -176,11 +174,9 @@ class JobCache {
   };
   struct WarmKey {
     const StructureEntry* structure;
-    unsigned lane_words;
     std::size_t misr_width;
     bool operator==(const WarmKey& o) const {
-      return structure == o.structure && lane_words == o.lane_words &&
-             misr_width == o.misr_width;
+      return structure == o.structure && misr_width == o.misr_width;
     }
   };
   struct WarmKeyHash {

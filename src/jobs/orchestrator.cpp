@@ -57,7 +57,6 @@ std::vector<CampaignJobSpec> expand_sweep(const SweepOptions& opt) {
           s.machine = name;
           s.arch = arch;
           s.tech = tech;
-          s.lane_words = opt.lane_words;
           s.bist_cycles = opt.bist_cycles;
           s.functional_cycles = opt.functional_cycles;
           s.minimizer = opt.minimizer;
@@ -112,7 +111,6 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     fopt.bist_cycles = spec.bist_cycles;
     fopt.functional_cycles = spec.functional_cycles;
     fopt.budget = budget;
-    fopt.campaign.lane_words = spec.lane_words;
     // Scheduler-owned: inner parallelism goes through the shared pool (or
     // stays serial when there is none) -- never a nested per-campaign pool.
     fopt.campaign.num_threads = 1;
@@ -122,8 +120,7 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     // (fig1 runs no sessions).
     std::shared_ptr<CampaignWarmState> warm;
     if (fopt.with_fault_sim && spec.arch != ArchKind::kFig1) {
-      warm = cache.warm(s, plan_for(spec).output_misr_width, spec.lane_words,
-                        &r.warm_cached);
+      warm = cache.warm(s, plan_for(spec).output_misr_width, &r.warm_cached);
       fopt.campaign.warm = warm.get();
     }
 
@@ -133,7 +130,6 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
       FleetOptions flo;
       flo.instances = spec.fleet_instances;
       flo.misr_widths = spec.fleet_widths;
-      flo.lane_words = spec.lane_words;
       flo.plan = plan_for(spec);
       flo.base_seed = spec.fleet_seed;
       flo.defects.model = spec.fleet_distribution;
@@ -144,9 +140,9 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
       // Warm states come from the cache per MISR width, so re-queued fleet
       // jobs on a cached structure skip every compile (run_fleet calls this
       // serially from the width loop).
-      flo.warm = [&cache, &s, &spec, &r](std::size_t width) {
+      flo.warm = [&cache, &s, &r](std::size_t width) {
         bool hit = false;
-        auto w = cache.warm(s, width, spec.lane_words, &hit);
+        auto w = cache.warm(s, width, &hit);
         r.warm_cached = r.warm_cached || hit;
         return w;
       };
@@ -160,9 +156,8 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     r.error_code = e.code();
     r.error_context = e.context();
   } catch (const std::invalid_argument& e) {
-    // The library-wide precondition idiom (bad machine name, bad lane
-    // count, ...): the request can never succeed as given, so it must not
-    // be retried.
+    // The library-wide precondition idiom (bad machine name, ...): the
+    // request can never succeed as given, so it must not be retried.
     r.error = e.what();
     r.error_code = ErrorCode::kInvalidInput;
     r.error_context = "machine=" + spec.machine;

@@ -1,6 +1,6 @@
 #pragma once
 // Corpus-scale campaign orchestration: (machine x architecture x
-// technology x test plan x lane width) as a first-class CampaignJob,
+// technology x test plan) as a first-class CampaignJob,
 // executed on the work-stealing TaskPool with the JobCache supplying every
 // reusable artifact, aggregated into a single streamed CorpusReport.
 //
@@ -27,7 +27,6 @@ struct CampaignJobSpec {
   std::string machine;
   ArchKind arch = ArchKind::kFig1;
   Technology tech = Technology::kTwoLevel;
-  unsigned lane_words = 1;
   std::size_t bist_cycles = 256;       // per session (figs 2-4 plans)
   std::size_t functional_cycles = 512; // fig1 baseline
   MinimizerKind minimizer = MinimizerKind::kAuto;
@@ -36,7 +35,7 @@ struct CampaignJobSpec {
   /// Fleet mode: when > 0 the job is a deployment simulation -- synthesize
   /// the structure as usual (area/depth metrics still reported, fault sweep
   /// skipped), then run `fleet_instances` chip instances per MISR width
-  /// through run_fleet at the job's lane width, with defects drawn
+  /// through run_fleet, with defects drawn
   /// from `fleet_distribution`. 0 = ordinary campaign job.
   std::uint64_t fleet_instances = 0;
   std::vector<std::size_t> fleet_widths = {8, 16, 24, 40};
@@ -82,7 +81,6 @@ struct SweepOptions {
   std::vector<ArchKind> archs = {ArchKind::kFig1, ArchKind::kFig2,
                                  ArchKind::kFig3, ArchKind::kFig4};
   std::vector<Technology> techs = {Technology::kTwoLevel};
-  unsigned lane_words = 1;
   std::size_t bist_cycles = 256;
   std::size_t functional_cycles = 512;
   MinimizerKind minimizer = MinimizerKind::kAuto;

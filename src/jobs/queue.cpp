@@ -170,7 +170,6 @@ std::string render_spool_job(const SpoolJob& job) {
   out += "machine = " + job.spec.machine + "\n";
   out += std::string("arch = ") + arch_name(job.spec.arch) + "\n";
   out += std::string("tech = ") + technology_name(job.spec.tech) + "\n";
-  out += "lanes = " + std::to_string(64u * job.spec.lane_words) + "\n";
   out += "bist_cycles = " + std::to_string(job.spec.bist_cycles) + "\n";
   out +=
       "functional_cycles = " + std::to_string(job.spec.functional_cycles) + "\n";
@@ -224,8 +223,13 @@ SpoolJob parse_spool_job(const std::string& text, const std::string& origin) {
                       "file=" + origin + "; line=" + std::to_string(line) +
                           "; key=engine; value=" + value);
       } else if (key == "lanes") {
-        job.spec.lane_words = lane_words_from_lanes(static_cast<unsigned>(
-            parse_u64_field(value, origin, line, key)));
+        // Specs from before the engine picked its own lane width carry
+        // "lanes = 64|256|512"; ignored. Other values were never valid.
+        if (value != "64" && value != "256" && value != "512")
+          throw Error(ErrorCode::kInvalidInput,
+                      "unsupported lane count in spool spec",
+                      "file=" + origin + "; line=" + std::to_string(line) +
+                          "; key=lanes; value=" + value);
       } else if (key == "bist_cycles") {
         job.spec.bist_cycles = parse_u64_field(value, origin, line, key);
       } else if (key == "functional_cycles") {
@@ -269,7 +273,7 @@ SpoolJob parse_spool_job(const std::string& text, const std::string& origin) {
                         "; key=" + key);
       }
     } catch (const Error& e) {
-      // Give enum parse errors (arch/tech/minimizer/lanes) the file
+      // Give enum parse errors (arch/tech/minimizer) the file
       // position; errors that already carry it pass through.
       if (e.context().find("file=") != std::string::npos) throw;
       throw Error(e.code(), e.what(),

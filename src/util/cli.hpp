@@ -1,7 +1,8 @@
 #pragma once
 // Minimal command-line option parsing for the example binaries and benches.
 // Supports `--flag`, `--key value` and `--key=value`; positional arguments
-// are collected in order.
+// are collected in order. An undeclared flag or a non-integer value of an
+// integer flag is an Error(kInvalidInput): a typo fails loudly.
 
 #include <optional>
 #include <string>
@@ -12,7 +13,10 @@ namespace stc {
 
 class Cli {
  public:
-  Cli(int argc, char** argv);
+  /// Accepts `--name` for names in `flags` or `int_flags`; the values of
+  /// `int_flags` must be base-10 integers.
+  Cli(int argc, char** argv, const std::vector<std::string>& flags,
+      const std::vector<std::string>& int_flags = {});
 
   /// True if `--name` was present (with or without a value).
   bool has(const std::string& name) const;
@@ -20,7 +24,8 @@ class Cli {
   /// Value of `--name`, or `fallback` when absent.
   std::string get(const std::string& name, const std::string& fallback) const;
 
-  /// Integer value of `--name`, or `fallback` when absent.
+  /// Integer value of `--name`, or `fallback` when absent or empty; throws
+  /// Error(kInvalidInput) on a non-integer value.
   long get_int(const std::string& name, long fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
@@ -31,5 +36,11 @@ class Cli {
   std::unordered_map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };
+
+/// Cli for a driver: on an error prints it and `usage` to stderr and
+/// returns nothing (the driver then exits 2).
+std::optional<Cli> parse_cli(int argc, char** argv, const char* usage,
+                             const std::vector<std::string>& flags,
+                             const std::vector<std::string>& int_flags = {});
 
 }  // namespace stc

@@ -38,16 +38,15 @@ ControllerStructure fig1_for(const std::string& name) {
   return build_fig1(encode_fsm(m, natural_encoding(m.num_states())));
 }
 
-std::uint64_t count_campaign_allocs(const ControllerStructure& cs,
-                                    std::size_t cycles, bool collapse,
-                                    unsigned lane_words = 1) {
+std::uint64_t count_campaign_allocs(
+    const ControllerStructure& cs, std::size_t cycles, bool collapse,
+    std::optional<std::vector<Fault>> faults = std::nullopt) {
   CampaignOptions opt;
   opt.num_threads = 1;  // worker threads allocate their own stacks
   opt.collapse = collapse;
-  opt.lane_words = lane_words;
   const std::uint64_t before = g_allocations.load();
-  const CampaignResult res =
-      run_fault_campaign(cs, SelfTestPlan::two_session(cycles), opt);
+  const CampaignResult res = run_fault_campaign(
+      cs, SelfTestPlan::two_session(cycles), opt, std::move(faults));
   EXPECT_GT(res.raw.total, 0u);
   return g_allocations.load() - before;
 }
@@ -77,16 +76,22 @@ TEST(CampaignAllocations, IndependentOfLaneWords) {
   // Wide scratch allocates *larger* vectors, not more of them: the W-word
   // lane groups live in the same per-worker buffers (sized once), the wide
   // banks/MISR keep one row vector each, and the batch/diff-mask vectors
-  // are reserved up front. So the allocation count is invariant in the
-  // lane width, on top of being invariant in the cycle count.
-  const ControllerStructure cs = fig1_for("dk27");
-  const std::uint64_t narrow = count_campaign_allocs(cs, 48, false, 1);
-  for (const unsigned lane_words : {4u, 8u}) {
-    const std::uint64_t wide = count_campaign_allocs(cs, 48, false, lane_words);
-    EXPECT_EQ(narrow, wide)
-        << "campaign allocations must not scale with lane words (W="
-        << lane_words << ")";
-  }
+  // are reserved up front. The engine picks the width from the list size,
+  // so lists of 63, 255 and 511 dk16 fig1 faults (one run each at 64, 256
+  // and 512 lanes) must allocate alike. The list copies are made before
+  // counting starts.
+  const ControllerStructure cs = fig1_for("dk16");
+  const auto all = enumerate_stuck_faults(cs.nl);
+  ASSERT_GE(all.size(), 511u);
+  const auto allocs_for = [&](std::size_t n) {
+    std::vector<Fault> list(all.begin(), all.begin() + n);
+    return count_campaign_allocs(cs, 48, false, std::move(list));
+  };
+  const std::uint64_t narrow = allocs_for(63);
+  for (const std::size_t n : {255u, 511u})
+    EXPECT_EQ(narrow, allocs_for(n))
+        << "campaign allocations must not scale with the lane width ("
+        << n << " faults)";
 }
 
 TEST(CampaignAllocations, StableAcrossRepeatedCampaigns) {

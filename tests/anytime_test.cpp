@@ -227,7 +227,7 @@ TEST(AnytimeCampaign, MidCampaignTruncationReportsPartialCoverage) {
   const SelfTestPlan plan = SelfTestPlan::two_session(48);
   CampaignOptions opt;
   opt.num_threads = 1;  // deterministic truncated subset
-  opt.budget = Budget::work_limit(2);  // two self-test runs, then stop
+  opt.budget = Budget::work_limit(2);  // two fault classes, then stop
   const CampaignResult r = run_fault_campaign(cs, plan, opt);
 
   EXPECT_LT(r.faults_simulated, r.raw.total);
@@ -245,8 +245,8 @@ TEST(AnytimeCampaign, MidCampaignTruncationReportsPartialCoverage) {
 }
 
 TEST(AnytimeCampaign, TruncatedVerdictsAgreeWithFullCampaign) {
-  // bbara has more collapsed classes than one 63-fault batch holds, so a
-  // one-batch allowance genuinely truncates.
+  // bbara has more than one collapsed class, so a one-class allowance
+  // genuinely truncates.
   const ControllerStructure cs = fig1_of("bbara");
   const SelfTestPlan plan = SelfTestPlan::two_session(48);
   CampaignOptions full_opt;
@@ -265,6 +265,28 @@ TEST(AnytimeCampaign, TruncatedVerdictsAgreeWithFullCampaign) {
     bool in_full = false;
     for (const Fault& g : full.raw.undetected) in_full = in_full || (f == g);
     EXPECT_TRUE(in_full) << "net " << f.net;
+  }
+}
+
+TEST(AnytimeCampaign, WorkLimitCountsFaultClasses) {
+  // One work unit is one fault class: the last run is trimmed to the
+  // allowance, so on one worker work_limit(k) simulates exactly k classes
+  // at whatever lane width the engine picks (uncollapsed bbara fig1 has
+  // 304 faults and runs 255 per run; k = 300 spans two runs).
+  const ControllerStructure cs = fig1_of("bbara");
+  const SelfTestPlan plan = SelfTestPlan::two_session(48);
+  for (const std::uint64_t k : {1u, 70u, 300u}) {
+    CampaignOptions opt;
+    opt.num_threads = 1;
+    opt.collapse = false;
+    opt.budget = Budget::work_limit(k);
+    const CampaignResult r = run_fault_campaign(cs, plan, opt);
+    ASSERT_GT(r.collapsed_total, k);
+    EXPECT_EQ(r.degradation.work_done, k);
+    EXPECT_EQ(r.collapsed_simulated, k);
+    EXPECT_EQ(r.faults_simulated, k);
+    EXPECT_TRUE(r.degradation.degraded);
+    EXPECT_EQ(r.degradation.reason, "work-allowance");
   }
 }
 

@@ -302,75 +302,110 @@ TEST_P(CampaignEquivalence, BothLaneEnginesMatchSerialOracleAtAllThreadCounts) {
   const CoverageResult serial = measure_coverage(cs, plan, list);
   const auto serial_undet = fault_set(serial.undetected);
 
-  for (const unsigned lane_words : kSupportedLaneWords) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const bool collapse : {true, false}) {
-        CampaignOptions opt;
-        opt.num_threads = threads;
-        opt.collapse = collapse;
-        opt.lane_words = lane_words;
-        const CampaignResult par = run_fault_campaign(cs, plan, opt, list);
-        EXPECT_EQ(par.raw.total, serial.total);
-        EXPECT_EQ(par.raw.detected, serial.detected)
-            << "threads=" << threads << " collapse=" << collapse
-            << " lane_words=" << lane_words;
-        EXPECT_EQ(fault_set(par.raw.undetected), serial_undet)
-            << "threads=" << threads << " collapse=" << collapse
-            << " lane_words=" << lane_words;
-        if (collapse) {
-          EXPECT_LE(par.collapsed_total, par.raw.total);
-          const std::size_t per_run = faults_per_run(lane_words);
-          EXPECT_LE(par.session_runs,
-                    (par.collapsed_total + per_run - 1) / per_run);
-        }
-        // Activity accounting: the event engine never re-evaluates more
-        // than every op of every cycle.
-        EXPECT_GT(par.cycles_simulated, 0u);
-        EXPECT_LE(par.mean_activity(), 1.0);
-        EXPECT_GT(par.mean_activity(), 0.0);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool collapse : {true, false}) {
+      CampaignOptions opt;
+      opt.num_threads = threads;
+      opt.collapse = collapse;
+      const CampaignResult par = run_fault_campaign(cs, plan, opt, list);
+      EXPECT_EQ(par.raw.total, serial.total);
+      EXPECT_EQ(par.raw.detected, serial.detected)
+          << "threads=" << threads << " collapse=" << collapse;
+      EXPECT_EQ(fault_set(par.raw.undetected), serial_undet)
+          << "threads=" << threads << " collapse=" << collapse;
+      if (collapse) {
+        EXPECT_LE(par.collapsed_total, par.raw.total);
+        EXPECT_LE(par.session_runs,
+                  (par.collapsed_total + faults_per_run(1) - 1) /
+                      faults_per_run(1));
       }
+      // Activity accounting: the event engine never re-evaluates more
+      // than every op of every cycle.
+      EXPECT_GT(par.cycles_simulated, 0u);
+      EXPECT_LE(par.mean_activity(), 1.0);
+      EXPECT_GT(par.mean_activity(), 0.0);
+    }
+  }
+}
+
+TEST(Campaign, WideRunsMatchSerialOracle) {
+  // Full fault lists whose class counts make the engine pick 256- and
+  // 512-lane runs at one and at four threads (dk16 fig1: 335 classes, 530
+  // faults; tbk fig1: 1624 classes, 2658 faults). session_runs pins the
+  // width that ran; the detected sets must equal the serial oracle's.
+  struct Case {
+    std::size_t threads;
+    bool collapse;
+    unsigned lane_words;
+  };
+  const SelfTestPlan plan = SelfTestPlan::two_session(16);
+  for (const char* machine : {"dk16", "tbk"}) {
+    const ControllerStructure cs = fig1_for(machine);
+    const CoverageResult serial = measure_coverage(cs, plan);
+    const auto serial_undet = fault_set(serial.undetected);
+    const std::vector<Case> cases =
+        std::string(machine) == "dk16"
+            ? std::vector<Case>{{1, true, 4}, {1, false, 8}}
+            : std::vector<Case>{
+                  {1, true, 8}, {1, false, 8}, {4, true, 4}, {4, false, 8}};
+    for (const Case& c : cases) {
+      CampaignOptions opt;
+      opt.num_threads = c.threads;
+      opt.collapse = c.collapse;
+      const CampaignResult par = run_fault_campaign(cs, plan, opt);
+      const std::string what = std::string(machine) +
+                               " threads=" + std::to_string(c.threads) +
+                               " collapse=" + std::to_string(c.collapse);
+      const std::size_t per_run = faults_per_run(c.lane_words);
+      EXPECT_EQ(par.session_runs,
+                (par.collapsed_total + per_run - 1) / per_run)
+          << what;
+      EXPECT_EQ(par.raw.detected, serial.detected) << what;
+      EXPECT_EQ(fault_set(par.raw.undetected), serial_undet) << what;
     }
   }
 }
 
 TEST(Campaign, WiderLanesTakeFewerSessionRuns) {
+  // The width rule: W is the widest of 8, 4, 1 with one worker's share of
+  // the classes >= 64·W - 1, and a campaign takes ceil(classes / (64·W -
+  // 1)) runs. Uncollapsed bbara fig1 has 304 faults.
+  static_assert(fill_lane_words(254, faults_per_run) == 1);
+  static_assert(fill_lane_words(255, faults_per_run) == 4);
+  static_assert(fill_lane_words(510, faults_per_run) == 4);
+  static_assert(fill_lane_words(511, faults_per_run) == 8);
+  static_assert(fill_lane_words(127, fleet_instances_per_run) == 1);
+  static_assert(fill_lane_words(128, fleet_instances_per_run) == 4);
+  static_assert(fill_lane_words(256, fleet_instances_per_run) == 8);
   const ControllerStructure cs = fig1_for("bbara");
   const SelfTestPlan plan = SelfTestPlan::two_session(48);
-  std::size_t prev_runs = SIZE_MAX;
-  for (const unsigned lane_words : kSupportedLaneWords) {
+  const auto all = enumerate_stuck_faults(cs.nl);
+  ASSERT_EQ(all.size(), 304u);
+  struct Case {
+    std::size_t faults, threads, runs;
+  };
+  for (const Case& c : {Case{100, 1, 2},    // W = 1: 63 + 37
+                        Case{254, 1, 5},    // W = 1: one short of 256 lanes
+                        Case{255, 1, 1},    // W = 4: one full run
+                        Case{304, 1, 2},    // W = 4: 255 + 49
+                        Case{304, 4, 5}}) {  // share 76: W = 1
     CampaignOptions opt;
-    opt.lane_words = lane_words;
     opt.collapse = false;
-    const CampaignResult r = run_fault_campaign(cs, plan, opt);
-    const std::size_t per_run = faults_per_run(lane_words);
-    EXPECT_EQ(r.session_runs, (r.raw.total + per_run - 1) / per_run);
-    EXPECT_LE(r.session_runs, prev_runs);
-    prev_runs = r.session_runs;
-  }
-}
-
-TEST(Campaign, RejectsUnsupportedLaneWordsUpFront) {
-  const ControllerStructure cs = fig1_for("dk27");
-  const SelfTestPlan plan = SelfTestPlan::two_session(16);
-  for (const unsigned bad : {0u, 2u, 3u, 5u, 16u}) {
-    CampaignOptions opt;
-    opt.lane_words = bad;
-    try {
-      run_fault_campaign(cs, plan, opt);
-      FAIL() << "lane_words=" << bad << " must be rejected";
-    } catch (const Error& e) {
-      // A typed invalid-input error that names the accepted values.
-      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
-      EXPECT_NE(std::string(e.what()).find("1, 4 or 8"), std::string::npos)
-          << e.what();
-    }
+    opt.num_threads = c.threads;
+    const CampaignResult r = run_fault_campaign(
+        cs, plan, opt, std::vector<Fault>(all.begin(), all.begin() + c.faults));
+    const unsigned W = fill_lane_words(c.faults / c.threads, faults_per_run);
+    EXPECT_EQ(r.session_runs,
+              (c.faults + faults_per_run(W) - 1) / faults_per_run(W))
+        << c.faults << " faults, " << c.threads << " threads";
+    EXPECT_EQ(r.session_runs, c.runs) << c.faults << " faults, " << c.threads
+                                      << " threads";
   }
 }
 
 TEST(Campaign, ValidateReportsAllInvalidFieldsAtOnce) {
   const ControllerStructure cs = fig1_for("dk27");
   CampaignOptions opt;
-  opt.lane_words = 7;
   opt.num_threads = 0;
   SelfTestPlan empty_plan;  // no sessions
   try {
@@ -380,19 +415,9 @@ TEST(Campaign, ValidateReportsAllInvalidFieldsAtOnce) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
     // Every problem is named in ONE error, not discovered one at a time.
     const std::string ctx = e.context();
-    EXPECT_NE(ctx.find("lane_words"), std::string::npos) << ctx;
     EXPECT_NE(ctx.find("num_threads"), std::string::npos) << ctx;
     EXPECT_NE(ctx.find("sessions"), std::string::npos) << ctx;
   }
-}
-
-TEST(Campaign, LaneWordsFromLanesMapsDriverFlag) {
-  EXPECT_EQ(lane_words_from_lanes(64), 1u);
-  EXPECT_EQ(lane_words_from_lanes(256), 4u);
-  EXPECT_EQ(lane_words_from_lanes(512), 8u);
-  for (const unsigned bad : {0u, 1u, 63u, 128u, 1024u})
-    EXPECT_THROW(lane_words_from_lanes(bad), std::invalid_argument)
-        << "lanes=" << bad;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKissMachines, CampaignEquivalence,

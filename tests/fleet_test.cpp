@@ -277,15 +277,23 @@ TEST(Fleet, BitIdenticalAcrossJobsAndShardSizes) {
 }
 
 TEST(Fleet, WidePackingMatchesSingleWord) {
+  // Shards of 32, 128 and 256 instances run at 64, 256 and 512 lanes (32,
+  // 128 and 256 instances per self-test run); the aggregates must not move.
   const ControllerStructure cs = fleet_structure();
   FleetOptions one = small_fleet();
   one.curve_cycles.clear();
   one.misr_widths = {16};
-  FleetOptions wide = one;
-  wide.lane_words = 4;
+  one.instances = 1024;
+  one.shard_instances = 32;
   const FleetReport a = run_fleet(cs, one);
-  const FleetReport b = run_fleet(cs, wide);
-  expect_same_stats(a.widths[0].stats, b.widths[0].stats, "lane_words");
+  EXPECT_EQ(a.widths[0].stats.session_runs, 1024u / 32);
+  for (const std::size_t shard : {128u, 256u}) {
+    FleetOptions wide = one;
+    wide.shard_instances = shard;
+    const FleetReport b = run_fleet(cs, wide);
+    expect_same_stats(a.widths[0].stats, b.widths[0].stats, "shard");
+    EXPECT_EQ(b.widths[0].stats.session_runs, 1024u / shard) << shard;
+  }
 }
 
 TEST(Fleet, FaultFreeFleetNeverFlags) {
@@ -341,19 +349,39 @@ TEST(Fleet, ZeroBudgetTruncatesWithLabel) {
   EXPECT_EQ(rep.degradation.work_done, 0u);
 }
 
+TEST(Fleet, WorkLimitCountsInstances) {
+  // One work unit is one chip instance: the last packed run is trimmed to
+  // the allowance, so work_limit(k) on one shard simulates exactly k
+  // instances, whatever the lane width.
+  const ControllerStructure cs = fleet_structure();
+  for (const std::uint64_t k : {1u, 100u, 300u}) {
+    FleetOptions opt = small_fleet();
+    opt.jobs = 1;
+    opt.curve_cycles.clear();
+    opt.misr_widths = {16};
+    opt.instances = 1000;
+    opt.shard_instances = 1000;  // one shard, 256 instances per run
+    opt.budget = Budget::work_limit(k);
+    const FleetReport rep = run_fleet(cs, opt);
+    EXPECT_EQ(rep.instances_simulated(), k);
+    EXPECT_TRUE(rep.degradation.degraded);
+    EXPECT_EQ(rep.degradation.work_done, k);
+    EXPECT_EQ(rep.degradation.work_total, 1000u);
+  }
+}
+
 TEST(Fleet, ValidateRejectsBadOptions) {
   const ControllerStructure cs = fleet_structure();
   FleetOptions opt = small_fleet();
   opt.instances = 0;
   opt.misr_widths = {0, 70};
-  opt.lane_words = 3;
   try {
     run_fleet(cs, opt);
     FAIL() << "expected Error(kInvalidInput)";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
     EXPECT_NE(e.context().find("instances"), std::string::npos);
-    EXPECT_NE(e.context().find("lane_words"), std::string::npos);
+    EXPECT_NE(e.context().find("MISR width"), std::string::npos);
   }
 }
 

@@ -118,7 +118,7 @@ TEST(CampaignValidate, RejectsMismatchedWarmState) {
   const ControllerStructure fig3 = build_fig3(enc);
   const ControllerStructure fig2 = build_fig2(enc);
   const SelfTestPlan plan = SelfTestPlan::two_session(16);
-  auto warm = make_campaign_warm_state(fig3, plan.output_misr_width, 1);
+  auto warm = make_campaign_warm_state(fig3, plan.output_misr_width);
   CampaignOptions opt;
   opt.warm = warm.get();
   try {
@@ -334,9 +334,9 @@ TEST(JobCache, UnpublishedStructureGetsPrivateWarmStates) {
   // Never keyed on the private structure's address: every request
   // compiles its own state and counts a miss.
   bool warm_hit = true;
-  const auto w1 = cache.warm(s, 16, 1, &warm_hit);
+  const auto w1 = cache.warm(s, 16, &warm_hit);
   EXPECT_FALSE(warm_hit);
-  const auto w2 = cache.warm(s, 16, 1, &warm_hit);
+  const auto w2 = cache.warm(s, 16, &warm_hit);
   EXPECT_FALSE(warm_hit);
   EXPECT_NE(w1, w2);
   EXPECT_EQ(cache.stats().warm_misses, 2u);

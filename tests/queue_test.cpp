@@ -41,7 +41,6 @@ SpoolJob sample_job() {
   job.spec.machine = "shiftreg";
   job.spec.arch = ArchKind::kFig3;
   job.spec.tech = Technology::kMultiLevel;
-  job.spec.lane_words = 4;
   job.spec.bist_cycles = 128;
   job.spec.functional_cycles = 300;
   job.spec.minimizer = MinimizerKind::kEspresso;
@@ -70,7 +69,6 @@ TEST_F(QueueTest, JobRoundTripPreservesEveryField) {
   EXPECT_EQ(back.spec.machine, "shiftreg");
   EXPECT_EQ(back.spec.arch, ArchKind::kFig3);
   EXPECT_EQ(back.spec.tech, Technology::kMultiLevel);
-  EXPECT_EQ(back.spec.lane_words, 4u);
   EXPECT_EQ(back.spec.bist_cycles, 128u);
   EXPECT_EQ(back.spec.functional_cycles, 300u);
   EXPECT_EQ(back.spec.minimizer, MinimizerKind::kEspresso);
@@ -161,6 +159,51 @@ TEST_F(QueueTest, RetiredEngineValuesAreTypedErrors) {
   EXPECT_FALSE(q.claim().has_value());
   EXPECT_EQ(q.scan().failed, 1u);
   const auto r = q.result("00000000-bbbb-0000");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, "failed");
+  EXPECT_EQ(r->error_code, "invalid_input");
+}
+
+TEST_F(QueueTest, LegacyLanesLineIsIgnored) {
+  // Specs written while the lane width was a job field carry a
+  // "lanes = 64|256|512" line; they still parse, to the same job.
+  const std::string rendered = render_spool_job(sample_job());
+  EXPECT_EQ(rendered.find("lanes"), std::string::npos) << rendered;
+  for (const char* value : {"64", "256", "512"}) {
+    const SpoolJob legacy = parse_spool_job(
+        rendered + "lanes = " + value + "\n", "legacy.job");
+    EXPECT_EQ(render_spool_job(legacy), rendered) << "lanes = " << value;
+  }
+}
+
+TEST_F(QueueTest, UnsupportedLaneValuesAreTypedErrors) {
+  // A lane count no version ever accepted fails visibly, naming the key,
+  // the value and the position.
+  for (const char* value : {"128", "0", "wide"}) {
+    try {
+      parse_spool_job(std::string("machine = dk27\nlanes = ") + value + "\n",
+                      "old.job");
+      FAIL() << "lanes = " << value << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+      EXPECT_NE(e.context().find("key=lanes"), std::string::npos)
+          << e.context();
+      EXPECT_NE(e.context().find(std::string("value=") + value),
+                std::string::npos)
+          << e.context();
+      EXPECT_NE(e.context().find("file=old.job"), std::string::npos)
+          << e.context();
+      EXPECT_NE(e.context().find("line=2"), std::string::npos) << e.context();
+    }
+  }
+  // Claiming retires such a spec to failed/ with the typed error code.
+  TempSpool spool;
+  JobQueue q(spool.path);
+  write_raw(spool.path + "/pending/00000000-cccc-0000.job",
+            "machine = dk27\narch = fig4\nlanes = 1024\n");
+  EXPECT_FALSE(q.claim().has_value());
+  EXPECT_EQ(q.scan().failed, 1u);
+  const auto r = q.result("00000000-cccc-0000");
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->status, "failed");
   EXPECT_EQ(r->error_code, "invalid_input");

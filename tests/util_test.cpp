@@ -6,6 +6,7 @@
 
 #include "util/bitvec.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -220,13 +221,62 @@ TEST(AsciiTable, CsvLine) {
 
 TEST(Cli, ParsesOptionsAndPositionals) {
   const char* argv[] = {"prog", "--k", "v", "--flag", "--n=5", "pos1", "pos2"};
-  Cli cli(7, const_cast<char**>(argv));
+  Cli cli(7, const_cast<char**>(argv), {"k", "flag"}, {"n", "absent"});
   EXPECT_EQ(cli.get("k", ""), "v");
   EXPECT_TRUE(cli.has("flag"));
   EXPECT_EQ(cli.get_int("n", 0), 5);
   EXPECT_EQ(cli.get_int("absent", 9), 9);
   ASSERT_EQ(cli.positional().size(), 2u);
   EXPECT_EQ(cli.positional()[1], "pos2");
+}
+
+TEST(Cli, UnknownFlagIsATypedError) {
+  // A retired flag must fail loudly, not run with the defaults.
+  const char* argv[] = {"prog", "--machine", "dk27", "--lanes", "512"};
+  try {
+    Cli cli(5, const_cast<char**>(argv), {"machine"}, {"jobs"});
+    FAIL() << "--lanes must be rejected";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+    EXPECT_NE(e.context().find("flag=--lanes"), std::string::npos)
+        << e.context();
+  }
+  const char* eq[] = {"prog", "--technology=multi_level"};
+  EXPECT_THROW(Cli(2, const_cast<char**>(eq), {"tech"}), Error);
+}
+
+TEST(Cli, NonIntegerValueIsATypedError) {
+  // strtol alone would turn "--jobs abc" into 0.
+  for (const char* bad : {"abc", "4x", "1.5", "99999999999999999999999"}) {
+    const char* argv[] = {"prog", "--jobs", bad};
+    try {
+      Cli cli(3, const_cast<char**>(argv), {}, {"jobs"});
+      FAIL() << "--jobs " << bad << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+      EXPECT_NE(e.context().find("flag=--jobs"), std::string::npos)
+          << e.context();
+      EXPECT_NE(e.context().find(std::string("value=") + bad),
+                std::string::npos)
+          << e.context();
+    }
+  }
+  // A text flag read as an integer is checked where it is read.
+  const char* argv[] = {"prog", "--seed", "x1"};
+  const Cli cli(3, const_cast<char**>(argv), {"seed"});
+  EXPECT_THROW(cli.get_int("seed", 0), Error);
+  const char* ok[] = {"prog", "--jobs", "-3"};
+  EXPECT_EQ(Cli(3, const_cast<char**>(ok), {}, {"jobs"}).get_int("jobs", 0), -3);
+}
+
+TEST(Cli, ParseCliReturnsNothingOnAnUnknownFlag) {
+  const char* argv[] = {"prog", "--bogus"};
+  EXPECT_FALSE(parse_cli(2, const_cast<char**>(argv), "usage: prog\n", {"a"})
+                   .has_value());
+  const char* good[] = {"prog", "--a", "x"};
+  const auto cli = parse_cli(3, const_cast<char**>(good), "usage: prog\n", {"a"});
+  ASSERT_TRUE(cli.has_value());
+  EXPECT_EQ(cli->get("a", ""), "x");
 }
 
 }  // namespace
