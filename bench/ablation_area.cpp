@@ -18,7 +18,7 @@ int main() {
                     "fig4/fig3 %", "fig4 FFs", "fig3 FFs"});
   table.set_title(
       "Gate-equivalent area of the controller structures (natural encoding, "
-      "auto minimizer)");
+      "espresso)");
 
   for (const char* name : machines) {
     const MealyMachine m = load_benchmark(name);

@@ -33,7 +33,7 @@ const ControllerStructure& dk27_fig4() {
   static JobCache cache;
   static std::shared_ptr<JobCache::StructureEntry> s = cache.structure(
       cache.machine("dk27"), ArchKind::kFig4, Technology::kTwoLevel,
-      MinimizerKind::kAuto, OstrOptions{}, Budget{});
+      OstrOptions{}, Budget{});
   return s->cs;
 }
 

@@ -1,10 +1,8 @@
 // Logic-minimizer benchmarks (google-benchmark).
 //
-// Two families:
-//   * BM_QM_* / BM_Espresso_* -- exact Quine-McCluskey vs the (cube-
-//     calculus) espresso heuristic per single-output function, the
-//     quality/runtime trade the synthesis flow relies on when it picks a
-//     minimizer automatically.
+// Families:
+//   * BM_Espresso_* -- the single-output espresso wrapper per next-state
+//     function, the per-output covers multi-level factoring starts from.
 //   * BM_EspressoMv_<machine> -- the multi-output cube-calculus engine on
 //     the full encoded specification of every corpus machine (next-state
 //     and output bits minimized together over the shared input space), with
@@ -33,7 +31,6 @@
 #include "logic/cost.hpp"
 #include "logic/espresso_lite.hpp"
 #include "logic/factor.hpp"
-#include "logic/qm.hpp"
 #include "ostr/ostr.hpp"
 
 namespace {
@@ -45,13 +42,13 @@ EncodedFsm encoded(const std::string& name) {
   return encode_fsm(m, natural_encoding(m.num_states()));
 }
 
-void run_minimizer(benchmark::State& state, const char* machine, bool exact) {
+void run_minimizer(benchmark::State& state, const char* machine) {
   const EncodedFsm enc = encoded(machine);
   std::size_t lits = 0, cubes = 0;
   for (auto _ : state) {
     lits = cubes = 0;
     for (const auto& tt : enc.next_state) {
-      const Cover c = exact ? minimize_qm(tt) : minimize_espresso(tt);
+      const Cover c = minimize_espresso(tt);
       lits += c.num_literals();
       cubes += c.num_cubes();
       benchmark::DoNotOptimize(c.num_cubes());
@@ -61,22 +58,14 @@ void run_minimizer(benchmark::State& state, const char* machine, bool exact) {
   state.counters["cubes"] = static_cast<double>(cubes);
 }
 
-void BM_QM_Shiftreg(benchmark::State& s) { run_minimizer(s, "shiftreg", true); }
-void BM_Espresso_Shiftreg(benchmark::State& s) { run_minimizer(s, "shiftreg", false); }
-void BM_QM_Dk27(benchmark::State& s) { run_minimizer(s, "dk27", true); }
-void BM_Espresso_Dk27(benchmark::State& s) { run_minimizer(s, "dk27", false); }
-void BM_QM_Bbara(benchmark::State& s) { run_minimizer(s, "bbara", true); }
-void BM_Espresso_Bbara(benchmark::State& s) { run_minimizer(s, "bbara", false); }
-void BM_QM_Dk16(benchmark::State& s) { run_minimizer(s, "dk16", true); }
-void BM_Espresso_Dk16(benchmark::State& s) { run_minimizer(s, "dk16", false); }
+void BM_Espresso_Shiftreg(benchmark::State& s) { run_minimizer(s, "shiftreg"); }
+void BM_Espresso_Dk27(benchmark::State& s) { run_minimizer(s, "dk27"); }
+void BM_Espresso_Bbara(benchmark::State& s) { run_minimizer(s, "bbara"); }
+void BM_Espresso_Dk16(benchmark::State& s) { run_minimizer(s, "dk16"); }
 
-BENCHMARK(BM_QM_Shiftreg);
 BENCHMARK(BM_Espresso_Shiftreg);
-BENCHMARK(BM_QM_Dk27);
 BENCHMARK(BM_Espresso_Dk27);
-BENCHMARK(BM_QM_Bbara);
 BENCHMARK(BM_Espresso_Bbara);
-BENCHMARK(BM_QM_Dk16);
 BENCHMARK(BM_Espresso_Dk16);
 
 /// Whole-specification multi-output minimization of one corpus machine.
@@ -150,10 +139,10 @@ void run_build_all(benchmark::State& state, const std::string& machine) {
     const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
     area = 0.0;
     for (const Technology tech : {Technology::kTwoLevel, Technology::kMultiLevel}) {
-      area += build_fig1(enc, MinimizerKind::kAuto, tech).nl.area_ge();
-      area += build_fig2(enc, MinimizerKind::kAuto, tech).nl.area_ge();
-      area += build_fig3(enc, MinimizerKind::kAuto, tech).nl.area_ge();
-      area += build_fig4(m, real, MinimizerKind::kAuto, tech).nl.area_ge();
+      area += build_fig1(enc, tech).nl.area_ge();
+      area += build_fig2(enc, tech).nl.area_ge();
+      area += build_fig3(enc, tech).nl.area_ge();
+      area += build_fig4(m, real, tech).nl.area_ge();
     }
     benchmark::DoNotOptimize(area);
     memo = enc.block_memo->stats();

@@ -14,11 +14,10 @@
 // lanes). Ctrl-C
 // / --budget-ms truncate gracefully with exact partial counts, labeled in
 // the report. Exits 0 with a final "fleet_sim ok:" line (the CI smoke
-// greps for it), 1 on failure, 2 on an unknown flag or a non-integer
-// value (after printing the usage).
+// greps for it), 1 on failure, 2 on an unknown flag or a malformed
+// number (after printing the usage).
 
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "jobs/orchestrator.hpp"
@@ -41,9 +40,8 @@ int main(int argc, char** argv) {
   using namespace stc;
   const auto parsed = parse_cli(
       argc, argv, kUsage,
-      {"machine", "arch", "tech", "instances", "widths", "distribution",
-       "defect-rate"},
-      {"cycles", "seed", "jobs", "budget-ms"});
+      {"machine", "arch", "tech", "widths", "distribution"},
+      {"cycles", "seed", "jobs", "budget-ms"}, {"instances", "defect-rate"});
   if (!parsed) return 2;
   const Cli& cli = *parsed;
   try {
@@ -54,7 +52,7 @@ int main(int argc, char** argv) {
     spec.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
 
     // --instances accepts scientific notation ("1e6") -- fleets are big.
-    const double inst = std::strtod(cli.get("instances", "1e6").c_str(), nullptr);
+    const double inst = cli.get_double("instances", 1e6);
     if (!(inst >= 1.0)) {
       std::fprintf(stderr, "error: --instances must be >= 1\n");
       return 2;
@@ -68,8 +66,7 @@ int main(int argc, char** argv) {
     }
     spec.fleet_distribution =
         parse_defect_model(cli.get("distribution", "single_uniform"));
-    spec.fleet_defect_rate =
-        std::strtod(cli.get("defect-rate", "1.0").c_str(), nullptr);
+    spec.fleet_defect_rate = cli.get_double("defect-rate", 1.0);
     spec.fleet_seed =
         static_cast<std::uint64_t>(cli.get_int("seed", 0xF1EE7));
 

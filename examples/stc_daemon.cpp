@@ -1,6 +1,6 @@
 // stcd -- the durable BIST-synthesis daemon over a file-backed job spool.
 //
-// Run: see kUsage below. An unknown flag or a non-integer value prints the
+// Run: see kUsage below. An unknown flag or a malformed number prints the
 // usage and exits 2.
 //
 // serve claims jobs from <spool-dir>/pending, runs them on one persistent
@@ -17,7 +17,6 @@
 // through injected torn writes, rename crashes, and wedged jobs.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "benchdata/iwls93.hpp"
@@ -34,13 +33,12 @@ const char kUsage[] =
     "usage: stc_daemon serve  <spool-dir> [--jobs N] [--budget-ms N]\n"
     "                         [--drain] [--cache-max-entries N]\n"
     "                         [--max-attempts N] [--max-recoveries N]\n"
-    "                         [--watchdog-grace N] [--watchdog-kill-grace N]\n"
+    "                         [--watchdog-grace X] [--watchdog-kill-grace X]\n"
     "                         [--quiet]\n"
     "       stc_daemon submit <spool-dir> --machine NAME [--arch fig1..fig4]\n"
     "                         [--tech two_level|multi_level] [--cycles N]\n"
     "                         [--functional-cycles N]\n"
-    "                         [--minimizer auto|qm|espresso] [--no-faultsim]\n"
-    "                         [--budget-ms N] [--count N]\n"
+    "                         [--no-faultsim] [--budget-ms N] [--count N]\n"
     "                         [--fleet-instances N] [--fleet-widths 8,16,24,40]\n"
     "                         [--distribution fault_free|single_uniform|clustered]\n"
     "                         [--defect-rate X] [--fleet-seed N]\n"
@@ -62,9 +60,8 @@ int cmd_serve(const stc::Cli& cli, const std::string& spool) {
       static_cast<std::size_t>(cli.get_int("cache-max-entries", 0));
   opt.retry.max_attempts =
       static_cast<std::size_t>(cli.get_int("max-attempts", 3));
-  opt.watchdog_grace = static_cast<double>(cli.get_int("watchdog-grace", 2));
-  opt.watchdog_kill_grace =
-      static_cast<double>(cli.get_int("watchdog-kill-grace", 4));
+  opt.watchdog_grace = cli.get_double("watchdog-grace", 2.0);
+  opt.watchdog_kill_grace = cli.get_double("watchdog-kill-grace", 4.0);
   opt.max_recoveries =
       static_cast<std::uint64_t>(cli.get_int("max-recoveries", 3));
   opt.shutdown = install_sigint_cancel();
@@ -103,7 +100,6 @@ int cmd_submit(const stc::Cli& cli, const std::string& spool) {
   job.spec.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
   job.spec.functional_cycles =
       static_cast<std::size_t>(cli.get_int("functional-cycles", 512));
-  job.spec.minimizer = parse_minimizer(cli.get("minimizer", "auto"));
   job.spec.with_fault_sim = !cli.has("no-faultsim");
   job.budget_ms = static_cast<double>(cli.get_int("budget-ms", -1));
   // Fleet mode: the spooled job becomes a deployment simulation.
@@ -118,8 +114,7 @@ int cmd_submit(const stc::Cli& cli, const std::string& spool) {
     }
     job.spec.fleet_distribution =
         parse_defect_model(cli.get("distribution", "single_uniform"));
-    job.spec.fleet_defect_rate =
-        std::strtod(cli.get("defect-rate", "1.0").c_str(), nullptr);
+    job.spec.fleet_defect_rate = cli.get_double("defect-rate", 1.0);
     job.spec.fleet_seed =
         static_cast<std::uint64_t>(cli.get_int("fleet-seed", 0xF1EE7));
   }
@@ -169,11 +164,12 @@ int main(int argc, char** argv) {
   using namespace stc;
   const auto parsed = parse_cli(
       argc, argv, kUsage,
-      {"drain", "quiet", "machine", "arch", "tech", "minimizer", "no-faultsim",
-       "fleet-widths", "distribution", "defect-rate"},
+      {"drain", "quiet", "machine", "arch", "tech", "no-faultsim",
+       "fleet-widths", "distribution"},
       {"jobs", "budget-ms", "cache-max-entries", "max-attempts",
-       "max-recoveries", "watchdog-grace", "watchdog-kill-grace", "cycles",
-       "functional-cycles", "count", "fleet-instances", "fleet-seed"});
+       "max-recoveries", "cycles", "functional-cycles", "count",
+       "fleet-instances", "fleet-seed"},
+      {"defect-rate", "watchdog-grace", "watchdog-kill-grace"});
   if (!parsed) return 2;
   const Cli& cli = *parsed;
   if (cli.positional().size() < 2) return usage();

@@ -3,7 +3,6 @@
 #include <iterator>
 
 #include "logic/espresso_lite.hpp"
-#include "logic/qm.hpp"
 
 namespace stc {
 
@@ -28,8 +27,8 @@ std::vector<std::size_t> dff_indices(const Netlist& nl, const RegisterBank& bank
 }
 
 /// Instantiate a minimized block: factored DAG when extraction ran,
-/// shared-product PLA when the multi-output engine ran, the historical
-/// per-cover AND-OR logic otherwise (bit-exact netlists for the QM path).
+/// shared-product PLA when the multi-output engine ran, per-cover AND-OR
+/// logic otherwise.
 std::vector<NetId> build_minimized(Netlist& nl, const MinimizedBlock& mb,
                                    const std::vector<NetId>& vars) {
   if (mb.factored) return build_factored(nl, *mb.factored, vars);
@@ -37,22 +36,19 @@ std::vector<NetId> build_minimized(Netlist& nl, const MinimizedBlock& mb,
 }
 
 /// The one multi-level routing policy (shared by minimize_for, the
-/// combined-block memo and fig3's restricted copy): factor the PLA when
-/// the multi-output engine ran, or the covers when they fit the 64-output
-/// CubeList bound -- an oversized covers block stays two-level rather than
-/// failing (nullopt).
-std::optional<FactoredNetwork> factor_block(const MinimizedBlock& mb,
+/// combined-block memo and fig3's restricted copy): factor per-output
+/// espresso covers of the block's tables. A block of more than 64 outputs
+/// exceeds the CubeList bound and stays two-level rather than failing
+/// (nullopt).
+std::optional<FactoredNetwork> factor_block(const std::vector<TruthTable>& tables,
                                             const Budget& budget,
                                             std::vector<Degradation>* degradations) {
+  if (tables.size() > 64) return std::nullopt;
   FactorOptions fopt;
   fopt.budget = budget;
   Degradation deg;
-  std::optional<FactoredNetwork> fn;
-  if (mb.pla) {
-    fn = extract_factored(*mb.pla, fopt, &deg);
-  } else if (mb.covers.size() <= 64) {
-    fn = extract_factored(mb.covers, fopt, &deg);
-  }
+  FactoredNetwork fn =
+      extract_factored(per_output_covers(tables, budget, degradations), fopt, &deg);
   if (degradations && deg.degraded) degradations->push_back(std::move(deg));
   return fn;
 }
@@ -94,30 +90,31 @@ std::vector<TruthTable> combined_tables(const EncodedFsm& enc) {
 
 /// C of figs 1-3: the combined block of `enc`, minimized (and on the
 /// multi-level path factored) through the encoded machine's memo, so the
-/// figures share one complete result per (minimizer, work allowance)
-/// instead of each recomputing it. A degraded two-level block is never
-/// stored, and neither is a factoring of one.
-MinimizedBlock combined_block(const EncodedFsm& enc, MinimizerKind mk,
-                              Technology tech, const Budget& budget,
+/// figures share one complete result per work allowance instead of each
+/// recomputing it. A degraded two-level block is never stored, and neither
+/// is a factoring of one.
+MinimizedBlock combined_block(const EncodedFsm& enc, Technology tech,
+                              const Budget& budget,
                               std::vector<Degradation>* degradations) {
   BlockMemo& memo = *enc.block_memo;
-  const BlockMemo::Key key{mk, budget.work_allowance()};
+  const BlockMemo::Key key = budget.work_allowance();
   std::vector<Degradation> degs;
   MinimizedBlock mb = *memo.two_level(
       key,
       [&](std::vector<Degradation>* d) {
-        return minimize_for(enc.spec, combined_tables(enc), mk,
-                            Technology::kTwoLevel, budget, d);
+        return minimize_for(enc.spec, combined_tables(enc), Technology::kTwoLevel,
+                            budget, d);
       },
       &degs);
   if (tech == Technology::kMultiLevel) {
+    const auto factor = [&](std::vector<Degradation>* d) {
+      return factor_block(combined_tables(enc), budget, d);
+    };
     if (degs.empty()) {
-      const auto fn = memo.factored(
-          key, [&](std::vector<Degradation>* d) { return factor_block(mb, budget, d); },
-          &degs);
+      const auto fn = memo.factored(key, factor, &degs);
       if (fn) mb.factored = *fn;
     } else {
-      mb.factored = factor_block(mb, budget, &degs);
+      mb.factored = factor(&degs);
     }
   }
   if (degradations)
@@ -128,52 +125,43 @@ MinimizedBlock combined_block(const EncodedFsm& enc, MinimizerKind mk,
 
 }  // namespace
 
-MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& tables,
-                            MinimizerKind mk, Technology tech, const Budget& budget,
-                            std::vector<Degradation>* degradations) {
-  MinimizedBlock mb;
-  mb.covers.reserve(tables.size());
-  const std::size_t num_vars = tables.empty() ? spec.num_vars : tables[0].num_vars();
+std::vector<Cover> per_output_covers(const std::vector<TruthTable>& tables,
+                                     const Budget& budget,
+                                     std::vector<Degradation>* degradations) {
   EspressoOptions eopt;
   eopt.budget = budget;
-  const auto collect = [degradations](Degradation&& deg) {
+  std::vector<Cover> covers;
+  covers.reserve(tables.size());
+  for (const auto& tt : tables) {
+    Degradation deg;
+    covers.push_back(minimize_espresso(tt, eopt, &deg));
     if (degradations && deg.degraded) degradations->push_back(std::move(deg));
-  };
-  // QM's prime enumeration is exact but exponential; hand larger tables
-  // to the heuristic.
-  const bool want_heuristic =
-      mk == MinimizerKind::kEspresso ||
-      (mk == MinimizerKind::kAuto && num_vars > 10);
-  if (want_heuristic && !tables.empty() && spec.num_outputs == tables.size()) {
+  }
+  return covers;
+}
+
+MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& tables,
+                            Technology tech, const Budget& budget,
+                            std::vector<Degradation>* degradations) {
+  MinimizedBlock mb;
+  if (!tables.empty() && spec.num_outputs == tables.size()) {
+    EspressoOptions eopt;
+    eopt.budget = budget;
     Degradation deg;
     mb.pla = minimize_espresso_mv(spec, eopt, &deg);
-    collect(std::move(deg));
-    for (std::size_t b = 0; b < spec.num_outputs; ++b)
-      mb.covers.push_back(mb.pla->output_cover(b));
-  } else if (want_heuristic) {
-    // No usable spec for this block (e.g. more outputs than the 64-bit
-    // output part can carry): per-output heuristic, no product sharing.
-    // Each output gets its own copy of the budget (the deadline stays
-    // absolute across them).
-    for (const auto& tt : tables) {
-      Degradation deg;
-      mb.covers.push_back(minimize_espresso(tt, eopt, &deg));
-      collect(std::move(deg));
-    }
+    if (degradations && deg.degraded) degradations->push_back(std::move(deg));
   } else {
-    // Exact QM on small tables: not budget-governed (bounded and fast).
-    for (const auto& tt : tables) mb.covers.push_back(minimize_qm(tt));
+    // No usable spec for this block (e.g. more outputs than the 64-bit
+    // output part can carry): per-output, no product sharing.
+    mb.covers = per_output_covers(tables, budget, degradations);
   }
-  // Multi-level: greedy algebraic extraction on the minimized two-level
-  // form (the PLA when the multi-output engine ran, the per-output covers
-  // on the QM path).
   if (tech == Technology::kMultiLevel)
-    mb.factored = factor_block(mb, budget, degradations);
+    mb.factored = factor_block(tables, budget, degradations);
   return mb;
 }
 
-ControllerStructure build_fig1(const EncodedFsm& enc, MinimizerKind mk,
-                               Technology tech, const Budget& budget) {
+ControllerStructure build_fig1(const EncodedFsm& enc, Technology tech,
+                               const Budget& budget) {
   ControllerStructure cs;
   cs.kind = "fig1";
   cs.tech = tech;
@@ -190,7 +178,7 @@ ControllerStructure build_fig1(const EncodedFsm& enc, MinimizerKind mk,
 
   // One multi-output block for next-state and output bits together, so
   // the minimizer can share product terms between the two.
-  const MinimizedBlock mb = combined_block(enc, mk, tech, budget, &cs.degradations);
+  const MinimizedBlock mb = combined_block(enc, tech, budget, &cs.degradations);
   add_block_cost(cs, mb);
   const auto nets = build_minimized(nl, mb, vars);
   for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(r.q[b], nets[b]);
@@ -202,8 +190,8 @@ ControllerStructure build_fig1(const EncodedFsm& enc, MinimizerKind mk,
   return cs;
 }
 
-ControllerStructure build_fig2(const EncodedFsm& enc, MinimizerKind mk,
-                               Technology tech, const Budget& budget) {
+ControllerStructure build_fig2(const EncodedFsm& enc, Technology tech,
+                               const Budget& budget) {
   ControllerStructure cs;
   cs.kind = "fig2";
   cs.tech = tech;
@@ -227,7 +215,7 @@ ControllerStructure build_fig2(const EncodedFsm& enc, MinimizerKind mk,
   std::vector<NetId> vars = cs.pi;
   vars.insert(vars.end(), state_in.begin(), state_in.end());
 
-  const MinimizedBlock mb = combined_block(enc, mk, tech, budget, &cs.degradations);
+  const MinimizedBlock mb = combined_block(enc, tech, budget, &cs.degradations);
   add_block_cost(cs, mb);
   const auto nets = build_minimized(nl, mb, vars);
   for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(r.q[b], nets[b]);
@@ -243,8 +231,8 @@ ControllerStructure build_fig2(const EncodedFsm& enc, MinimizerKind mk,
   return cs;
 }
 
-ControllerStructure build_fig3(const EncodedFsm& enc, MinimizerKind mk,
-                               Technology tech, const Budget& budget) {
+ControllerStructure build_fig3(const EncodedFsm& enc, Technology tech,
+                               const Budget& budget) {
   ControllerStructure cs;
   cs.kind = "fig3";
   cs.tech = tech;
@@ -256,7 +244,7 @@ ControllerStructure build_fig3(const EncodedFsm& enc, MinimizerKind mk,
   cs.reg_a = dff_indices(nl, r1);
   cs.reg_b = dff_indices(nl, r2);
 
-  const MinimizedBlock mb = combined_block(enc, mk, tech, budget, &cs.degradations);
+  const MinimizedBlock mb = combined_block(enc, tech, budget, &cs.degradations);
 
   // Copy C: reads R, feeds R' (and drives the primary outputs). Copy C':
   // reads R', feeds R -- only the next-state part is duplicated, with the
@@ -281,7 +269,7 @@ ControllerStructure build_fig3(const EncodedFsm& enc, MinimizerKind mk,
     next_mb.covers.assign(mb.covers.begin(), mb.covers.begin() + enc.state_bits);
   }
   if (tech == Technology::kMultiLevel)
-    next_mb.factored = factor_block(next_mb, budget, &cs.degradations);
+    next_mb.factored = factor_block(enc.next_state, budget, &cs.degradations);
   add_block_cost(cs, next_mb);
   const auto nets2 = build_minimized(nl, next_mb, vars2);
   for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(r1.q[b], nets2[b]);
@@ -295,8 +283,7 @@ ControllerStructure build_fig3(const EncodedFsm& enc, MinimizerKind mk,
 }
 
 ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
-                               MinimizerKind mk, Technology tech,
-                               const Budget& budget) {
+                               Technology tech, const Budget& budget) {
   ControllerStructure cs;
   cs.kind = "fig4";
   cs.tech = tech;
@@ -327,8 +314,8 @@ ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
   // C1: (inputs, R1) -> D of R2.
   std::vector<NetId> vars1 = cs.pi;
   vars1.insert(vars1.end(), r1.q.begin(), r1.q.end());
-  const MinimizedBlock mb1 = minimize_for(f1.spec, f1.next_state, mk, tech,
-                                          budget, &cs.degradations);
+  const MinimizedBlock mb1 = minimize_for(f1.spec, f1.next_state, tech, budget,
+                                          &cs.degradations);
   add_block_cost(cs, mb1);
   const auto c1 = build_minimized(nl, mb1, vars1);
   for (std::size_t b = 0; b < enc2.width; ++b) nl.connect_dff(r2.q[b], c1[b]);
@@ -336,8 +323,8 @@ ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
   // C2: (inputs, R2) -> D of R1.
   std::vector<NetId> vars2 = cs.pi;
   vars2.insert(vars2.end(), r2.q.begin(), r2.q.end());
-  const MinimizedBlock mb2 = minimize_for(f2.spec, f2.next_state, mk, tech,
-                                          budget, &cs.degradations);
+  const MinimizedBlock mb2 = minimize_for(f2.spec, f2.next_state, tech, budget,
+                                          &cs.degradations);
   add_block_cost(cs, mb2);
   const auto c2 = build_minimized(nl, mb2, vars2);
   for (std::size_t b = 0; b < enc1.width; ++b) nl.connect_dff(r1.q[b], c2[b]);
@@ -347,8 +334,8 @@ ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
   std::vector<NetId> lvars = cs.pi;
   lvars.insert(lvars.end(), r2.q.begin(), r2.q.end());
   lvars.insert(lvars.end(), r1.q.begin(), r1.q.end());
-  const MinimizedBlock mbl = minimize_for(lam.spec, lam.outputs, mk, tech,
-                                          budget, &cs.degradations);
+  const MinimizedBlock mbl = minimize_for(lam.spec, lam.outputs, tech, budget,
+                                          &cs.degradations);
   add_block_cost(cs, mbl);
   const auto po_nets = build_minimized(nl, mbl, lvars);
   for (std::size_t b = 0; b < po_nets.size(); ++b) {

@@ -29,11 +29,12 @@ namespace stc {
 // The builders take a Technology (logic/cost.hpp) selecting the style of
 // the combinational blocks:
 //   * kTwoLevel   -- flat AND-OR planes (the historical netlists);
-//   * kMultiLevel -- algebraic factoring on the minimized covers
+//   * kMultiLevel -- algebraic factoring on per-output espresso covers
 //     (logic/factor.hpp): intermediate nodes shared via fanout.
-// Both styles implement identical boolean functions; the multi-level
-// netlists are simulation-equivalent to the two-level ones by
-// construction (algebraic division is an identity on cube sets).
+// Both styles implement the encoded machine; they can differ only on its
+// don't-cares (unused state codes, padding input patterns), so under legal
+// inputs from reset the multi-level netlists are simulation-equivalent to
+// the two-level ones (algebraic division is an identity on cube sets).
 
 struct ControllerStructure {
   Netlist nl;
@@ -46,7 +47,7 @@ struct ControllerStructure {
   std::vector<std::size_t> reg_b;   // dff indices: T (fig2), R' (fig3), R2 (fig4)
   std::vector<NetId> feedback_nets; // the R -> C feedback lines (fault target set)
   LogicCost logic;                  // two-level cost of the combinational blocks
-                                    // (shared-product PLA cost on the espresso path)
+                                    // (shared-product PLA cost)
   /// Factored cost point of the *factored* blocks (set on multi-level
   /// builds, so one build reports both technology columns of the area
   /// tables). Blocks that fell back to two-level (see ml_fallback_blocks)
@@ -65,21 +66,26 @@ struct ControllerStructure {
   std::vector<Degradation> degradations;
 };
 
-/// Route one block through the configured minimizer: exact per-output QM
-/// for small tables (netlists identical to the historical ones), the
-/// multi-output cube-calculus espresso for everything else. `spec` and
-/// `tables` describe the same functions; when the spec cannot represent
-/// the block (empty, or built for a different output count) the heuristic
-/// path falls back to per-output minimization instead of failing. With
-/// Technology::kMultiLevel the minimized block is additionally run
-/// through greedy kernel/cube extraction (after espresso on the big
-/// blocks, from the per-output covers on the QM path).
-/// The budget governs the espresso rounds (heuristic path) and, on the
-/// multi-level path, the greedy extraction; the exact QM path for small
-/// tables ignores it. Truncations are appended to `degradations` when
-/// given. The block implements the tables at any budget.
+/// One espresso cover per table, no product sharing: the multi-level
+/// factoring input of every block, and the two-level form of a block too
+/// wide for one PLA. Each output gets its own copy of the budget (the
+/// deadline stays absolute across them).
+std::vector<Cover> per_output_covers(const std::vector<TruthTable>& tables,
+                                     const Budget& budget = {},
+                                     std::vector<Degradation>* degradations = nullptr);
+
+/// Minimize one block with espresso. When `spec` carries every output of
+/// `tables` the multi-output engine runs and its shared-product PLA is the
+/// two-level form; otherwise (an empty spec, or a block of more than 64
+/// outputs) each table is minimized on its own. With
+/// Technology::kMultiLevel the block is additionally run through greedy
+/// kernel/cube extraction over per-output espresso covers of `tables`:
+/// a product prime for its own output factors into fewer literals than
+/// the PLA's multi-output primes. Blocks of more than 64 outputs stay
+/// two-level. The budget governs espresso and the extraction;
+/// truncations are appended to `degradations` when given. The block
+/// implements the tables at any budget.
 MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& tables,
-                            MinimizerKind mk,
                             Technology tech = Technology::kTwoLevel,
                             const Budget& budget = {},
                             std::vector<Degradation>* degradations = nullptr);
@@ -91,33 +97,44 @@ MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& 
 // at any budget.
 //
 // Figs. 1-3 take C from the EncodedFsm's block memo (logic/block.hpp):
-// the first build for a (minimizer, work allowance) pair minimizes -- and
-// on the multi-level path factors -- C, the later ones reuse the complete
-// result. A build served from the memo reports no degradation for C.
+// the first build for a work allowance minimizes -- and on the
+// multi-level path factors -- C, the later ones reuse the complete result.
+// A build served from the memo reports no degradation for C.
 
 /// Fig. 1: conventional structure.
 ControllerStructure build_fig1(const EncodedFsm& enc,
-                               MinimizerKind mk = MinimizerKind::kAuto,
                                Technology tech = Technology::kTwoLevel,
                                const Budget& budget = {});
 
 /// Fig. 2: conventional structure + test register + bypass mux.
 ControllerStructure build_fig2(const EncodedFsm& enc,
-                               MinimizerKind mk = MinimizerKind::kAuto,
                                Technology tech = Technology::kTwoLevel,
                                const Budget& budget = {});
 
 /// Fig. 3: doubled registers and combinational logic.
 ControllerStructure build_fig3(const EncodedFsm& enc,
-                               MinimizerKind mk = MinimizerKind::kAuto,
                                Technology tech = Technology::kTwoLevel,
                                const Budget& budget = {});
 
 /// Fig. 4: pipeline structure from a realization; states of each factor
 /// are encoded with minimal-width natural codes by default.
 ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
-                               MinimizerKind mk = MinimizerKind::kAuto,
                                Technology tech = Technology::kTwoLevel,
                                const Budget& budget = {});
+
+// Forms with the retired, ignored MinimizerKind argument, which
+// perfbench/driver.cpp still passes positionally.
+inline MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& tables,
+                                   MinimizerKind) { return minimize_for(spec, tables); }
+inline ControllerStructure build_fig1(const EncodedFsm& enc, MinimizerKind,
+                                      Technology tech) { return build_fig1(enc, tech); }
+inline ControllerStructure build_fig2(const EncodedFsm& enc, MinimizerKind,
+                                      Technology tech) { return build_fig2(enc, tech); }
+inline ControllerStructure build_fig3(const EncodedFsm& enc, MinimizerKind,
+                                      Technology tech) { return build_fig3(enc, tech); }
+inline ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
+                                      MinimizerKind, Technology tech) {
+  return build_fig4(fsm, real, tech);
+}
 
 }  // namespace stc

@@ -34,7 +34,6 @@ std::size_t JobCache::StructKeyHash::operator()(const StructKey& k) const {
   h = fnv1a_u64(h, k.fingerprint);
   h = fnv1a_u64(h, static_cast<std::uint64_t>(k.arch));
   h = fnv1a_u64(h, static_cast<std::uint64_t>(k.tech));
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(k.minimizer));
   return static_cast<std::size_t>(h);
 }
 
@@ -101,9 +100,8 @@ std::shared_ptr<const JobCache::OstrArtifacts> JobCache::ensure_ostr(
 
 std::shared_ptr<JobCache::StructureEntry> JobCache::structure(
     const std::shared_ptr<MachineEntry>& m, ArchKind arch, Technology tech,
-    MinimizerKind minimizer, const OstrOptions& ostr_options,
-    const Budget& budget, bool* hit) {
-  const StructKey key{m->fingerprint, arch, tech, minimizer};
+    const OstrOptions& ostr_options, const Budget& budget, bool* hit) {
+  const StructKey key{m->fingerprint, arch, tech};
   std::shared_ptr<Slot<StructureEntry>> slot;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -127,17 +125,17 @@ std::shared_ptr<JobCache::StructureEntry> JobCache::structure(
   auto e = std::make_shared<StructureEntry>();
   switch (arch) {
     case ArchKind::kFig1:
-      e->cs = build_fig1(m->encoded, minimizer, tech, budget);
+      e->cs = build_fig1(m->encoded, tech, budget);
       break;
     case ArchKind::kFig2:
-      e->cs = build_fig2(m->encoded, minimizer, tech, budget);
+      e->cs = build_fig2(m->encoded, tech, budget);
       break;
     case ArchKind::kFig3:
-      e->cs = build_fig3(m->encoded, minimizer, tech, budget);
+      e->cs = build_fig3(m->encoded, tech, budget);
       break;
     case ArchKind::kFig4: {
       const auto search = ensure_ostr(*m, ostr_options);
-      e->cs = build_fig4(m->fsm, search->realization, minimizer, tech, budget);
+      e->cs = build_fig4(m->fsm, search->realization, tech, budget);
       // A truncated search truncates the structure built on it.
       if (search->ostr.degradation.degraded)
         e->cs.degradations.insert(e->cs.degradations.begin(),

@@ -8,7 +8,7 @@
 //              plus lazily the OSTR result / realization / verification
 //              (only fig4 jobs pay for the search; only a complete
 //              search is stored);
-//   structure  (fingerprint, arch, tech, minimizer) -> built
+//   structure  (fingerprint, arch, tech) -> built
 //              ControllerStructure (espresso + factoring baked in);
 //              only complete builds -- one a job's budget truncated is
 //              returned to that job and not stored;
@@ -142,7 +142,6 @@ class JobCache {
   /// caller on the key builds again under its own budget.
   std::shared_ptr<StructureEntry> structure(const std::shared_ptr<MachineEntry>& m,
                                             ArchKind arch, Technology tech,
-                                            MinimizerKind minimizer,
                                             const OstrOptions& ostr_options,
                                             const Budget& budget,
                                             bool* hit = nullptr);
@@ -163,10 +162,8 @@ class JobCache {
     std::uint64_t fingerprint;
     ArchKind arch;
     Technology tech;
-    MinimizerKind minimizer;
     bool operator==(const StructKey& o) const {
-      return fingerprint == o.fingerprint && arch == o.arch && tech == o.tech &&
-             minimizer == o.minimizer;
+      return fingerprint == o.fingerprint && arch == o.arch && tech == o.tech;
     }
   };
   struct StructKeyHash {

@@ -59,7 +59,6 @@ std::vector<CampaignJobSpec> expand_sweep(const SweepOptions& opt) {
           s.tech = tech;
           s.bist_cycles = opt.bist_cycles;
           s.functional_cycles = opt.functional_cycles;
-          s.minimizer = opt.minimizer;
           s.with_fault_sim = opt.with_fault_sim;
           s.fleet_instances = opt.fleet_instances;
           s.fleet_widths = opt.fleet_widths;
@@ -93,8 +92,8 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     OstrOptions ostr_opt;
     ostr_opt.max_nodes = ostr_max_nodes;
     ostr_opt.budget = budget;
-    auto s = cache.structure(m, spec.arch, spec.tech, spec.minimizer, ostr_opt,
-                             budget, &r.structure_cached);
+    auto s = cache.structure(m, spec.arch, spec.tech, ostr_opt, budget,
+                             &r.structure_cached);
 
     const bool fleet_mode = spec.fleet_instances > 0;
     if (fleet_mode && spec.arch == ArchKind::kFig1)
@@ -103,7 +102,6 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
                   "machine=" + spec.machine + "; arch=fig1 runs no self-test");
 
     FlowOptions fopt;
-    fopt.minimizer = spec.minimizer;
     fopt.technology = spec.tech;
     // Fleet jobs keep the synthesis metrics but replace the per-fault
     // campaign with the deployment simulation below.

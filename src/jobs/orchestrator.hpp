@@ -29,7 +29,6 @@ struct CampaignJobSpec {
   Technology tech = Technology::kTwoLevel;
   std::size_t bist_cycles = 256;       // per session (figs 2-4 plans)
   std::size_t functional_cycles = 512; // fig1 baseline
-  MinimizerKind minimizer = MinimizerKind::kAuto;
   bool with_fault_sim = true;
 
   /// Fleet mode: when > 0 the job is a deployment simulation -- synthesize
@@ -83,7 +82,6 @@ struct SweepOptions {
   std::vector<Technology> techs = {Technology::kTwoLevel};
   std::size_t bist_cycles = 256;
   std::size_t functional_cycles = 512;
-  MinimizerKind minimizer = MinimizerKind::kAuto;
   bool with_fault_sim = true;
   /// Fleet mode for every expanded job (see CampaignJobSpec): > 0 turns the
   /// sweep into a corpus-wide deployment simulation.

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 
 #include "util/error.hpp"
 #include "util/faultpoint.hpp"
@@ -109,6 +110,25 @@ double parse_double_field(const std::string& value, const std::string& origin,
   return v;
 }
 
+/// Job fields that are no longer chosen per job: the campaign engine, the
+/// lane width and the minimizer. A value that selected what is now the only
+/// behaviour is ignored; any other value is a typed error, so a queued job
+/// never silently runs differently from how it was submitted.
+bool check_retired_field(const std::string& key, const std::string& value,
+                         const std::string& origin, std::size_t line) {
+  static const std::map<std::string, std::vector<std::string>> kLegacy = {
+      {"engine", {"event"}},
+      {"lanes", {"64", "256", "512"}},
+      {"minimizer", {"auto", "espresso"}}};
+  const auto it = kLegacy.find(key);
+  if (it == kLegacy.end()) return false;
+  if (std::count(it->second.begin(), it->second.end(), value) == 0)
+    throw Error(ErrorCode::kInvalidInput, "unsupported " + key + " in spool spec",
+                "file=" + origin + "; line=" + std::to_string(line) +
+                    "; key=" + key + "; value=" + value);
+  return true;
+}
+
 /// Iterate `key = value` lines (('#'-comments and blanks skipped), calling
 /// fn(key, value, line_number); malformed lines raise typed errors.
 template <typename Fn>
@@ -173,7 +193,6 @@ std::string render_spool_job(const SpoolJob& job) {
   out += "bist_cycles = " + std::to_string(job.spec.bist_cycles) + "\n";
   out +=
       "functional_cycles = " + std::to_string(job.spec.functional_cycles) + "\n";
-  out += std::string("minimizer = ") + minimizer_name(job.spec.minimizer) + "\n";
   out += std::string("faultsim = ") + (job.spec.with_fault_sim ? "1" : "0") +
          "\n";
   // Fleet-mode keys ride along only when the job IS a fleet job, so
@@ -205,6 +224,7 @@ SpoolJob parse_spool_job(const std::string& text, const std::string& origin) {
   parse_kv_lines(text, origin, [&](const std::string& key,
                                    const std::string& value, std::size_t line) {
     try {
+      if (check_retired_field(key, value, origin, line)) return;
       if (key == "machine") {
         job.spec.machine = value;
         have_machine = !value.empty();
@@ -212,30 +232,10 @@ SpoolJob parse_spool_job(const std::string& text, const std::string& origin) {
         job.spec.arch = parse_arch(value);
       } else if (key == "tech") {
         job.spec.tech = parse_technology(value);
-      } else if (key == "engine") {
-        // Specs written while the campaign engine was selectable carry
-        // "engine = event"; that is the only engine left, so the line is
-        // ignored. A queued flat or serial job fails instead of being
-        // silently run on another engine.
-        if (value != "event")
-          throw Error(ErrorCode::kInvalidInput,
-                      "unsupported campaign engine in spool spec",
-                      "file=" + origin + "; line=" + std::to_string(line) +
-                          "; key=engine; value=" + value);
-      } else if (key == "lanes") {
-        // Specs from before the engine picked its own lane width carry
-        // "lanes = 64|256|512"; ignored. Other values were never valid.
-        if (value != "64" && value != "256" && value != "512")
-          throw Error(ErrorCode::kInvalidInput,
-                      "unsupported lane count in spool spec",
-                      "file=" + origin + "; line=" + std::to_string(line) +
-                          "; key=lanes; value=" + value);
       } else if (key == "bist_cycles") {
         job.spec.bist_cycles = parse_u64_field(value, origin, line, key);
       } else if (key == "functional_cycles") {
         job.spec.functional_cycles = parse_u64_field(value, origin, line, key);
-      } else if (key == "minimizer") {
-        job.spec.minimizer = parse_minimizer(value);
       } else if (key == "faultsim") {
         job.spec.with_fault_sim =
             parse_u64_field(value, origin, line, key) != 0;
@@ -273,7 +273,7 @@ SpoolJob parse_spool_job(const std::string& text, const std::string& origin) {
                         "; key=" + key);
       }
     } catch (const Error& e) {
-      // Give enum parse errors (arch/tech/minimizer) the file
+      // Give enum parse errors (arch/tech) the file
       // position; errors that already carry it pass through.
       if (e.context().find("file=") != std::string::npos) throw;
       throw Error(e.code(), e.what(),

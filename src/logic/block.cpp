@@ -2,26 +2,7 @@
 
 #include <iterator>
 
-#include "util/error.hpp"
-
 namespace stc {
-
-const char* minimizer_name(MinimizerKind mk) {
-  switch (mk) {
-    case MinimizerKind::kAuto: return "auto";
-    case MinimizerKind::kQuineMcCluskey: return "qm";
-    case MinimizerKind::kEspresso: return "espresso";
-  }
-  return "?";
-}
-
-MinimizerKind parse_minimizer(const std::string& name) {
-  if (name == "auto") return MinimizerKind::kAuto;
-  if (name == "qm") return MinimizerKind::kQuineMcCluskey;
-  if (name == "espresso") return MinimizerKind::kEspresso;
-  throw Error(ErrorCode::kInvalidInput, "unknown minimizer",
-              "minimizer=" + name + "; expected auto|qm|espresso");
-}
 
 namespace {
 

@@ -17,8 +17,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "logic/cost.hpp"
@@ -27,20 +25,14 @@
 
 namespace stc {
 
-/// Which two-level minimizer prepares the covers.
-enum class MinimizerKind { kAuto, kQuineMcCluskey, kEspresso };
+/// Retired minimizer choice: espresso minimizes every block. Kept, and
+/// ignored, only for the positional argument of perfbench/driver.cpp.
+enum class MinimizerKind { kAuto };
 
-/// Stable identifier ("auto", "qm", "espresso") -- spool spec files and
-/// the drivers' --minimizer flag round-trip through these.
-const char* minimizer_name(MinimizerKind mk);
-/// Parse a minimizer_name(); throws Error(kInvalidInput) otherwise.
-MinimizerKind parse_minimizer(const std::string& name);
-
-/// One minimized multi-output block. `pla` is set when the cube-calculus
-/// multi-output engine ran (products shared across outputs); the per-output
-/// covers are always available for reporting and the QM build path;
-/// `factored` is set when the block was routed through algebraic
-/// extraction (Technology::kMultiLevel).
+/// One minimized multi-output block: `pla` when the spec carried every
+/// output (products shared across outputs), else one `covers` entry per
+/// output (blocks of more than 64 outputs). `factored` is set when the
+/// block was routed through algebraic extraction (Technology::kMultiLevel).
 struct MinimizedBlock {
   std::vector<Cover> covers;
   std::optional<CubeList> pla;
@@ -56,8 +48,8 @@ struct MinimizedBlock {
 };
 
 /// Thread-safe memo of one block's complete results: the two-level form
-/// and the factored network of that form, each keyed by (minimizer, work
-/// allowance). The allowance is in the key because a work-limited stage
+/// and the factored network of that block, each keyed by the work
+/// allowance. The allowance is in the key because a work-limited stage
 /// is deterministic in it; a deadline or cancel token is not, but a result
 /// that finished is what any deadline would have produced, so it is
 /// served to every budget. Only complete results are stored: a stage that
@@ -67,15 +59,8 @@ struct MinimizedBlock {
 /// compute (there is no waiting); the first complete result stays.
 class BlockMemo {
  public:
-  struct Key {
-    MinimizerKind minimizer = MinimizerKind::kAuto;
-    std::uint64_t work_allowance = UINT64_MAX;  // Budget::work_allowance()
-
-    bool operator<(const Key& o) const {
-      return std::make_pair(minimizer, work_allowance) <
-             std::make_pair(o.minimizer, o.work_allowance);
-    }
-  };
+  /// Budget::work_allowance() of the computing stage.
+  using Key = std::uint64_t;
 
   /// How often each stage ran on a miss, and how many lookups were served
   /// from the memo.

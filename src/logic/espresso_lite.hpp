@@ -13,8 +13,10 @@
 //
 // Not the full espresso algorithm (no MAXIMAL_REDUCE, no LASTGASP), but
 // exact on the containment invariants: the result always implements the
-// specification. QM (logic/qm.hpp) stays the exact reference for small
-// tables.
+// specification. This is the flow's only minimizer: every block's
+// two-level form is a minimize_espresso_mv PLA, and the multi-level path
+// factors per-output minimize_espresso covers (bist/architectures.hpp).
+// QM (logic/qm.hpp) is kept only as the exact oracle of the tests.
 
 #include "logic/cubelist.hpp"
 #include "util/budget.hpp"
@@ -43,7 +45,9 @@ struct EspressoOptions {
 CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& options = {},
                               Degradation* degradation = nullptr);
 
-/// Single-output convenience wrapper over the multi-output engine.
+/// Single-output wrapper over the multi-output engine: the per-output
+/// covers that multi-level factoring starts from, and the two-level form
+/// of blocks too wide for one PLA.
 Cover minimize_espresso(const TruthTable& tt, const EspressoOptions& options = {},
                         Degradation* degradation = nullptr);
 

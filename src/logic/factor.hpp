@@ -6,7 +6,9 @@
 // a flat AND plane of shared products feeding per-output OR planes. This
 // layer re-expresses that PLA as a DAG of small single-output nodes by
 // repeatedly pulling the best-value divisor out of the network, in the
-// MIS/algebraic tradition:
+// MIS/algebraic tradition. (The flow hands it one espresso cover per
+// output, bridged into a CubeList, rather than the shared-product PLA:
+// see minimize_for in bist/architectures.hpp.)
 //
 //   * cube divisors  -- a product of >= 2 literals occurring in >= 2 cubes
 //     anywhere in the network becomes one AND node, every occurrence is
@@ -86,8 +88,8 @@ FCube fcube_from_cube(const Cube& c, std::size_t num_vars);
 std::vector<SopExpr> sops_from_cubelist(const CubeList& pla);
 
 /// Single-output-per-cover CubeList (bit b of the output part = cover b),
-/// with identical input parts merged. The bridge from the QM path into
-/// the extractor.
+/// with identical input parts merged. The bridge from per-output covers
+/// into the extractor.
 CubeList cubelist_from_covers(const std::vector<Cover>& covers);
 
 // --- algebraic division ------------------------------------------------------
@@ -195,7 +197,8 @@ struct FactorOptions {
 FactoredNetwork extract_factored(const CubeList& pla, const FactorOptions& options = {},
                                  Degradation* degradation = nullptr);
 
-/// QM-path convenience: factor a per-output cover block.
+/// Factor a block of per-output covers (the flow's multi-level input: one
+/// espresso cover per output, each product prime for its own output).
 FactoredNetwork extract_factored(const std::vector<Cover>& covers,
                                  const FactorOptions& options = {},
                                  Degradation* degradation = nullptr);

@@ -89,16 +89,16 @@ FlowResult run_flow(const MealyMachine& fsm, const FlowOptions& options) {
   const EncodedFsm encoded = encode_fsm(fsm, enc);
 
   res.fig1 = measure_structure(
-      build_fig1(encoded, options.minimizer, options.technology, options.budget),
+      build_fig1(encoded, options.technology, options.budget),
       options);
   res.fig2 = measure_structure(
-      build_fig2(encoded, options.minimizer, options.technology, options.budget),
+      build_fig2(encoded, options.technology, options.budget),
       options);
   res.fig3 = measure_structure(
-      build_fig3(encoded, options.minimizer, options.technology, options.budget),
+      build_fig3(encoded, options.technology, options.budget),
       options);
   res.fig4 = measure_structure(
-      build_fig4(fsm, res.realization, options.minimizer, options.technology,
+      build_fig4(fsm, res.realization, options.technology,
                  options.budget),
       options);
   return res;

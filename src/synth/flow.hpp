@@ -16,7 +16,6 @@ namespace stc {
 
 struct FlowOptions {
   OstrOptions ostr;
-  MinimizerKind minimizer = MinimizerKind::kAuto;
   /// Implementation style of the combinational blocks: flat AND-OR planes
   /// or algebraically factored multi-level DAGs. Both are simulation-
   /// equivalent; multi-level builds additionally report the factored cost
@@ -49,9 +48,8 @@ struct StructureReport {
   std::size_t flipflops = 0;
   double area_ge = 0.0;
   std::size_t depth = 0;
-  /// Two-level cost of the combinational blocks. On the espresso path the
-  /// cube/literal counts are shared-product PLA numbers (each product
-  /// counted once across all the outputs it feeds).
+  /// Two-level cost of the combinational blocks: shared-product PLA
+  /// numbers (each product counted once across all the outputs it feeds).
   LogicCost logic;
   /// Factored cost point of the same blocks (multi-level builds report
   /// both technology columns from one run).

@@ -77,10 +77,10 @@ TEST(CampaignAllocations, IndependentOfLaneWords) {
   // lane groups live in the same per-worker buffers (sized once), the wide
   // banks/MISR keep one row vector each, and the batch/diff-mask vectors
   // are reserved up front. The engine picks the width from the list size,
-  // so lists of 63, 255 and 511 dk16 fig1 faults (one run each at 64, 256
+  // so lists of 63, 255 and 511 tbk fig1 faults (one run each at 64, 256
   // and 512 lanes) must allocate alike. The list copies are made before
   // counting starts.
-  const ControllerStructure cs = fig1_for("dk16");
+  const ControllerStructure cs = fig1_for("tbk");
   const auto all = enumerate_stuck_faults(cs.nl);
   ASSERT_GE(all.size(), 511u);
   const auto allocs_for = [&](std::size_t n) {

@@ -222,6 +222,11 @@ ControllerStructure fig1_of(const std::string& name) {
   return build_fig1(encode_fsm(m, natural_encoding(m.num_states())));
 }
 
+ControllerStructure fig3_of(const std::string& name) {
+  const MealyMachine m = load_benchmark(name);
+  return build_fig3(encode_fsm(m, natural_encoding(m.num_states())));
+}
+
 TEST(AnytimeCampaign, MidCampaignTruncationReportsPartialCoverage) {
   const ControllerStructure cs = fig1_of("bbara");
   const SelfTestPlan plan = SelfTestPlan::two_session(48);
@@ -271,9 +276,9 @@ TEST(AnytimeCampaign, TruncatedVerdictsAgreeWithFullCampaign) {
 TEST(AnytimeCampaign, WorkLimitCountsFaultClasses) {
   // One work unit is one fault class: the last run is trimmed to the
   // allowance, so on one worker work_limit(k) simulates exactly k classes
-  // at whatever lane width the engine picks (uncollapsed bbara fig1 has
-  // 304 faults and runs 255 per run; k = 300 spans two runs).
-  const ControllerStructure cs = fig1_of("bbara");
+  // at whatever lane width the engine picks (uncollapsed bbara fig3 has
+  // 352 faults and runs 255 per run; k = 300 spans two runs).
+  const ControllerStructure cs = fig3_of("bbara");
   const SelfTestPlan plan = SelfTestPlan::two_session(48);
   for (const std::uint64_t k : {1u, 70u, 300u}) {
     CampaignOptions opt;
@@ -343,9 +348,9 @@ TEST(AnytimeCampaign, FunctionalCoverageHonorsTheBudget) {
   EXPECT_EQ(deg.stage, "functional-coverage");
 
   // A limit that ends inside a later run still simulates exactly that many
-  // faults: dk27's 78 faults run 63 per run, bbara's 304 run 255 per run.
-  for (const auto& [name, k] : {std::pair<const char*, std::size_t>{"dk27", 70},
-                                {"bbara", 270}}) {
+  // faults: dk14's 142 faults run 63 per run, tbk's 2658 run 511 per run.
+  for (const auto& [name, k] : {std::pair<const char*, std::size_t>{"dk14", 70},
+                                {"tbk", 600}}) {
     Degradation later;
     const CoverageResult rk = measure_functional_coverage(
         fig1_of(name), 64, std::nullopt, 0x5EED, Budget::work_limit(k), &later);
@@ -402,14 +407,12 @@ TEST(AnytimeFlow, S1MultiLevelUnder50msStaysBehaviorExact) {
   EXPECT_TRUE(res.verification.ok()) << res.verification.detail;
 
   const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
-  const ControllerStructure ref =
-      build_fig1(enc, MinimizerKind::kAuto, Technology::kTwoLevel);
+  const ControllerStructure ref = build_fig1(enc, Technology::kTwoLevel);
   // A separate encoding, so the budgeted build minimizes under its 50 ms
   // instead of taking ref's finished block from the shared memo.
   const EncodedFsm own = encode_fsm(m, natural_encoding(m.num_states()));
   const ControllerStructure got =
-      build_fig1(own, MinimizerKind::kAuto, Technology::kMultiLevel,
-                 Budget::deadline_ms(50));
+      build_fig1(own, Technology::kMultiLevel, Budget::deadline_ms(50));
   expect_equivalent(ref.nl, got.nl, 48, 0xA11F);
 }
 

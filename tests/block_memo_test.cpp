@@ -5,8 +5,8 @@
 //   * sharing changes no netlist: every fig1-3 build from one shared
 //     EncodedFsm equals the same build from a fresh encode_fsm, in cost
 //     and word for word in simulation;
-//   * C is minimized once and factored once per (machine, minimizer)
-//     across the six builds, and a fresh encode_fsm minimizes again;
+//   * C is minimized once and factored once per machine across the six
+//     builds, and a fresh encode_fsm minimizes again;
 //   * a degraded result is never stored, so a later unlimited build gets
 //     the full-quality block;
 //   * concurrent builds from one EncodedFsm are safe (the TSan job runs
@@ -27,19 +27,13 @@
 namespace stc {
 namespace {
 
-using BuildFn = std::function<ControllerStructure(const EncodedFsm&, MinimizerKind,
-                                                  Technology, const Budget&)>;
+using BuildFn =
+    std::function<ControllerStructure(const EncodedFsm&, Technology, const Budget&)>;
 
 const BuildFn kFigs[] = {
-    [](const EncodedFsm& e, MinimizerKind mk, Technology t, const Budget& b) {
-      return build_fig1(e, mk, t, b);
-    },
-    [](const EncodedFsm& e, MinimizerKind mk, Technology t, const Budget& b) {
-      return build_fig2(e, mk, t, b);
-    },
-    [](const EncodedFsm& e, MinimizerKind mk, Technology t, const Budget& b) {
-      return build_fig3(e, mk, t, b);
-    },
+    [](const EncodedFsm& e, Technology t, const Budget& b) { return build_fig1(e, t, b); },
+    [](const EncodedFsm& e, Technology t, const Budget& b) { return build_fig2(e, t, b); },
+    [](const EncodedFsm& e, Technology t, const Budget& b) { return build_fig3(e, t, b); },
 };
 
 EncodedFsm encode(const MealyMachine& m) {
@@ -112,8 +106,8 @@ TEST_P(SharedBlockCorpus, SharedEncodingBuildsEqualFreshOnes) {
     if (tech == Technology::kMultiLevel && !ml) continue;
     for (std::size_t f = 0; f < 3; ++f) {
       SCOPED_TRACE("fig" + std::to_string(f + 1) + " " + technology_name(tech));
-      const ControllerStructure a = kFigs[f](shared, MinimizerKind::kAuto, tech, {});
-      const ControllerStructure b = kFigs[f](encode(m), MinimizerKind::kAuto, tech, {});
+      const ControllerStructure a = kFigs[f](shared, tech, {});
+      const ControllerStructure b = kFigs[f](encode(m), tech, {});
       expect_same_structure(a, b);
     }
   }
@@ -126,30 +120,28 @@ INSTANTIATE_TEST_SUITE_P(AllKissMachines, SharedBlockCorpus,
                          ::testing::ValuesIn(benchmark_names()),
                          [](const auto& info) { return info.param; });
 
-// --- (b) one minimization and one factoring per (machine, minimizer) ----------
+// --- (b) one minimization and one factoring per machine -----------------------
 
-TEST(BlockMemo, SixBuildsMinimizeAndFactorOncePerMinimizer) {
+TEST(BlockMemo, SixBuildsMinimizeAndFactorOnce) {
   const MealyMachine m = load_benchmark("bbara");
   const EncodedFsm enc = encode(m);
-  for (const MinimizerKind mk : {MinimizerKind::kAuto, MinimizerKind::kEspresso}) {
-    for (const Technology tech : {Technology::kTwoLevel, Technology::kMultiLevel})
-      for (const BuildFn& fig : kFigs) fig(enc, mk, tech, {});
-  }
+  for (const Technology tech : {Technology::kTwoLevel, Technology::kMultiLevel})
+    for (const BuildFn& fig : kFigs) fig(enc, tech, {});
   const BlockMemo::Stats st = enc.block_memo->stats();
-  EXPECT_EQ(st.minimizations, 2u);  // one per minimizer
-  EXPECT_EQ(st.factorings, 2u);
-  // Per minimizer: fig2/3 two-level reuse C (2), the three multi-level
-  // builds reuse it too (3), and fig2/3 multi-level reuse its factoring (2).
-  EXPECT_EQ(st.hits, 2u * 7u);
+  EXPECT_EQ(st.minimizations, 1u);
+  EXPECT_EQ(st.factorings, 1u);
+  // fig2/3 two-level reuse C (2), the three multi-level builds reuse it
+  // too (3), and fig2/3 multi-level reuse its factoring (2).
+  EXPECT_EQ(st.hits, 7u);
 
   // Copies share the memo; a new encode_fsm of the same machine does not.
   const EncodedFsm copy = enc;
   build_fig2(copy);
-  EXPECT_EQ(enc.block_memo->stats().minimizations, 2u);
+  EXPECT_EQ(enc.block_memo->stats().minimizations, 1u);
   const EncodedFsm again = encode(m);
   build_fig2(again);
   EXPECT_EQ(again.block_memo->stats().minimizations, 1u);
-  EXPECT_EQ(enc.block_memo->stats().minimizations, 2u);
+  EXPECT_EQ(enc.block_memo->stats().minimizations, 1u);
 }
 
 TEST(BlockMemo, WorkAllowanceIsPartOfTheKey) {
@@ -161,14 +153,12 @@ TEST(BlockMemo, WorkAllowanceIsPartOfTheKey) {
   for (const std::uint64_t w : {1u, 4u, 1000u}) {
     SCOPED_TRACE("work_limit " + std::to_string(w));
     const Budget b = Budget::work_limit(w);
-    build_fig1(enc, MinimizerKind::kEspresso, Technology::kMultiLevel, b);
-    const ControllerStructure got =
-        build_fig3(enc, MinimizerKind::kEspresso, Technology::kMultiLevel, b);
-    const ControllerStructure ref =
-        build_fig3(encode(m), MinimizerKind::kEspresso, Technology::kMultiLevel, b);
+    build_fig1(enc, Technology::kMultiLevel, b);
+    const ControllerStructure got = build_fig3(enc, Technology::kMultiLevel, b);
+    const ControllerStructure ref = build_fig3(encode(m), Technology::kMultiLevel, b);
     expect_same_structure(got, ref);
   }
-  build_fig2(enc, MinimizerKind::kEspresso);
+  build_fig2(enc);
   EXPECT_GE(enc.block_memo->stats().minimizations, 4u);
 }
 
@@ -188,8 +178,8 @@ TEST(BlockMemo, HandBuiltEncodingGetsItsOwnMemo) {
   ASSERT_NE(hand.block_memo, nullptr);
   EXPECT_NE(hand.block_memo, ref.block_memo);
   for (const BuildFn& fig : kFigs)
-    expect_same_structure(fig(hand, MinimizerKind::kAuto, Technology::kMultiLevel, {}),
-                          fig(ref, MinimizerKind::kAuto, Technology::kMultiLevel, {}));
+    expect_same_structure(fig(hand, Technology::kMultiLevel, {}),
+                          fig(ref, Technology::kMultiLevel, {}));
   EXPECT_EQ(hand.block_memo->stats().minimizations, 1u);
   EXPECT_EQ(ref.block_memo->stats().minimizations, 1u);
 }
@@ -199,15 +189,13 @@ TEST(BlockMemo, HandBuiltEncodingGetsItsOwnMemo) {
 TEST(BlockMemo, DegradedMinimizationIsNotServedToUnlimitedBuild) {
   const MealyMachine m = load_benchmark("dk16");
   const EncodedFsm enc = encode(m);
-  const ControllerStructure starved = build_fig1(
-      enc, MinimizerKind::kEspresso, Technology::kMultiLevel, Budget::deadline_ms(0));
+  const ControllerStructure starved =
+      build_fig1(enc, Technology::kMultiLevel, Budget::deadline_ms(0));
   ASSERT_FALSE(starved.degradations.empty());
 
-  const ControllerStructure full =
-      build_fig2(enc, MinimizerKind::kEspresso, Technology::kMultiLevel);
+  const ControllerStructure full = build_fig2(enc, Technology::kMultiLevel);
   EXPECT_TRUE(full.degradations.empty()) << render_degradations(full.degradations);
-  expect_same_structure(
-      full, build_fig2(encode(m), MinimizerKind::kEspresso, Technology::kMultiLevel));
+  expect_same_structure(full, build_fig2(encode(m), Technology::kMultiLevel));
   const BlockMemo::Stats st = enc.block_memo->stats();
   EXPECT_EQ(st.minimizations, 2u);  // the starved run stored nothing
   EXPECT_EQ(st.factorings, 1u);     // the starved block was never offered
@@ -218,17 +206,21 @@ TEST(BlockMemo, DegradedFactoringIsNotServedToUnlimitedBuild) {
   const EncodedFsm enc = encode(m);
   // A complete two-level C, then a factoring cut by its deadline (same
   // key: a deadline leaves the work allowance unlimited).
-  build_fig1(enc, MinimizerKind::kEspresso, Technology::kTwoLevel);
-  const ControllerStructure starved = build_fig1(
-      enc, MinimizerKind::kEspresso, Technology::kMultiLevel, Budget::deadline_ms(0));
-  ASSERT_FALSE(starved.degradations.empty());
-  for (const Degradation& d : starved.degradations) EXPECT_EQ(d.stage, "factor");
+  build_fig1(enc, Technology::kTwoLevel);
+  const ControllerStructure starved =
+      build_fig1(enc, Technology::kMultiLevel, Budget::deadline_ms(0));
+  // The served two-level C adds no label. The multi-level stage does: it
+  // minimizes one espresso cover per output, then factors them.
+  const std::size_t outputs = enc.next_state.size() + enc.outputs.size();
+  ASSERT_EQ(starved.degradations.size(), outputs + 1)
+      << render_degradations(starved.degradations);
+  for (std::size_t k = 0; k < outputs; ++k)
+    EXPECT_EQ(starved.degradations[k].stage, "espresso");
+  EXPECT_EQ(starved.degradations.back().stage, "factor");
 
-  const ControllerStructure full =
-      build_fig3(enc, MinimizerKind::kEspresso, Technology::kMultiLevel);
+  const ControllerStructure full = build_fig3(enc, Technology::kMultiLevel);
   EXPECT_TRUE(full.degradations.empty()) << render_degradations(full.degradations);
-  expect_same_structure(
-      full, build_fig3(encode(m), MinimizerKind::kEspresso, Technology::kMultiLevel));
+  expect_same_structure(full, build_fig3(encode(m), Technology::kMultiLevel));
   const BlockMemo::Stats st = enc.block_memo->stats();
   EXPECT_EQ(st.minimizations, 1u);
   EXPECT_EQ(st.factorings, 2u);
@@ -237,11 +229,10 @@ TEST(BlockMemo, DegradedFactoringIsNotServedToUnlimitedBuild) {
 TEST(BlockMemo, CompleteResultIsServedToAnyDeadline) {
   const MealyMachine m = load_benchmark("dk16");
   const EncodedFsm enc = encode(m);
-  const ControllerStructure full =
-      build_fig1(enc, MinimizerKind::kEspresso, Technology::kMultiLevel);
+  const ControllerStructure full = build_fig1(enc, Technology::kMultiLevel);
   ASSERT_TRUE(full.degradations.empty());
-  const ControllerStructure served = build_fig1(
-      enc, MinimizerKind::kEspresso, Technology::kMultiLevel, Budget::deadline_ms(0));
+  const ControllerStructure served =
+      build_fig1(enc, Technology::kMultiLevel, Budget::deadline_ms(0));
   EXPECT_TRUE(served.degradations.empty());
   expect_same_structure(served, full);
 }
@@ -265,7 +256,7 @@ TEST(BlockMemo, ConcurrentBuildsFromOneEncodingAgree) {
         const std::size_t i = (t + k) % 6;
         const Technology tech =
             i < 3 ? Technology::kTwoLevel : Technology::kMultiLevel;
-        built[t].push_back(kFigs[i % 3](enc, MinimizerKind::kAuto, tech, {}));
+        built[t].push_back(kFigs[i % 3](enc, tech, {}));
       }
     });
   }
@@ -273,9 +264,8 @@ TEST(BlockMemo, ConcurrentBuildsFromOneEncodingAgree) {
 
   std::vector<ControllerStructure> ref;
   for (std::size_t i = 0; i < 6; ++i)
-    ref.push_back(kFigs[i % 3](encode(m), MinimizerKind::kAuto,
-                               i < 3 ? Technology::kTwoLevel
-                                     : Technology::kMultiLevel, {}));
+    ref.push_back(kFigs[i % 3](
+        encode(m), i < 3 ? Technology::kTwoLevel : Technology::kMultiLevel, {}));
   for (std::size_t t = 0; t < kThreads; ++t)
     for (std::size_t k = 0; k < 6; ++k) {
       SCOPED_TRACE("thread " + std::to_string(t) + " build " + std::to_string(k));

@@ -65,6 +65,21 @@ int wait_exit_status(pid_t pid) {
   return status;
 }
 
+/// Poll the spool until the daemon `pid` has claimed a job (one is in
+/// running/), so a signal sent next lands mid-job however loaded the host
+/// is. After 10 s the daemon is killed and the test fails.
+void wait_for_claim(const std::string& spool, pid_t pid) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (JobQueue(spool).scan().running < 1) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ::kill(pid, SIGKILL);
+      wait_exit_status(pid);
+      FAIL() << "the daemon claimed no job within 10 s";
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+}
+
 std::vector<std::string> submit_jobs(const std::string& spool, int n) {
   JobQueue q(spool);
   std::vector<std::string> ids;
@@ -138,11 +153,11 @@ TEST(DaemonCrashTest, SigkillMidSweepRecoversEveryJobExactlyOnce) {
   TempSpool spool;
   const auto ids = submit_jobs(spool.path, 4);
 
-  // Slow every job start by 120 ms (non-cooperative sleep) so SIGKILL
-  // reliably lands while a job is claimed and running.
+  // Slow every job start by 120 ms (non-cooperative sleep) so SIGKILL,
+  // sent once a job is claimed, lands while it runs.
   const pid_t pid =
       spawn_serve(spool.path, "orchestrator.job.start@1x100~120");
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_NO_FATAL_FAILURE(wait_for_claim(spool.path, pid));
   ASSERT_EQ(::kill(pid, SIGKILL), 0);
   const int status = wait_exit_status(pid);
   ASSERT_TRUE(WIFSIGNALED(status));
@@ -174,10 +189,11 @@ TEST(DaemonCrashTest, SigtermDrainsGracefullyWithExitZero) {
   TempSpool spool;
   const auto ids = submit_jobs(spool.path, 3);
 
-  // 80 ms per job keeps the daemon alive long enough to signal it.
+  // 80 ms per job keeps the daemon alive long enough to signal it once a
+  // job is claimed.
   const pid_t pid =
       spawn_serve(spool.path, "orchestrator.job.start@1x100~80");
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  ASSERT_NO_FATAL_FAILURE(wait_for_claim(spool.path, pid));
   ASSERT_EQ(::kill(pid, SIGTERM), 0);
   const int status = wait_exit_status(pid);
   ASSERT_TRUE(WIFEXITED(status)) << "SIGTERM must drain, not kill";

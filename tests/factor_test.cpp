@@ -3,12 +3,16 @@
 // harness.
 //
 // The load-bearing property is that a multi_level netlist is simulation-
-// equivalent to its two_level twin: algebraic division is an identity on
-// cube sets, so the factored network computes the same boolean functions
-// and the 64-lane engines must produce word-for-word identical outputs
-// and next-state under any stimulus. The CorpusTechEquivalence suites
-// below pin that for every bundled KISS machine on the fig-1 and fig-4
-// architectures; CI refuses to pass when they are filtered out.
+// equivalent to its two_level twin. Algebraic division is an identity on
+// cube sets, so the factored network computes exactly its per-output
+// espresso covers; those and the two-level PLA implement the same
+// specification and may differ only on don't-cares: unused state codes,
+// which no run from reset reaches, and padding input patterns, which no
+// corpus machine has. The 64-lane engines must therefore produce
+// word-for-word identical outputs and next-state from reset under random
+// stimulus. The CorpusTechEquivalence
+// suites below pin that for every bundled KISS machine on the fig-1 and
+// fig-4 architectures; CI refuses to pass when they are filtered out.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +21,7 @@
 #include <set>
 
 #include "benchdata/iwls93.hpp"
+#include "bist/architectures.hpp"
 #include "bist/session.hpp"
 #include "logic/cost.hpp"
 #include "logic/espresso_lite.hpp"
@@ -468,8 +473,7 @@ TEST(CostTechnology, Over64OutputBlocksFallBackToTwoLevel) {
     t.set_on(static_cast<Minterm>(b % 4));
     tables.push_back(t);
   }
-  const MinimizedBlock mb = minimize_for(PlaSpec{}, tables, MinimizerKind::kEspresso,
-                                         Technology::kMultiLevel);
+  const MinimizedBlock mb = minimize_for(PlaSpec{}, tables, Technology::kMultiLevel);
   EXPECT_EQ(mb.covers.size(), 70u);
   EXPECT_FALSE(mb.factored.has_value());
   EXPECT_FALSE(mb.multilevel_cost().has_value());
@@ -489,8 +493,7 @@ TEST(CostTechnology, PartialFallbackIsVisibleInTheReport) {
 
 ControllerStructure fig1_for(const std::string& name, Technology tech) {
   const MealyMachine m = load_benchmark(name);
-  return build_fig1(encode_fsm(m, natural_encoding(m.num_states())),
-                    MinimizerKind::kAuto, tech);
+  return build_fig1(encode_fsm(m, natural_encoding(m.num_states())), tech);
 }
 
 ControllerStructure fig4_for(const std::string& name, Technology tech) {
@@ -499,7 +502,7 @@ ControllerStructure fig4_for(const std::string& name, Technology tech) {
   opts.max_nodes = 4000;  // budgeted: fig4 shape, not OSTR quality, matters
   const OstrResult res = solve_ostr(m, opts);
   const Realization real = build_realization(m, res.best.pi, res.best.tau);
-  return build_fig4(m, real, MinimizerKind::kAuto, tech);
+  return build_fig4(m, real, tech);
 }
 
 /// Drive both netlists with identical pseudo-random 64-lane stimulus from
@@ -562,6 +565,36 @@ TEST_P(CorpusTechEquivalence, Fig4MultiLevelMatchesTwoLevelWordForWord) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKissMachines, CorpusTechEquivalence,
+                         ::testing::ValuesIn(benchmark_names()),
+                         [](const auto& info) { return info.param; });
+
+// --- the factoring input: one espresso cover per output ------------------------
+
+/// Multi-level factoring starts from per_output_covers of each block. Every
+/// cover implements its table, and every cube is prime for its own output:
+/// no literal can be dropped without covering a minterm of that output's
+/// OFF set (checked against the explicit OFF set up to 8 variables).
+class FactoringInput : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FactoringInput, CoversImplementTheirTablesWithPerOutputPrimes) {
+  const MealyMachine m = load_benchmark(GetParam());
+  const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
+  std::vector<TruthTable> tables = enc.next_state;
+  tables.insert(tables.end(), enc.outputs.begin(), enc.outputs.end());
+  const std::vector<Cover> covers = per_output_covers(tables);
+  ASSERT_EQ(covers.size(), tables.size());
+  for (std::size_t b = 0; b < tables.size(); ++b) {
+    EXPECT_TRUE(covers[b].implements(tables[b])) << "output " << b;
+    if (enc.num_vars() > 8) continue;
+    const std::vector<Minterm> off = tables[b].off_minterms();
+    for (const Cube& c : covers[b].cubes()) {
+      EXPECT_TRUE(expand_against_off(c, off, enc.num_vars()) == c)
+          << "output " << b << ": a literal of a cube can be dropped";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKissMachines, FactoringInput,
                          ::testing::ValuesIn(benchmark_names()),
                          [](const auto& info) { return info.param; });
 

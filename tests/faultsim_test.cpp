@@ -20,10 +20,14 @@
 namespace stc {
 namespace {
 
-ControllerStructure fig1_for(const std::string& name,
-                             MinimizerKind mk = MinimizerKind::kAuto) {
+ControllerStructure fig1_for(const std::string& name) {
   const MealyMachine m = load_benchmark(name);
-  return build_fig1(encode_fsm(m, natural_encoding(m.num_states())), mk);
+  return build_fig1(encode_fsm(m, natural_encoding(m.num_states())));
+}
+
+ControllerStructure fig3_for(const std::string& name) {
+  const MealyMachine m = load_benchmark(name);
+  return build_fig3(encode_fsm(m, natural_encoding(m.num_states())));
 }
 
 ControllerStructure fig4_for(const std::string& name) {
@@ -330,7 +334,7 @@ TEST_P(CampaignEquivalence, BothLaneEnginesMatchSerialOracleAtAllThreadCounts) {
 
 TEST(Campaign, WideRunsMatchSerialOracle) {
   // Full fault lists whose class counts make the engine pick 256- and
-  // 512-lane runs at one and at four threads (dk16 fig1: 335 classes, 530
+  // 512-lane runs at one and at four threads (dk16 fig3: 459 classes, 494
   // faults; tbk fig1: 1624 classes, 2658 faults). session_runs pins the
   // width that ran; the detected sets must equal the serial oracle's.
   struct Case {
@@ -340,12 +344,12 @@ TEST(Campaign, WideRunsMatchSerialOracle) {
   };
   const SelfTestPlan plan = SelfTestPlan::two_session(16);
   for (const char* machine : {"dk16", "tbk"}) {
-    const ControllerStructure cs = fig1_for(machine);
+    const bool dk16 = std::string(machine) == "dk16";
+    const ControllerStructure cs = dk16 ? fig3_for(machine) : fig1_for(machine);
     const CoverageResult serial = measure_coverage(cs, plan);
     const auto serial_undet = fault_set(serial.undetected);
     const std::vector<Case> cases =
-        std::string(machine) == "dk16"
-            ? std::vector<Case>{{1, true, 4}, {1, false, 8}}
+        dk16 ? std::vector<Case>{{1, true, 4}, {1, false, 4}}
             : std::vector<Case>{
                   {1, true, 8}, {1, false, 8}, {4, true, 4}, {4, false, 8}};
     for (const Case& c : cases) {
@@ -369,7 +373,7 @@ TEST(Campaign, WideRunsMatchSerialOracle) {
 TEST(Campaign, WiderLanesTakeFewerSessionRuns) {
   // The width rule: W is the widest of 8, 4, 1 with one worker's share of
   // the classes >= 64·W - 1, and a campaign takes ceil(classes / (64·W -
-  // 1)) runs. Uncollapsed bbara fig1 has 304 faults.
+  // 1)) runs. Uncollapsed bbara fig3 has 352 faults.
   static_assert(fill_lane_words(254, faults_per_run) == 1);
   static_assert(fill_lane_words(255, faults_per_run) == 4);
   static_assert(fill_lane_words(510, faults_per_run) == 4);
@@ -377,10 +381,10 @@ TEST(Campaign, WiderLanesTakeFewerSessionRuns) {
   static_assert(fill_lane_words(127, fleet_instances_per_run) == 1);
   static_assert(fill_lane_words(128, fleet_instances_per_run) == 4);
   static_assert(fill_lane_words(256, fleet_instances_per_run) == 8);
-  const ControllerStructure cs = fig1_for("bbara");
+  const ControllerStructure cs = fig3_for("bbara");
   const SelfTestPlan plan = SelfTestPlan::two_session(48);
   const auto all = enumerate_stuck_faults(cs.nl);
-  ASSERT_EQ(all.size(), 304u);
+  ASSERT_EQ(all.size(), 352u);
   struct Case {
     std::size_t faults, threads, runs;
   };
@@ -497,7 +501,8 @@ TEST(Campaign, ExplicitFaultSubsetAndEmptyList) {
 //
 // Exact detected counts for two corpus machines. Everything in the stack is
 // deterministic, so these numbers must not drift; a change here means the
-// simulation semantics changed (update deliberately, with DESIGN.md).
+// simulation semantics or the synthesized netlists changed (update
+// deliberately, with DESIGN.md).
 
 TEST(CampaignGolden, Dk27Fig4TwoSession128) {
   const ControllerStructure cs = fig4_for("dk27");
@@ -505,10 +510,10 @@ TEST(CampaignGolden, Dk27Fig4TwoSession128) {
   const CoverageResult serial = measure_coverage(cs, SelfTestPlan::two_session(128));
   EXPECT_EQ(r.raw.total, serial.total);
   EXPECT_EQ(r.raw.detected, serial.detected);
-  // Golden values (recorded at PR 2): the pipeline structure is fully
-  // testable by the two-session plan.
-  EXPECT_EQ(r.raw.total, 56u);
-  EXPECT_EQ(r.raw.detected, 56u);
+  // Golden values (netlists of the espresso-only flow): the pipeline
+  // structure is fully testable by the two-session plan.
+  EXPECT_EQ(r.raw.total, 46u);
+  EXPECT_EQ(r.raw.detected, 46u);
 }
 
 TEST(CampaignGolden, BbaraFig1TwoSession48) {
@@ -517,10 +522,10 @@ TEST(CampaignGolden, BbaraFig1TwoSession48) {
   const CoverageResult serial = measure_coverage(cs, SelfTestPlan::two_session(48));
   EXPECT_EQ(r.raw.total, serial.total);
   EXPECT_EQ(r.raw.detected, serial.detected);
-  // Golden values (recorded at PR 2): a short plan on the conventional
-  // structure leaves a nonempty undetected set.
-  EXPECT_EQ(r.raw.total, 304u);
-  EXPECT_EQ(r.raw.detected, 257u);
+  // Golden values (netlists of the espresso-only flow): a short plan on the
+  // conventional structure leaves a nonempty undetected set.
+  EXPECT_EQ(r.raw.total, 234u);
+  EXPECT_EQ(r.raw.detected, 193u);
 }
 
 // --- wide-output signature regression ----------------------------------------

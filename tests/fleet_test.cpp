@@ -231,8 +231,7 @@ FleetOptions small_fleet() {
 ControllerStructure fleet_structure() {
   JobCache cache;
   auto s = cache.structure(cache.machine("dk27"), ArchKind::kFig4,
-                           Technology::kTwoLevel, MinimizerKind::kAuto,
-                           OstrOptions{}, Budget{});
+                           Technology::kTwoLevel, OstrOptions{}, Budget{});
   return s->cs;  // copy: the cache dies with this scope
 }
 

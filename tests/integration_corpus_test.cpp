@@ -164,9 +164,9 @@ TEST_P(CorpusMachine, MultiLevelFig2AndFig3StillImplementTheMachine) {
   const MealyMachine m = load_benchmark(GetParam());
   const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
   expect_structure_matches_fsm(
-      build_fig2(enc, MinimizerKind::kAuto, Technology::kMultiLevel), m, 23, 150);
+      build_fig2(enc, Technology::kMultiLevel), m, 23, 150);
   expect_structure_matches_fsm(
-      build_fig3(enc, MinimizerKind::kAuto, Technology::kMultiLevel), m, 33, 150);
+      build_fig3(enc, Technology::kMultiLevel), m, 33, 150);
 }
 
 /// The multi-level flow runs end to end: realization still verifies, every

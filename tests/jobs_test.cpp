@@ -222,10 +222,10 @@ TEST(JobCache, StructureKeyIsContentNotName) {
   EXPECT_EQ(a->fingerprint, b->fingerprint);
   OstrOptions oopt;
   bool hit_a = true, hit_b = false;
-  cache.structure(a, ArchKind::kFig2, Technology::kTwoLevel,
-                  MinimizerKind::kAuto, oopt, Budget(), &hit_a);
-  cache.structure(b, ArchKind::kFig2, Technology::kTwoLevel,
-                  MinimizerKind::kAuto, oopt, Budget(), &hit_b);
+  cache.structure(a, ArchKind::kFig2, Technology::kTwoLevel, oopt, Budget(),
+                  &hit_a);
+  cache.structure(b, ArchKind::kFig2, Technology::kTwoLevel, oopt, Budget(),
+                  &hit_b);
   EXPECT_FALSE(hit_a);
   EXPECT_TRUE(hit_b);  // same fingerprint -> same entry, no rebuild
 }
@@ -236,7 +236,6 @@ TEST(JobCache, DegradedStructureIsNotServedToLaterJobs) {
   spec.machine = "dk16";
   spec.arch = ArchKind::kFig2;
   spec.tech = Technology::kMultiLevel;
-  spec.minimizer = MinimizerKind::kEspresso;  // budget-governed minimizer
   spec.bist_cycles = 64;
 
   // A job starved by its deadline builds a truncated structure...
@@ -326,8 +325,7 @@ TEST(JobCache, UnpublishedStructureGetsPrivateWarmStates) {
   auto m = cache.machine("dk16");
   bool hit = true;
   const auto s = cache.structure(m, ArchKind::kFig3, Technology::kTwoLevel,
-                                 MinimizerKind::kEspresso, OstrOptions{},
-                                 Budget::deadline_ms(0), &hit);
+                                 OstrOptions{}, Budget::deadline_ms(0), &hit);
   EXPECT_FALSE(hit);
   ASSERT_FALSE(s->cs.degradations.empty());
   EXPECT_FALSE(s->published);
@@ -348,10 +346,10 @@ TEST(JobCache, IdleUnbuiltSlotsAreEvictable) {
   // cache must be able to drop it like any unpinned entry.
   JobCache cache(1);
   auto m = cache.machine("dk16");
-  cache.structure(m, ArchKind::kFig2, Technology::kTwoLevel,
-                  MinimizerKind::kEspresso, OstrOptions{}, Budget::deadline_ms(0));
-  cache.structure(m, ArchKind::kFig3, Technology::kTwoLevel,
-                  MinimizerKind::kEspresso, OstrOptions{}, Budget::deadline_ms(0));
+  cache.structure(m, ArchKind::kFig2, Technology::kTwoLevel, OstrOptions{},
+                  Budget::deadline_ms(0));
+  cache.structure(m, ArchKind::kFig3, Technology::kTwoLevel, OstrOptions{},
+                  Budget::deadline_ms(0));
   EXPECT_GE(cache.stats().structure_evictions, 1u);
 }
 

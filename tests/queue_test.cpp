@@ -43,7 +43,6 @@ SpoolJob sample_job() {
   job.spec.tech = Technology::kMultiLevel;
   job.spec.bist_cycles = 128;
   job.spec.functional_cycles = 300;
-  job.spec.minimizer = MinimizerKind::kEspresso;
   job.spec.with_fault_sim = false;
   job.budget_ms = 1234.5;
   job.attempts = 2;
@@ -71,7 +70,6 @@ TEST_F(QueueTest, JobRoundTripPreservesEveryField) {
   EXPECT_EQ(back.spec.tech, Technology::kMultiLevel);
   EXPECT_EQ(back.spec.bist_cycles, 128u);
   EXPECT_EQ(back.spec.functional_cycles, 300u);
-  EXPECT_EQ(back.spec.minimizer, MinimizerKind::kEspresso);
   EXPECT_FALSE(back.spec.with_fault_sim);
   EXPECT_DOUBLE_EQ(back.budget_ms, 1234.5);
   EXPECT_EQ(back.attempts, 2u);
@@ -204,6 +202,52 @@ TEST_F(QueueTest, UnsupportedLaneValuesAreTypedErrors) {
   EXPECT_FALSE(q.claim().has_value());
   EXPECT_EQ(q.scan().failed, 1u);
   const auto r = q.result("00000000-cccc-0000");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, "failed");
+  EXPECT_EQ(r->error_code, "invalid_input");
+}
+
+TEST_F(QueueTest, LegacyMinimizerLineIsIgnored) {
+  // Specs written while the minimizer was a job field carry a
+  // "minimizer = auto|qm|espresso" line. auto and espresso both ran
+  // espresso on the blocks the flow builds now; they parse to the same job.
+  const std::string rendered = render_spool_job(sample_job());
+  EXPECT_EQ(rendered.find("minimizer"), std::string::npos) << rendered;
+  for (const char* value : {"auto", "espresso"}) {
+    const SpoolJob legacy = parse_spool_job(
+        rendered + "minimizer = " + value + "\n", "legacy.job");
+    EXPECT_EQ(render_spool_job(legacy), rendered) << "minimizer = " << value;
+  }
+}
+
+TEST_F(QueueTest, RetiredMinimizerValuesAreTypedErrors) {
+  // A queued exact-QM job fails visibly instead of silently running on
+  // espresso; so does a value no version accepted.
+  for (const char* value : {"qm", "foo"}) {
+    try {
+      parse_spool_job(std::string("machine = dk27\nminimizer = ") + value + "\n",
+                      "old.job");
+      FAIL() << "minimizer = " << value << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+      EXPECT_NE(e.context().find("key=minimizer"), std::string::npos)
+          << e.context();
+      EXPECT_NE(e.context().find(std::string("value=") + value),
+                std::string::npos)
+          << e.context();
+      EXPECT_NE(e.context().find("file=old.job"), std::string::npos)
+          << e.context();
+      EXPECT_NE(e.context().find("line=2"), std::string::npos) << e.context();
+    }
+  }
+  // Claiming retires such a spec to failed/ with the typed error code.
+  TempSpool spool;
+  JobQueue q(spool.path);
+  write_raw(spool.path + "/pending/00000000-dddd-0000.job",
+            "machine = dk27\narch = fig1\nminimizer = qm\n");
+  EXPECT_FALSE(q.claim().has_value());
+  EXPECT_EQ(q.scan().failed, 1u);
+  const auto r = q.result("00000000-dddd-0000");
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->status, "failed");
   EXPECT_EQ(r->error_code, "invalid_input");

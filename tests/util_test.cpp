@@ -269,6 +269,39 @@ TEST(Cli, NonIntegerValueIsATypedError) {
   EXPECT_EQ(Cli(3, const_cast<char**>(ok), {}, {"jobs"}).get_int("jobs", 0), -3);
 }
 
+TEST(Cli, MalformedDoubleIsATypedError) {
+  // Bare strtod would run "--defect-rate abc" at rate 0 and
+  // "--instances 1e2x" at 100 instances.
+  for (const char* bad : {"abc", "1e2x", "", "nan", "inf", "-inf", "1e999"}) {
+    const std::string arg = std::string("--rate=") + bad;
+    const char* argv[] = {"prog", arg.c_str()};
+    try {
+      Cli cli(2, const_cast<char**>(argv), {}, {}, {"rate"});
+      FAIL() << "--rate " << bad << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
+      EXPECT_NE(e.context().find("flag=--rate"), std::string::npos)
+          << e.context();
+      EXPECT_NE(e.context().find(std::string("value=") + bad),
+                std::string::npos)
+          << e.context();
+    }
+    EXPECT_FALSE(parse_cli(2, const_cast<char**>(argv), "usage: prog\n", {}, {},
+                           {"rate"})
+                     .has_value())
+        << bad;
+  }
+  const char* ok[] = {"prog", "--rate", "1.5", "--instances=1e6"};
+  const Cli cli(4, const_cast<char**>(ok), {}, {}, {"rate", "instances", "absent"});
+  EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), 1.5);
+  EXPECT_DOUBLE_EQ(cli.get_double("instances", 0.0), 1e6);
+  EXPECT_DOUBLE_EQ(cli.get_double("absent", 2.5), 2.5);
+  // A text flag read as a number is checked where it is read.
+  const char* text[] = {"prog", "--grace", "x"};
+  EXPECT_THROW(Cli(3, const_cast<char**>(text), {"grace"}).get_double("grace", 0.0),
+               Error);
+}
+
 TEST(Cli, ParseCliReturnsNothingOnAnUnknownFlag) {
   const char* argv[] = {"prog", "--bogus"};
   EXPECT_FALSE(parse_cli(2, const_cast<char**>(argv), "usage: prog\n", {"a"})
