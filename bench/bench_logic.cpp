@@ -8,14 +8,15 @@
 //     and output bits minimized together over the shared input space), with
 //     cube / literal counters. This is the per-machine minimization-
 //     throughput series archived by CI as BENCH_logic.json.
-//   * BM_Factor_<machine> -- greedy kernel/cube extraction on each
-//     machine's minimized PLA: extraction throughput plus the two
-//     technology cost points (two-level vs factored literals, nodes) the
-//     area tables and scripts/bench_diff.py track across PRs.
-//   * BM_FactorTruncated_s1 -- s1's merged ON cover (espresso stopped at
-//     zero rounds) factored under a 255-step work allowance: the shape of
-//     every s1 multi-level job of a 200 ms sweep, whose deadline is first
-//     checked at step 256, but deterministic.
+//   * BM_Factor_<machine> -- greedy kernel/cube extraction on the
+//     per-output espresso covers of each machine's combined block (the
+//     input every multi-level build factors): extraction throughput plus
+//     the two technology cost points (two-level PLA vs factored literals,
+//     nodes) the area tables and scripts/bench_diff.py track across PRs.
+//   * BM_FactorTruncated_s1 -- s1's per-output ON covers (espresso stopped
+//     at zero rounds) factored under a 255-step work allowance: the shape
+//     of every s1 multi-level job of a 200 ms sweep, whose deadline is
+//     first checked at step 256, but deterministic.
 //   * BM_BuildAllFigs/<machine> -- figs. 1-4 in both technologies from one
 //     EncodedFsm, as the synthesis flow builds them: figs. 1-3 share the
 //     combined block through the encoding's memo, so the counters show one
@@ -83,17 +84,25 @@ void run_mv(benchmark::State& state, const std::string& machine) {
   state.counters["gate_equivalents"] = cost.gate_equivalents;
 }
 
-/// Greedy multi-level extraction on one machine's minimized PLA: the
+/// Next-state and output tables of the combined block, in the order of
+/// EncodedFsm::spec.
+std::vector<TruthTable> combined_tables(const EncodedFsm& enc) {
+  std::vector<TruthTable> tables = enc.next_state;
+  tables.insert(tables.end(), enc.outputs.begin(), enc.outputs.end());
+  return tables;
+}
+
+/// Greedy multi-level extraction on one machine's per-output covers: the
 /// timed region is the extraction alone (the espresso input is hoisted),
 /// and the counters carry both technology cost points.
 void run_factor(benchmark::State& state, const std::string& machine) {
   const EncodedFsm enc = encoded(machine);
-  const CubeList pla = minimize_espresso_mv(enc.spec);
-  const LogicCost two = pla_cost(pla);
+  const std::vector<Cover> covers = per_output_covers(combined_tables(enc));
+  const LogicCost two = pla_cost(minimize_espresso_mv(enc.spec));
   LogicCost ml;
   std::size_t nodes = 0;
   for (auto _ : state) {
-    const FactoredNetwork fn = extract_factored(pla);
+    const FactoredNetwork fn = extract_factored(covers);
     ml = factored_cost(fn);
     nodes = fn.num_nodes();
     benchmark::DoNotOptimize(fn.num_literals());
@@ -105,20 +114,18 @@ void run_factor(benchmark::State& state, const std::string& machine) {
   state.counters["nodes"] = static_cast<double>(nodes);
 }
 
-/// The factoring of an s1 multi-level sweep job without its clock: the
-/// minimizer stops before its first round (the ON cover with identical
-/// input parts merged) and the extraction after 255 steps.
+/// The factoring of an s1 multi-level sweep job without its clock: each
+/// output's minimizer stops before its first round (its ON cover) and the
+/// extraction after 255 steps.
 void BM_FactorTruncated_s1(benchmark::State& state) {
   const EncodedFsm enc = encoded("s1");
-  EspressoOptions eopt;
-  eopt.budget = Budget::work_limit(0);
-  const CubeList pla = minimize_espresso_mv(enc.spec, eopt);
-  FactorOptions fopt;
-  fopt.budget = Budget::work_limit(255);
+  const std::vector<Cover> covers =
+      per_output_covers(combined_tables(enc), Budget::work_limit(0));
+  const Budget budget = Budget::work_limit(255);
   LogicCost ml;
   std::size_t nodes = 0;
   for (auto _ : state) {
-    const FactoredNetwork fn = extract_factored(pla, fopt);
+    const FactoredNetwork fn = extract_factored(covers, budget);
     ml = factored_cost(fn);
     nodes = fn.num_nodes();
     benchmark::DoNotOptimize(fn.num_literals());

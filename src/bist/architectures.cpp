@@ -1,7 +1,5 @@
 #include "bist/architectures.hpp"
 
-#include <iterator>
-
 #include "logic/espresso_lite.hpp"
 
 namespace stc {
@@ -36,35 +34,24 @@ std::vector<NetId> build_minimized(Netlist& nl, const MinimizedBlock& mb,
 }
 
 /// The one multi-level routing policy (shared by minimize_for, the
-/// combined-block memo and fig3's restricted copy): factor per-output
-/// espresso covers of the block's tables. A block of more than 64 outputs
-/// exceeds the CubeList bound and stays two-level rather than failing
-/// (nullopt).
-std::optional<FactoredNetwork> factor_block(const std::vector<TruthTable>& tables,
-                                            const Budget& budget,
-                                            std::vector<Degradation>* degradations) {
-  if (tables.size() > 64) return std::nullopt;
-  FactorOptions fopt;
-  fopt.budget = budget;
+/// combined-block memo and fig3's restricted copy): factor a block's
+/// per-output espresso covers.
+FactoredNetwork factor_block(const std::vector<Cover>& covers, const Budget& budget,
+                             std::vector<Degradation>* degradations) {
   Degradation deg;
-  FactoredNetwork fn =
-      extract_factored(per_output_covers(tables, budget, degradations), fopt, &deg);
+  FactoredNetwork fn = extract_factored(covers, budget, &deg);
   if (degradations && deg.degraded) degradations->push_back(std::move(deg));
   return fn;
 }
 
 /// Accumulate one block into the structure: the two-level cost point
-/// always, the factored cost point when extraction ran. A multi-level
-/// build whose block could not be factored (the >64-output fallback) is
-/// recorded rather than silently reported as fully factored.
+/// always, the factored cost point when extraction ran.
 void add_block_cost(ControllerStructure& cs, const MinimizedBlock& mb) {
   cs.logic += mb.cost();
   if (const auto ml = mb.multilevel_cost()) {
     if (!cs.logic_ml) cs.logic_ml = LogicCost{};
     *cs.logic_ml += *ml;
     cs.factored_nodes += mb.factored->num_nodes();
-  } else if (cs.tech == Technology::kMultiLevel) {
-    ++cs.ml_fallback_blocks;
   }
 }
 
@@ -91,35 +78,35 @@ std::vector<TruthTable> combined_tables(const EncodedFsm& enc) {
 /// C of figs 1-3: the combined block of `enc`, minimized (and on the
 /// multi-level path factored) through the encoded machine's memo, so the
 /// figures share one complete result per work allowance instead of each
-/// recomputing it. A degraded two-level block is never stored, and neither
-/// is a factoring of one.
+/// recomputing it. A degraded result is never stored. On the multi-level
+/// path `factoring`, when given, receives the memo entry the network came
+/// from.
 MinimizedBlock combined_block(const EncodedFsm& enc, Technology tech,
                               const Budget& budget,
-                              std::vector<Degradation>* degradations) {
+                              std::vector<Degradation>* degradations,
+                              std::shared_ptr<const FactoredBlock>* factoring = nullptr) {
   BlockMemo& memo = *enc.block_memo;
   const BlockMemo::Key key = budget.work_allowance();
-  std::vector<Degradation> degs;
   MinimizedBlock mb = *memo.two_level(
       key,
       [&](std::vector<Degradation>* d) {
         return minimize_for(enc.spec, combined_tables(enc), Technology::kTwoLevel,
                             budget, d);
       },
-      &degs);
+      degradations);
   if (tech == Technology::kMultiLevel) {
-    const auto factor = [&](std::vector<Degradation>* d) {
-      return factor_block(combined_tables(enc), budget, d);
-    };
-    if (degs.empty()) {
-      const auto fn = memo.factored(key, factor, &degs);
-      if (fn) mb.factored = *fn;
-    } else {
-      mb.factored = factor(&degs);
-    }
+    const auto fb = memo.factored(
+        key,
+        [&](std::vector<Degradation>* d) {
+          FactoredBlock out;
+          out.covers = per_output_covers(combined_tables(enc), budget, d);
+          out.network = factor_block(out.covers, budget, d);
+          return out;
+        },
+        degradations);
+    mb.factored = fb->network;
+    if (factoring) *factoring = fb;
   }
-  if (degradations)
-    degradations->insert(degradations->end(), std::make_move_iterator(degs.begin()),
-                         std::make_move_iterator(degs.end()));
   return mb;
 }
 
@@ -128,13 +115,11 @@ MinimizedBlock combined_block(const EncodedFsm& enc, Technology tech,
 std::vector<Cover> per_output_covers(const std::vector<TruthTable>& tables,
                                      const Budget& budget,
                                      std::vector<Degradation>* degradations) {
-  EspressoOptions eopt;
-  eopt.budget = budget;
   std::vector<Cover> covers;
   covers.reserve(tables.size());
   for (const auto& tt : tables) {
     Degradation deg;
-    covers.push_back(minimize_espresso(tt, eopt, &deg));
+    covers.push_back(minimize_espresso(tt, budget, &deg));
     if (degradations && deg.degraded) degradations->push_back(std::move(deg));
   }
   return covers;
@@ -145,10 +130,8 @@ MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& 
                             std::vector<Degradation>* degradations) {
   MinimizedBlock mb;
   if (!tables.empty() && spec.num_outputs == tables.size()) {
-    EspressoOptions eopt;
-    eopt.budget = budget;
     Degradation deg;
-    mb.pla = minimize_espresso_mv(spec, eopt, &deg);
+    mb.pla = minimize_espresso_mv(spec, budget, &deg);
     if (degradations && deg.degraded) degradations->push_back(std::move(deg));
   } else {
     // No usable spec for this block (e.g. more outputs than the 64-bit
@@ -156,7 +139,9 @@ MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& 
     mb.covers = per_output_covers(tables, budget, degradations);
   }
   if (tech == Technology::kMultiLevel)
-    mb.factored = factor_block(tables, budget, degradations);
+    mb.factored = factor_block(
+        mb.pla ? per_output_covers(tables, budget, degradations) : mb.covers, budget,
+        degradations);
   return mb;
 }
 
@@ -244,7 +229,9 @@ ControllerStructure build_fig3(const EncodedFsm& enc, Technology tech,
   cs.reg_a = dff_indices(nl, r1);
   cs.reg_b = dff_indices(nl, r2);
 
-  const MinimizedBlock mb = combined_block(enc, tech, budget, &cs.degradations);
+  std::shared_ptr<const FactoredBlock> factoring;
+  const MinimizedBlock mb =
+      combined_block(enc, tech, budget, &cs.degradations, &factoring);
 
   // Copy C: reads R, feeds R' (and drives the primary outputs). Copy C':
   // reads R', feeds R -- only the next-state part is duplicated, with the
@@ -259,7 +246,7 @@ ControllerStructure build_fig3(const EncodedFsm& enc, Technology tech,
 
   // The duplicated copy is its own (restricted) block, so on the
   // multi-level path it gets its own extraction over just the next-state
-  // part rather than inheriting dead output cones.
+  // covers of C rather than inheriting dead output cones.
   std::vector<NetId> vars2 = cs.pi;
   vars2.insert(vars2.end(), r2.q.begin(), r2.q.end());
   MinimizedBlock next_mb;
@@ -268,8 +255,11 @@ ControllerStructure build_fig3(const EncodedFsm& enc, Technology tech,
   } else {
     next_mb.covers.assign(mb.covers.begin(), mb.covers.begin() + enc.state_bits);
   }
-  if (tech == Technology::kMultiLevel)
-    next_mb.factored = factor_block(enc.next_state, budget, &cs.degradations);
+  if (factoring) {
+    const std::vector<Cover> next_covers(factoring->covers.begin(),
+                                         factoring->covers.begin() + enc.state_bits);
+    next_mb.factored = factor_block(next_covers, budget, &cs.degradations);
+  }
   add_block_cost(cs, next_mb);
   const auto nets2 = build_minimized(nl, next_mb, vars2);
   for (std::size_t b = 0; b < enc.state_bits; ++b) nl.connect_dff(r1.q[b], nets2[b]);

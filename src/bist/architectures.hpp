@@ -48,16 +48,11 @@ struct ControllerStructure {
   std::vector<NetId> feedback_nets; // the R -> C feedback lines (fault target set)
   LogicCost logic;                  // two-level cost of the combinational blocks
                                     // (shared-product PLA cost)
-  /// Factored cost point of the *factored* blocks (set on multi-level
-  /// builds, so one build reports both technology columns of the area
-  /// tables). Blocks that fell back to two-level (see ml_fallback_blocks)
-  /// appear only in `logic`.
+  /// Factored cost point of the same blocks (set on multi-level builds,
+  /// where every block is factored, so one build reports both technology
+  /// columns of the area tables).
   std::optional<LogicCost> logic_ml;
   std::size_t factored_nodes = 0;   // intermediate nodes across all blocks
-  /// Blocks a multi-level build could not factor (the >64-output
-  /// per-output-heuristic fallback): these were built two-level, and the
-  /// report renders the technology as "multi_level(partial)".
-  std::size_t ml_fallback_blocks = 0;
   /// Anytime labels of every minimization/factoring stage the build
   /// truncated under its budget (empty = nothing degraded; the job cache
   /// adds the label of a truncated OSTR search to a fig4 build). The netlist
@@ -79,12 +74,12 @@ std::vector<Cover> per_output_covers(const std::vector<TruthTable>& tables,
 /// two-level form; otherwise (an empty spec, or a block of more than 64
 /// outputs) each table is minimized on its own. With
 /// Technology::kMultiLevel the block is additionally run through greedy
-/// kernel/cube extraction over per-output espresso covers of `tables`:
-/// a product prime for its own output factors into fewer literals than
-/// the PLA's multi-output primes. Blocks of more than 64 outputs stay
-/// two-level. The budget governs espresso and the extraction;
-/// truncations are appended to `degradations` when given. The block
-/// implements the tables at any budget.
+/// kernel/cube extraction over per-output espresso covers of `tables`,
+/// whatever its number of outputs: a product prime for its own output
+/// factors into fewer literals than the PLA's multi-output primes. The
+/// budget governs espresso and the extraction; truncations are appended
+/// to `degradations` when given. The block implements the tables at any
+/// budget.
 MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& tables,
                             Technology tech = Technology::kTwoLevel,
                             const Budget& budget = {},
@@ -99,7 +94,8 @@ MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& 
 // Figs. 1-3 take C from the EncodedFsm's block memo (logic/block.hpp):
 // the first build for a work allowance minimizes -- and on the
 // multi-level path factors -- C, the later ones reuse the complete result.
-// A build served from the memo reports no degradation for C.
+// A build served from the memo reports no degradation for C. Fig. 3's
+// second copy factors the next-state prefix of C's per-output covers.
 
 /// Fig. 1: conventional structure.
 ControllerStructure build_fig1(const EncodedFsm& enc,

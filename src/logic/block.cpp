@@ -24,7 +24,7 @@ std::shared_ptr<const T> get_or_compute(
   }
   std::vector<Degradation> degs;
   std::shared_ptr<const T> value = compute(&degs);
-  if (degs.empty() && value) {
+  if (degs.empty()) {
     std::lock_guard<std::mutex> lock(mu);
     table.emplace(key, value);  // a racing complete result is identical
   }
@@ -47,15 +47,13 @@ std::shared_ptr<const MinimizedBlock> BlockMemo::two_level(
       degradations);
 }
 
-std::shared_ptr<const FactoredNetwork> BlockMemo::factored(
-    const Key& key, const Compute<std::optional<FactoredNetwork>>& factor,
+std::shared_ptr<const FactoredBlock> BlockMemo::factored(
+    const Key& key, const Compute<FactoredBlock>& factor,
     std::vector<Degradation>* degradations) {
-  return get_or_compute<FactoredNetwork>(
+  return get_or_compute<FactoredBlock>(
       mu_, factored_, stats_.factorings, stats_.hits, key,
-      [&factor](std::vector<Degradation>* degs) -> std::shared_ptr<const FactoredNetwork> {
-        std::optional<FactoredNetwork> fn = factor(degs);
-        if (!fn) return nullptr;
-        return std::make_shared<const FactoredNetwork>(std::move(*fn));
+      [&factor](std::vector<Degradation>* degs) {
+        return std::make_shared<const FactoredBlock>(factor(degs));
       },
       degradations);
 }

@@ -5,10 +5,11 @@
 // Figs. 1-3 all instantiate the same block C (next state plus outputs of
 // the encoded machine): Fig. 2 wraps it in a test register and a mux,
 // Fig. 3 duplicates it. A BlockMemo, owned by the EncodedFsm through a
-// shared_ptr, keeps C's two-level form and its factored network, so the
-// six fig1-3 builds of a machine minimize and factor C once. Its lifetime
-// is the encoded machine's: there is no process-wide cache, and a fresh
-// encode_fsm minimizes again. See DESIGN.md "Block sharing across
+// shared_ptr, keeps C's two-level form and its factoring (the per-output
+// covers and the network extracted from them), so the six fig1-3 builds
+// of a machine minimize and factor C once. Its lifetime is the encoded
+// machine's: there is no process-wide cache, and a fresh encode_fsm
+// minimizes again. See DESIGN.md "Block sharing across
 // structures".
 
 #include <cstdint>
@@ -47,12 +48,20 @@ struct MinimizedBlock {
   }
 };
 
+/// The multi-level form of one block: the per-output espresso covers
+/// extraction started from, and the network it extracted. Fig. 3's
+/// second copy factors a prefix of `covers` (its next-state outputs).
+struct FactoredBlock {
+  std::vector<Cover> covers;
+  FactoredNetwork network;
+};
+
 /// Thread-safe memo of one block's complete results: the two-level form
-/// and the factored network of that block, each keyed by the work
-/// allowance. The allowance is in the key because a work-limited stage
-/// is deterministic in it; a deadline or cancel token is not, but a result
-/// that finished is what any deadline would have produced, so it is
-/// served to every budget. Only complete results are stored: a stage that
+/// and the factoring of that block, each keyed by the work allowance. The
+/// allowance is in the key because a work-limited stage is deterministic
+/// in it; a deadline or cancel token is not, but a result that finished
+/// is what any deadline would have produced, so it is served to every
+/// budget. Only complete results are stored: a stage that
 /// reports a Degradation leaves the memo unchanged, so a later caller with
 /// a larger budget computes the full-quality result instead of inheriting
 /// the truncated one. Concurrent callers that miss the same key both
@@ -82,11 +91,9 @@ class BlockMemo {
       const Key& key, const Compute<MinimizedBlock>& minimize,
       std::vector<Degradation>* degradations);
 
-  /// The factored network of the complete two-level block for `key`, as
-  /// two_level(). `factor` returns nullopt when the block cannot be
-  /// factored; nothing is stored then and nullptr is returned.
-  std::shared_ptr<const FactoredNetwork> factored(
-      const Key& key, const Compute<std::optional<FactoredNetwork>>& factor,
+  /// The factoring of the block for `key`, as two_level().
+  std::shared_ptr<const FactoredBlock> factored(
+      const Key& key, const Compute<FactoredBlock>& factor,
       std::vector<Degradation>* degradations);
 
   Stats stats() const;
@@ -94,7 +101,7 @@ class BlockMemo {
  private:
   mutable std::mutex mu_;
   std::map<Key, std::shared_ptr<const MinimizedBlock>> two_level_;
-  std::map<Key, std::shared_ptr<const FactoredNetwork>> factored_;
+  std::map<Key, std::shared_ptr<const FactoredBlock>> factored_;
   Stats stats_;
 };
 

@@ -27,6 +27,10 @@ Cube expand_against_off(const Cube& cube, const std::vector<Minterm>& off_minter
 
 namespace {
 
+/// EXPAND/IRREDUNDANT/REDUCE rounds at most; the cost fixpoint usually
+/// stops the loop well before.
+constexpr std::size_t kMaxIterations = 8;
+
 /// Per-output OFF covers: complement of ON_b u DC_b via unate recursion.
 /// This is the only place the OFF set is ever computed, and it is a cover,
 /// never a minterm list. The budget is polled between outputs (the unate
@@ -202,9 +206,9 @@ void reduce(CubeList& f, const PlaSpec& spec) {
 
 }  // namespace
 
-CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& options,
+CubeList minimize_espresso_mv(const PlaSpec& spec, const Budget& stage_budget,
                               Degradation* degradation) {
-  Budget budget = options.budget;
+  Budget budget = stage_budget;  // spend() counts on the copy
   std::size_t rounds_done = 0;
   bool truncated = false;
   const auto label = [&](const char* what) {
@@ -212,7 +216,7 @@ CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& option
     degradation->stage = "espresso";
     degradation->degraded = truncated;
     degradation->work_done = rounds_done;
-    degradation->work_total = options.max_iterations;
+    degradation->work_total = kMaxIterations;
     if (truncated) {
       degradation->reason =
           *budget.reason() ? budget.reason() : "work-allowance";
@@ -244,7 +248,7 @@ CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& option
 
   CubeList best = f;
   std::size_t best_cost = SIZE_MAX, last_cost = SIZE_MAX;
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     // One round = one work unit, charged before the round runs.
     if (budget.spend(1)) {
       truncated = true;
@@ -282,20 +286,20 @@ CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& option
       break;
     last_cost = cost;
     // REDUCE (perturb for the next round).
-    if (iter + 1 < options.max_iterations) reduce(f, spec);
+    if (iter + 1 < kMaxIterations) reduce(f, spec);
   }
   label("returned the best valid cover reached before the budget expired");
   return best;
 }
 
-Cover minimize_espresso(const TruthTable& tt, const EspressoOptions& options,
+Cover minimize_espresso(const TruthTable& tt, const Budget& budget,
                         Degradation* degradation) {
   if (tt.on_count() == 0) {
     if (degradation) *degradation = Degradation{};
     return Cover(tt.num_vars());
   }
   const PlaSpec spec = PlaSpec::from_tables({tt});
-  return minimize_espresso_mv(spec, options, degradation).output_cover(0);
+  return minimize_espresso_mv(spec, budget, degradation).output_cover(0);
 }
 
 }  // namespace stc

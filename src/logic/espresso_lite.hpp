@@ -23,32 +23,27 @@
 
 namespace stc {
 
-struct EspressoOptions {
-  std::size_t max_iterations = 8;
-  /// Anytime governance. One work unit = one EXPAND/IRREDUNDANT/REDUCE
-  /// round; the deadline and the cancel token are additionally polled with
-  /// a strided check per cube inside EXPAND and between OFF-cover
-  /// complements. The valid-partial-result invariant: the cover is a
-  /// correct implementation of the spec at EVERY stopping point (the
-  /// initial merged ON cover is valid, each individual cube expansion
-  /// preserves validity, and IRREDUNDANT/REDUCE run only at round
-  /// boundaries), so any budget -- including zero -- yields a cover that
-  /// implements the spec, labeled via the Degradation out-param.
-  Budget budget;
-};
-
 /// Multi-output minimization of `spec`. The initial cover is the ON cube
 /// list with identical input parts merged; the result implements every
-/// output (ON covered, OFF avoided) by construction -- including under an
-/// exhausted budget (see EspressoOptions::budget). When `degradation` is
-/// non-null it is filled with what, if anything, was truncated.
-CubeList minimize_espresso_mv(const PlaSpec& spec, const EspressoOptions& options = {},
+/// output (ON covered, OFF avoided) by construction.
+///
+/// Anytime governance: one work unit of `budget` is one
+/// EXPAND/IRREDUNDANT/REDUCE round; the deadline and the cancel token are
+/// additionally polled with a strided check per cube inside EXPAND and
+/// between OFF-cover complements. The valid-partial-result invariant: the
+/// cover is a correct implementation of the spec at EVERY stopping point
+/// (the initial merged ON cover is valid, each individual cube expansion
+/// preserves validity, and IRREDUNDANT/REDUCE run only at round
+/// boundaries), so any budget -- including zero -- yields a cover that
+/// implements the spec. When `degradation` is non-null it is filled with
+/// what, if anything, was truncated.
+CubeList minimize_espresso_mv(const PlaSpec& spec, const Budget& budget = {},
                               Degradation* degradation = nullptr);
 
-/// Single-output wrapper over the multi-output engine: the per-output
-/// covers that multi-level factoring starts from, and the two-level form
-/// of blocks too wide for one PLA.
-Cover minimize_espresso(const TruthTable& tt, const EspressoOptions& options = {},
+/// Single-output wrapper over the multi-output engine, with the same
+/// budget semantics: the per-output covers that multi-level factoring
+/// starts from, and the two-level form of blocks too wide for one PLA.
+Cover minimize_espresso(const TruthTable& tt, const Budget& budget = {},
                         Degradation* degradation = nullptr);
 
 /// Legacy helper kept for differential tests: greedily expand `cube`

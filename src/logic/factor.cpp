@@ -90,19 +90,6 @@ std::vector<SopExpr> sops_from_cubelist(const CubeList& pla) {
   return out;
 }
 
-CubeList cubelist_from_covers(const std::vector<Cover>& covers) {
-  if (covers.empty()) return CubeList();
-  const std::size_t num_vars = covers[0].num_vars();
-  for (const Cover& c : covers)
-    if (c.num_vars() != num_vars)
-      throw std::invalid_argument("cubelist_from_covers: mixed cover arities");
-  CubeList pla(num_vars, covers.size());
-  for (std::size_t b = 0; b < covers.size(); ++b)
-    for (const Cube& c : covers[b].cubes()) pla.add(c, std::uint64_t{1} << b);
-  pla.merge_identical_inputs();
-  return pla;
-}
-
 // --- algebraic division ------------------------------------------------------
 
 std::vector<FCube> quotient_by_cube(const SopExpr& f, const FCube& d) {
@@ -279,6 +266,20 @@ void FactoredNetwork::check() const {
 
 namespace {
 
+/// Hard cap on extracted intermediate nodes (the greedy loop normally
+/// stops on its own when no divisor saves literals).
+constexpr std::size_t kMaxNodes = std::size_t{1} << 16;
+/// Functions with more cubes than this skip the pairwise co-kernel
+/// enumeration (single-literal co-kernels are always tried).
+constexpr std::size_t kKernelPairCap = 96;
+/// Kernel divisors larger than this are not considered (bounds the
+/// division work per candidate).
+constexpr std::size_t kMaxDivisorCubes = 64;
+/// At most this many kernels per function enter the candidate pool per
+/// enumeration (largest literal mass first): big outputs yield hundreds
+/// of near-identical kernels that all evaluate unprofitable.
+constexpr std::size_t kMaxKernelsPerFunc = 24;
+
 /// The extraction working state: outputs and node definitions live in one
 /// function array (funcs_[b] = output b, funcs_[num_outputs + j] = node j),
 /// with incremental bookkeeping for the cube-divisor search:
@@ -289,11 +290,10 @@ namespace {
 ///     before use.
 class Extractor {
  public:
-  Extractor(const CubeList& pla, const FactorOptions& opt)
-      : num_vars_(pla.num_vars()), num_outputs_(pla.num_outputs()), opt_(opt),
-        budget_(opt.budget) {
-    std::vector<SopExpr> outs = sops_from_cubelist(pla);
-    funcs_ = std::move(outs);
+  /// `outputs` are the per-output expressions, each normalized.
+  Extractor(std::size_t num_vars, std::vector<SopExpr> outputs, const Budget& budget)
+      : num_vars_(num_vars), num_outputs_(outputs.size()), budget_(budget),
+        funcs_(std::move(outputs)) {
     gen_.assign(funcs_.size(), 0);
     dirty_.assign(funcs_.size(), true);
     for (std::uint32_t f = 0; f < funcs_.size(); ++f) register_func(f);
@@ -307,7 +307,7 @@ class Extractor {
     // applied atomically, so stopping between steps (budget) leaves an
     // exactly equivalent network.
     bool changed = true;
-    while (changed && num_nodes() < opt_.max_nodes && !truncated_) {
+    while (changed && num_nodes() < kMaxNodes && !truncated_) {
       changed = false;
       if (cube_phase()) changed = true;
       if (!truncated_ && kernel_phase()) changed = true;
@@ -318,7 +318,7 @@ class Extractor {
 
   bool truncated() const { return truncated_; }
   /// Completed extraction steps (cube pulls and kernel rounds): the
-  /// FactorOptions::budget work unit.
+  /// budget's work unit.
   std::uint64_t steps() const { return steps_; }
   /// Budget reason at the stop ("" when not truncated).
   const char* stop_reason() const { return budget_.reason(); }
@@ -518,7 +518,7 @@ class Extractor {
   /// Extract the best-value common-cube divisor until none saves literals.
   bool cube_phase() {
     bool any = false;
-    while (num_nodes() < opt_.max_nodes) {
+    while (num_nodes() < kMaxNodes) {
       // One extraction step = one budget unit, charged up front.
       if (budget_.spend(1)) {
         truncated_ = true;
@@ -653,7 +653,7 @@ class Extractor {
     std::map<std::vector<FCube>, PoolEntry> pool;
     std::vector<std::uint64_t> changed;  // per func: round of last rewrite
     std::uint64_t round = 0;
-    while (num_nodes() < opt_.max_nodes) {
+    while (num_nodes() < kMaxNodes) {
       // One kernel round = one budget unit; the enumeration and evaluation
       // loops below additionally poll the deadline (a first round over a
       // big network can take a long time on its own).
@@ -670,23 +670,22 @@ class Extractor {
         if (!dirty_[f]) continue;
         dirty_[f] = false;
         if (funcs_[f].cubes.size() < 2) continue;
-        std::vector<Kernel> ks = enumerate_kernels(funcs_[f], opt_.kernel_pair_cap);
+        std::vector<Kernel> ks = enumerate_kernels(funcs_[f], kKernelPairCap);
         ks.erase(std::remove_if(ks.begin(), ks.end(),
                                 [&](const Kernel& k) {
                                   return k.kernel.cubes.size() < 2 ||
-                                         k.kernel.cubes.size() >
-                                             opt_.max_divisor_cubes;
+                                         k.kernel.cubes.size() > kMaxDivisorCubes;
                                 }),
                  ks.end());
         // Large functions yield hundreds of kernels; keep the ones with
         // the largest sharing potential (literal mass) to bound the pool.
-        if (ks.size() > opt_.max_kernels_per_func) {
-          std::partial_sort(ks.begin(), ks.begin() + opt_.max_kernels_per_func,
+        if (ks.size() > kMaxKernelsPerFunc) {
+          std::partial_sort(ks.begin(), ks.begin() + kMaxKernelsPerFunc,
                             ks.end(), [](const Kernel& a, const Kernel& b) {
                               return a.kernel.num_literals() >
                                      b.kernel.num_literals();
                             });
-          ks.resize(opt_.max_kernels_per_func);
+          ks.resize(kMaxKernelsPerFunc);
         }
         for (Kernel& k : ks) {
           std::vector<FCube> key = k.kernel.cubes;  // key before the move
@@ -894,7 +893,6 @@ class Extractor {
 
   std::size_t num_vars_;
   std::size_t num_outputs_;
-  FactorOptions opt_;
   Budget budget_;
   bool truncated_ = false;
   std::uint64_t steps_ = 0;
@@ -908,11 +906,9 @@ class Extractor {
   std::uint32_t reach_stamp_ = 0;
 };
 
-}  // namespace
-
-FactoredNetwork extract_factored(const CubeList& pla, const FactorOptions& options,
-                                 Degradation* degradation) {
-  Extractor ex(pla, options);
+FactoredNetwork run_extraction(std::size_t num_vars, std::vector<SopExpr> outputs,
+                               const Budget& budget, Degradation* degradation) {
+  Extractor ex(num_vars, std::move(outputs), budget);
   FactoredNetwork fn = ex.run();
   fn.check();
   if (degradation) {
@@ -932,10 +928,26 @@ FactoredNetwork extract_factored(const CubeList& pla, const FactorOptions& optio
   return fn;
 }
 
-FactoredNetwork extract_factored(const std::vector<Cover>& covers,
-                                 const FactorOptions& options,
+}  // namespace
+
+FactoredNetwork extract_factored(const std::vector<Cover>& covers, const Budget& budget,
                                  Degradation* degradation) {
-  return extract_factored(cubelist_from_covers(covers), options, degradation);
+  const std::size_t num_vars = covers.empty() ? 0 : covers[0].num_vars();
+  std::vector<SopExpr> outputs(covers.size());
+  for (std::size_t b = 0; b < covers.size(); ++b) {
+    if (covers[b].num_vars() != num_vars)
+      throw std::invalid_argument("extract_factored: mixed cover arities");
+    outputs[b].cubes.reserve(covers[b].num_cubes());
+    for (const Cube& c : covers[b].cubes())
+      outputs[b].cubes.push_back(fcube_from_cube(c, num_vars));
+    outputs[b].normalize();
+  }
+  return run_extraction(num_vars, std::move(outputs), budget, degradation);
+}
+
+FactoredNetwork extract_factored(const CubeList& pla, const Budget& budget,
+                                 Degradation* degradation) {
+  return run_extraction(pla.num_vars(), sops_from_cubelist(pla), budget, degradation);
 }
 
 }  // namespace stc

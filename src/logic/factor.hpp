@@ -1,14 +1,13 @@
 #pragma once
 // Multi-level synthesis: algebraic (weak) division and kernel-based
-// factoring on top of the cube-calculus PLA type.
+// factoring of per-output sums of products.
 //
-// The two-level minimizer (logic/espresso_lite.hpp) produces a CubeList:
-// a flat AND plane of shared products feeding per-output OR planes. This
-// layer re-expresses that PLA as a DAG of small single-output nodes by
-// repeatedly pulling the best-value divisor out of the network, in the
-// MIS/algebraic tradition. (The flow hands it one espresso cover per
-// output, bridged into a CubeList, rather than the shared-product PLA:
-// see minimize_for in bist/architectures.hpp.)
+// The flow hands this layer one espresso cover per output of a block
+// (see minimize_for in bist/architectures.hpp) and gets back a DAG of
+// small single-output nodes, built by repeatedly pulling the best-value
+// divisor out of the network, in the MIS/algebraic tradition. A
+// multi-output CubeList is accepted too: its shared products are
+// duplicated per output, and extraction re-discovers the sharing.
 //
 //   * cube divisors  -- a product of >= 2 literals occurring in >= 2 cubes
 //     anywhere in the network becomes one AND node, every occurrence is
@@ -20,14 +19,15 @@
 // Division is *algebraic*, not Boolean: literals are opaque symbols, so
 // f == quotient * divisor + remainder holds as an identity on cube sets,
 // which makes the factored network simulation-equivalent to the two-level
-// cover by construction -- no don't-care reasoning, no new minterms. The
+// input by construction -- no don't-care reasoning, no new minterms. The
 // price is that Boolean factors (e.g. x and !x reconverging) are never
 // found; the payoff is that equivalence is structural and every consumer
 // (netlist builder, cost model, fault-simulation engines) can rely on it.
 //
 // Everything here operates on sorted vectors of literal ids rather than
 // the 64-bit Cube masks: intermediate nodes extend the variable space past
-// 64, and algebraic division never needs polarity semantics anyway.
+// 64, and algebraic division never needs polarity semantics anyway. The
+// number of outputs is not bounded either.
 
 #include <cstdint>
 #include <vector>
@@ -86,11 +86,6 @@ FCube fcube_from_cube(const Cube& c, std::size_t num_vars);
 /// duplicated per output here; extraction re-discovers the sharing as
 /// cube divisors.
 std::vector<SopExpr> sops_from_cubelist(const CubeList& pla);
-
-/// Single-output-per-cover CubeList (bit b of the output part = cover b),
-/// with identical input parts merged. The bridge from per-output covers
-/// into the extractor.
-CubeList cubelist_from_covers(const std::vector<Cover>& covers);
 
 // --- algebraic division ------------------------------------------------------
 
@@ -162,45 +157,30 @@ struct FactoredNetwork {
   void check() const;
 };
 
-struct FactorOptions {
-  /// Hard cap on extracted intermediate nodes (the greedy loop normally
-  /// stops on its own when no divisor saves literals).
-  std::size_t max_nodes = 1 << 16;
-  /// Functions with more cubes than this skip the pairwise co-kernel
-  /// enumeration (single-literal co-kernels are always tried).
-  std::size_t kernel_pair_cap = 96;
-  /// Kernel divisors larger than this are not considered (bounds the
-  /// division work per candidate).
-  std::size_t max_divisor_cubes = 64;
-  /// At most this many kernels per function enter the candidate pool per
-  /// enumeration (largest literal mass first): big PLA outputs yield
-  /// hundreds of near-identical kernels that all evaluate unprofitable.
-  std::size_t max_kernels_per_func = 24;
-  /// Anytime governance. One work unit = one greedy extraction step (a
-  /// cube-divisor pull or a kernel round); the deadline and the cancel
-  /// token are additionally polled inside the kernel enumeration and
-  /// candidate evaluation loops. Every substitution is applied atomically
-  /// and division is an algebraic identity, so the network is exactly
-  /// equivalent to the input PLA at ANY stopping point -- an exhausted
-  /// budget just means fewer shared divisors (zero budget = the flat SOPs
-  /// re-emitted as-is).
-  Budget budget;
-};
-
 /// Greedy extraction: repeatedly pull the best-value cube or kernel
 /// divisor out of the multi-output network until no divisor saves
 /// literals, then inline single-use nodes that do not pay for themselves.
-/// The result computes exactly the same boolean functions as `pla` --
-/// including under an exhausted budget (see FactorOptions::budget). When
-/// `degradation` is non-null it reports whether extraction was cut short,
-/// with work_done = the extraction steps completed.
-FactoredNetwork extract_factored(const CubeList& pla, const FactorOptions& options = {},
+/// The result computes exactly the functions of `covers`, one output per
+/// cover (all covers must have the same arity, else
+/// std::invalid_argument).
+///
+/// Anytime governance: one work unit of `budget` is one greedy extraction
+/// step (a cube-divisor pull or a kernel round); the deadline and the
+/// cancel token are additionally polled inside the kernel enumeration and
+/// candidate evaluation loops. Every substitution is applied atomically
+/// and division is an algebraic identity, so the network is exactly
+/// equivalent to the input at ANY stopping point -- an exhausted budget
+/// just means fewer shared divisors (zero budget = the flat SOPs
+/// re-emitted as-is). When `degradation` is non-null it reports whether
+/// extraction was cut short, with work_done = the extraction steps
+/// completed.
+FactoredNetwork extract_factored(const std::vector<Cover>& covers,
+                                 const Budget& budget = {},
                                  Degradation* degradation = nullptr);
 
-/// Factor a block of per-output covers (the flow's multi-level input: one
-/// espresso cover per output, each product prime for its own output).
-FactoredNetwork extract_factored(const std::vector<Cover>& covers,
-                                 const FactorOptions& options = {},
+/// The same extraction on the per-output expressions of a multi-output
+/// PLA (sops_from_cubelist).
+FactoredNetwork extract_factored(const CubeList& pla, const Budget& budget = {},
                                  Degradation* degradation = nullptr);
 
 }  // namespace stc

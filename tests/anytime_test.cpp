@@ -98,10 +98,8 @@ TEST_P(CorpusAnytime, EspressoImplementsSpecUnderEveryBudget) {
   const std::vector<TruthTable> tables = all_tables(enc);
 
   for (const Budget& b : budget_grid()) {
-    EspressoOptions opt;
-    opt.budget = b;
     Degradation deg;
-    const CubeList r = minimize_espresso_mv(enc.spec, opt, &deg);
+    const CubeList r = minimize_espresso_mv(enc.spec, b, &deg);
     EXPECT_TRUE(r.implements(tables)) << GetParam();
     if (b.is_unlimited()) EXPECT_FALSE(deg.degraded);
     if (deg.degraded) {
@@ -119,9 +117,8 @@ TEST_P(CorpusAnytime, EspressoCostMonotoneInWorkAllowance) {
   // the unminimized merged ON cover and is checked for validity above.)
   double prev = -1.0;
   for (std::uint64_t w = 1; w <= 6; ++w) {
-    EspressoOptions opt;
-    opt.budget = Budget::work_limit(w);
-    const LogicCost c = pla_cost(minimize_espresso_mv(enc.spec, opt));
+    const LogicCost c =
+        pla_cost(minimize_espresso_mv(enc.spec, Budget::work_limit(w)));
     if (prev >= 0.0)
       EXPECT_LE(c.gate_equivalents, prev) << GetParam() << " allowance " << w;
     prev = c.gate_equivalents;
@@ -140,15 +137,12 @@ TEST_P(CorpusAnytime, FactoringStaysExactUnderEveryBudget) {
   // (Literal counts live in the factored expression space, where shared
   // PLA products are duplicated per output -- not comparable with the
   // two-level PLA literal count.)
-  FactorOptions zero;
-  zero.budget = Budget::work_limit(0);
-  const std::size_t flat_literals = extract_factored(pla, zero).num_literals();
+  const std::size_t flat_literals =
+      extract_factored(pla, Budget::work_limit(0)).num_literals();
 
   for (const Budget& b : budget_grid()) {
-    FactorOptions opt;
-    opt.budget = b;
     Degradation deg;
-    const FactoredNetwork fn = extract_factored(pla, opt, &deg);
+    const FactoredNetwork fn = extract_factored(pla, b, &deg);
     fn.check();
     // Never worse than the flat PLA it started from.
     EXPECT_LE(fn.num_literals(), flat_literals) << GetParam();

@@ -409,6 +409,33 @@ TEST(Extraction, RepeatedRunsGiveIdenticalNetworks) {
   }
 }
 
+TEST(Extraction, CoversFactorLikeTheirOneOutputPerCubePla) {
+  // Per-output covers go straight to the extractor; a CubeList holding
+  // one cube per (cover, cube) pair is the same input spelled as a PLA.
+  for (const std::string& name : benchmark_names()) {
+    if (name == "s1") continue;  // seconds per factoring
+    const MealyMachine m = load_benchmark(name);
+    const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
+    std::vector<TruthTable> tables = enc.next_state;
+    tables.insert(tables.end(), enc.outputs.begin(), enc.outputs.end());
+    const std::vector<Cover> covers = per_output_covers(tables);
+    CubeList pla(enc.num_vars(), covers.size());
+    for (std::size_t b = 0; b < covers.size(); ++b)
+      for (const Cube& c : covers[b].cubes()) pla.add(c, std::uint64_t{1} << b);
+    const FactoredNetwork a = extract_factored(covers);
+    const FactoredNetwork b = extract_factored(pla);
+    EXPECT_EQ(a.num_vars, b.num_vars) << name;
+    EXPECT_EQ(a.num_outputs, b.num_outputs) << name;
+    EXPECT_EQ(a.nodes, b.nodes) << name;
+    EXPECT_EQ(a.outputs, b.outputs) << name;
+  }
+}
+
+TEST(Extraction, MixedCoverAritiesAreRejected) {
+  EXPECT_THROW(extract_factored(std::vector<Cover>{Cover(3), Cover(4)}),
+               std::invalid_argument);
+}
+
 TEST(Extraction, TruncatedFactoringReportsCompletedSteps) {
   // One work unit is one extraction step, so a factoring cut by a k-unit
   // allowance reports exactly k steps, whatever number of nodes survive.
@@ -416,10 +443,8 @@ TEST(Extraction, TruncatedFactoringReportsCompletedSteps) {
   const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
   const CubeList pla = minimize_espresso_mv(enc.spec);
   for (const std::uint64_t k : {1u, 7u, 40u, 300u}) {
-    FactorOptions opt;
-    opt.budget = Budget::work_limit(k);
     Degradation deg;
-    const FactoredNetwork fn = extract_factored(pla, opt, &deg);
+    const FactoredNetwork fn = extract_factored(pla, Budget::work_limit(k), &deg);
     ASSERT_TRUE(deg.degraded) << k;
     EXPECT_EQ(deg.stage, "factor");
     EXPECT_EQ(deg.reason, "work-allowance");
@@ -430,7 +455,7 @@ TEST(Extraction, TruncatedFactoringReportsCompletedSteps) {
   }
   // An unbudgeted run is not degraded and still counts its steps.
   Degradation full;
-  extract_factored(pla, FactorOptions{}, &full);
+  extract_factored(pla, Budget{}, &full);
   EXPECT_FALSE(full.degraded);
   EXPECT_GT(full.work_done, 300u);
 }
@@ -463,30 +488,31 @@ TEST(CostTechnology, MixingTechnologiesInOneAccumulationThrows) {
   EXPECT_THROW(total2 += ml, std::logic_error);
 }
 
-TEST(CostTechnology, Over64OutputBlocksFallBackToTwoLevel) {
-  // The per-output-heuristic path (no usable multi-output spec) can carry
-  // more than 64 covers; such a block cannot be factored and must stay
-  // two-level rather than fail.
+TEST(CostTechnology, Over64OutputBlocksAreFactored) {
+  // A block without a usable multi-output spec (here 70 outputs, more
+  // than a PLA output part carries) is minimized one output at a time,
+  // and the multi-level path factors it like any other block.
+  Rng rng(0x70);
   std::vector<TruthTable> tables;
   for (int b = 0; b < 70; ++b) {
-    TruthTable t(2);
-    t.set_on(static_cast<Minterm>(b % 4));
+    TruthTable t(4);
+    for (Minterm m = 0; m < t.num_minterms(); ++m)
+      if (rng.below(3) == 0) t.set_on(m);
     tables.push_back(t);
   }
   const MinimizedBlock mb = minimize_for(PlaSpec{}, tables, Technology::kMultiLevel);
   EXPECT_EQ(mb.covers.size(), 70u);
-  EXPECT_FALSE(mb.factored.has_value());
-  EXPECT_FALSE(mb.multilevel_cost().has_value());
-}
-
-TEST(CostTechnology, PartialFallbackIsVisibleInTheReport) {
-  ControllerStructure cs;
-  cs.kind = "fig1";
-  cs.tech = Technology::kMultiLevel;
-  cs.ml_fallback_blocks = 1;
-  cs.nl.finalize();
-  const StructureReport rep = measure_structure(cs, FlowOptions{});
-  EXPECT_EQ(rep.technology, "multi_level(partial)");
+  ASSERT_TRUE(mb.factored.has_value());
+  ASSERT_TRUE(mb.multilevel_cost().has_value());
+  const FactoredNetwork& fn = *mb.factored;
+  ASSERT_EQ(fn.num_outputs, 70u);
+  EXPECT_GT(fn.num_nodes(), 0u);
+  std::vector<bool> node_vals, out_vals;
+  for (Minterm m = 0; m < tables[0].num_minterms(); ++m) {
+    fn.evaluate_all(m, node_vals, out_vals);
+    for (std::size_t b = 0; b < tables.size(); ++b)
+      EXPECT_EQ(out_vals[b], tables[b].is_on(m)) << "output " << b << " minterm " << m;
+  }
 }
 
 // --- corpus-wide technology equivalence (the differential harness) -----------
