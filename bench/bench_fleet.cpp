@@ -68,7 +68,7 @@ void BM_FleetShard(benchmark::State& state) {
   const std::size_t width = static_cast<std::size_t>(state.range(0));
   SelfTestPlan plan = SelfTestPlan::two_session(64);
   plan.output_misr_width = width;
-  auto warm = make_campaign_warm_state(cs, width);
+  auto warm = make_campaign_warm_state(cs);
   const FleetDefectSampler sampler = make_defect_sampler(cs, DefectSpec{});
   constexpr std::uint64_t kInstances = 2048;
   FleetShardStats st;

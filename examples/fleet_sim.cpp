@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     budget.with_cancel(install_sigint_cancel());
 
     // Same artifact path as a spooled/orchestrated job: the cache builds
-    // machine -> structure -> warm states, the shared pool runs the shards.
+    // machine -> structure, the shared pool runs the shards.
     JobCache cache;
     TaskPool pool(std::max<std::size_t>(1, jobs));
     PoolChunkExecutor exec(pool);

@@ -42,7 +42,10 @@ const char kUsage[] =
     "                         [--fleet-instances N] [--fleet-widths 8,16,24,40]\n"
     "                         [--distribution fault_free|single_uniform|clustered]\n"
     "                         [--defect-rate X] [--fleet-seed N]\n"
-    "       stc_daemon status <spool-dir>\n";
+    "       stc_daemon status <spool-dir>\n"
+    "  --cache-max-entries N  keep at most N built structures in memory,\n"
+    "                         evicting the least recently used idle one\n"
+    "                         (0 = unbounded)\n";
 
 int usage() {
   std::fputs(kUsage, stderr);

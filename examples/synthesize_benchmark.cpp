@@ -8,8 +8,10 @@
 // --all synthesizes the WHOLE corpus (every machine x fig1-fig4 x the
 // selected --tech) as CampaignJobs on the jobs/ work-stealing scheduler:
 // --jobs sizes the shared pool (results identical at any value), the keyed
-// artifact cache deduplicates builds (--repeat 2 demonstrates all-hit
-// re-runs), and one aggregated corpus report closes the run.
+// artifact cache deduplicates builds (with --repeat 2 every second-pass
+// row reads "MS", a machine and structure hit, except degraded builds,
+// which are never stored), and one aggregated corpus report closes the
+// run.
 //
 // With --faultsim the per-structure report includes campaign wall time and
 // the event engine's mean per-cycle activity ratio; the engine picks its

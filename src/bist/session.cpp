@@ -375,10 +375,9 @@ struct CampaignScratch {
   /// vectors is far cheaper than re-running the compile (CSR build +
   /// AND-node folding fixpoint) once per thread, and each worker still
   /// gets its own mutable mask state. Takes only `output_misr_width`, not
-  /// the whole SelfTestPlan: scratch is pooled per (structure, MISR width)
-  /// warm state and lane width -- see JobCache's warm key -- and this
-  /// signature is what proves plans differing in anything else can share
-  /// it safely.
+  /// the whole SelfTestPlan: nothing else of a plan is baked into the
+  /// scratch, and CampaignWarmState::acquire re-sizes out_misr when a
+  /// later plan's width differs.
   CampaignScratch(const ControllerStructure& cs, const CompiledNetlist& proto,
                   std::size_t output_misr_width, const PinMap& pins)
       : cn(proto),
@@ -593,26 +592,18 @@ using ScratchLease = std::unique_ptr<CampaignScratch, ScratchReturn>;
 /// CampaignScratch; callers only ever see the opaque handle.
 class CampaignWarmState {
  public:
-  // Deliberately takes output_misr_width rather than a SelfTestPlan: the
-  // cache keys warm state on (structure, MISR width) only, and this
-  // constructor consuming nothing else from a plan is what makes that key
-  // sufficient by construction.
-  CampaignWarmState(const ControllerStructure& cs, std::size_t output_misr_width)
-      : cs_(&cs), misr_width_(output_misr_width), pins_(map_pins(cs)) {}
+  explicit CampaignWarmState(const ControllerStructure& cs)
+      : cs_(&cs), pins_(map_pins(cs)) {}
 
   const PinMap& pins() const { return pins_; }
 
-  /// Why this state cannot serve (cs, misr_width); empty when it can.
-  std::string mismatch(const ControllerStructure& cs, std::size_t misr_width) const {
-    if (&cs != cs_) return "warm state was built for a different structure object";
-    if (misr_width == misr_width_) return "";
-    return "warm misr_width=" + std::to_string(misr_width_) +
-           " != plan output_misr_width=" + std::to_string(misr_width);
-  }
+  bool serves(const ControllerStructure& cs) const { return &cs == cs_; }
 
-  /// Lease a scratch of lane width W: reuse a parked one (warm start) or
-  /// build a fresh one from W's program, compiling it on first use.
-  ScratchLease acquire(unsigned W) {
+  /// Lease a scratch of lane width W with a `misr_width`-bit output MISR:
+  /// reuse a parked one (warm start, its MISR re-sized if a plan of
+  /// another width parked it) or build a fresh one from W's program,
+  /// compiling it on first use.
+  ScratchLease acquire(unsigned W, std::size_t misr_width) {
     Width& wd = width(W);
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -620,13 +611,15 @@ class CampaignWarmState {
         ScratchLease sc(wd.free.back().release(), {this});
         wd.free.pop_back();
         reuses_.fetch_add(1, std::memory_order_relaxed);
+        if (sc->out_misr.width() != misr_width)
+          sc->out_misr = LaneMisr(misr_width, W);
         return sc;
       }
       if (!wd.proto) wd.proto = std::make_unique<CompiledNetlist>(cs_->nl, W);
     }
     // A published program is immutable: copying it needs no lock.
     builds_.fetch_add(1, std::memory_order_relaxed);
-    return ScratchLease(new CampaignScratch(*cs_, *wd.proto, misr_width_, pins_),
+    return ScratchLease(new CampaignScratch(*cs_, *wd.proto, misr_width, pins_),
                         {this});
   }
 
@@ -646,7 +639,6 @@ class CampaignWarmState {
   Width& width(unsigned W) { return widths_[W == 8 ? 2 : W == 4 ? 1 : 0]; }
 
   const ControllerStructure* cs_;
-  std::size_t misr_width_;
   PinMap pins_;
   std::mutex mu_;
   std::array<Width, 3> widths_;  // W = 1, 4, 8
@@ -657,8 +649,8 @@ class CampaignWarmState {
 void ScratchReturn::operator()(CampaignScratch* sc) const { warm->release(sc); }
 
 std::shared_ptr<CampaignWarmState> make_campaign_warm_state(
-    const ControllerStructure& cs, std::size_t output_misr_width) {
-  return std::make_shared<CampaignWarmState>(cs, output_misr_width);
+    const ControllerStructure& cs) {
+  return std::make_shared<CampaignWarmState>(cs);
 }
 
 std::size_t campaign_warm_reuses(const CampaignWarmState& warm) {
@@ -731,16 +723,9 @@ CampaignResult sweep_fault_batches(
 
   // A skipped sweep falls through to the (all-unsimulated) accounting.
   if (!skip_all && !reps.empty()) {
-    // Warm state carries the compiled programs, the pin map and parked
-    // scratch for this exact structure; verify the binding before trusting
-    // any of it. A local one compiles the program once for all chunks.
-    std::optional<CampaignWarmState> local_warm;
-    CampaignWarmState& warm =
-        options.warm ? *options.warm : local_warm.emplace(cs, output_misr_width);
-    const std::string mismatch = warm.mismatch(cs, output_misr_width);
-    if (!mismatch.empty())
-      throw Error(ErrorCode::kInvalidInput,
-                  "run_fault_campaign: incompatible warm state", mismatch);
+    // Compiles the program once for all chunks, which lease their scratch
+    // from it.
+    CampaignWarmState warm(cs);
     const PinMap& pins = warm.pins();
     const std::size_t parallelism =
         options.executor
@@ -766,7 +751,7 @@ CampaignResult sweep_fault_batches(
     std::vector<std::size_t> chunk_runs(num_chunks, 0);
     auto chunk_fn = [&](std::size_t c) {
       Budget bud = options.budget;  // per-chunk copy, absolute deadline
-      const ScratchLease lease = warm.acquire(W);  // zero rebuild on reuse
+      const ScratchLease lease = warm.acquire(W, output_misr_width);
       CampaignScratch& sc = *lease;
       const std::uint64_t cycles0 = sc.cycles;
       const std::uint64_t ops0 = sc.ev.ops_evaluated;
@@ -897,9 +882,9 @@ FleetShardStats run_fleet_shard(const ControllerStructure& cs,
     throw std::logic_error("run_fleet_shard: netlist not finalized");
   std::string problems;
   if (plan.sessions.empty()) problems = "plan has no sessions";
-  const std::string mismatch = warm.mismatch(cs, plan.output_misr_width);
-  if (!mismatch.empty())
-    problems += std::string(problems.empty() ? "" : "; ") + mismatch;
+  if (!warm.serves(cs))
+    problems += std::string(problems.empty() ? "" : "; ") +
+                "warm state was built for a different structure object";
   if (!sampler)
     problems += std::string(problems.empty() ? "" : "; ") + "null defect sampler";
   if (!problems.empty())
@@ -909,7 +894,7 @@ FleetShardStats run_fleet_shard(const ControllerStructure& cs,
   const unsigned W =
       fill_lane_words(static_cast<std::size_t>(count), fleet_instances_per_run);
   const std::size_t per_run = fleet_instances_per_run(W);
-  const ScratchLease lease = warm.acquire(W);
+  const ScratchLease lease = warm.acquire(W, plan.output_misr_width);
   CampaignScratch& sc = *lease;
   const std::uint64_t cycles0 = sc.cycles;
   Budget bud = budget;

@@ -151,25 +151,21 @@ class CampaignChunkExecutor {
                           const std::function<void(std::size_t)>& fn) = 0;
 };
 
-/// Warm per-structure campaign state: per lane width, the compiled lane
+/// Per-structure lane state for one run: per lane width, the compiled lane
 /// program (built on first use) plus a free-list of per-worker scratch
-/// (lane buffers, banks, event residency). A campaign handed a warm state
-/// via CampaignOptions::warm skips the compile and its workers lease
-/// scratch instead of allocating it -- re-queued jobs on a cached
-/// structure start hot. Bound to one (structure, MISR width) pair;
-/// run_fault_campaign rejects a mismatched warm state with a typed Error.
-/// Thread-safe: concurrent campaigns may share one warm state.
+/// (lane buffers, banks, event residency). run_fault_campaign builds its
+/// own and shares it between its chunks; run_fleet builds one for all of
+/// its MISR widths and its curve, and its shards lease scratch from it.
+/// A leased scratch re-sizes its output MISR to the plan's width, outside
+/// the cycle loop. Bound to one structure object; run_fleet_shard rejects
+/// a warm state built for another with a typed Error. Thread-safe:
+/// concurrent shards may share one warm state.
 class CampaignWarmState;
 
-/// Takes `output_misr_width` (not a SelfTestPlan) on purpose: the two
-/// parameters here ARE the warm state's full identity, so any two plans
-/// agreeing on output_misr_width may share one warm state -- the property
-/// JobCache's warm key relies on.
 std::shared_ptr<CampaignWarmState> make_campaign_warm_state(
-    const ControllerStructure& cs, std::size_t output_misr_width);
+    const ControllerStructure& cs);
 
-/// How many times a leased scratch was *reused* (warm starts) -- the
-/// hit-counter the cache tests and the orchestrator report assert on.
+/// How many times a leased scratch was *reused* (warm starts).
 std::size_t campaign_warm_reuses(const CampaignWarmState& warm);
 /// How many scratches the warm state has constructed in total.
 std::size_t campaign_warm_builds(const CampaignWarmState& warm);
@@ -197,9 +193,6 @@ struct CampaignOptions {
   /// scheduler oversubscribes every core). Results are identical to the
   /// internal-pool path by construction. Non-owning; must outlive the call.
   CampaignChunkExecutor* executor = nullptr;
-  /// Warm compiled-program + scratch state for this exact structure (see
-  /// make_campaign_warm_state). Non-owning; must outlive the call.
-  CampaignWarmState* warm = nullptr;
 
   /// Check every field against `plan` and report ALL problems in one
   /// Error(kInvalidInput) -- num_threads, empty plan, MISR width,
@@ -315,8 +308,8 @@ struct FleetShardStats {
 };
 
 /// Simulate chip instances [first, first + count) of a fleet in packed
-/// runs as wide as `count` fills, leasing scratch from `warm` (bound to
-/// (cs, plan.output_misr_width)). The budget is charged one unit per
+/// runs as wide as `count` fills, leasing scratch from `warm` (built for
+/// `cs`; any plan.output_misr_width). The budget is charged one unit per
 /// instance, trimming the last run; exhaustion truncates the shard
 /// (stats.instances < count) with every completed run's counts exact.
 FleetShardStats run_fleet_shard(const ControllerStructure& cs,

@@ -118,11 +118,10 @@ FleetReport run_fleet(const ControllerStructure& cs, const FleetOptions& opt) {
   const FleetDefectSampler sampler = make_defect_sampler(cs, opt.defects);
   std::uint64_t requested_total = 0;
 
+  const std::shared_ptr<CampaignWarmState> warm = make_campaign_warm_state(cs);
   for (std::size_t width : opt.misr_widths) {
     SelfTestPlan plan = opt.plan;
     plan.output_misr_width = width;
-    std::shared_ptr<CampaignWarmState> warm =
-        opt.warm ? opt.warm(width) : make_campaign_warm_state(cs, width);
     FleetWidthResult wr;
     wr.misr_width = width;
     wr.stats = run_fleet_pass(cs, plan, *warm, opt, sampler, opt.instances);
@@ -133,9 +132,6 @@ FleetReport run_fleet(const ControllerStructure& cs, const FleetOptions& opt) {
   if (!opt.curve_cycles.empty() && opt.curve_instances > 0) {
     rep.curve_misr_width = opt.misr_widths.front();
     const std::uint64_t n = std::min(opt.curve_instances, opt.instances);
-    std::shared_ptr<CampaignWarmState> warm =
-        opt.warm ? opt.warm(rep.curve_misr_width)
-                 : make_campaign_warm_state(cs, rep.curve_misr_width);
     for (std::size_t cycles : opt.curve_cycles) {
       SelfTestPlan plan = opt.plan;
       plan.output_misr_width = rep.curve_misr_width;

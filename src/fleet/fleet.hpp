@@ -18,8 +18,6 @@
 // runs without a dependency cycle.
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,12 +35,6 @@ struct WilsonInterval {
 };
 WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
                                double z = 1.959964);
-
-/// Supplies the warm (compiled program + scratch free-list) state for one
-/// output-MISR width -- the JobCache wiring point. When absent, run_fleet
-/// builds a local warm state per width.
-using FleetWarmProvider =
-    std::function<std::shared_ptr<CampaignWarmState>(std::size_t misr_width)>;
 
 struct FleetOptions {
   /// Chip instances to simulate PER MISR width.
@@ -73,8 +65,6 @@ struct FleetOptions {
   Budget budget;
   /// Shared-pool hook (jobs/ scheduler); when set, `jobs` must stay 1.
   CampaignChunkExecutor* executor = nullptr;
-  /// Warm-state source (JobCache). When absent, built locally.
-  FleetWarmProvider warm;
 
   /// Reject every bad field in one typed Error before any work.
   void validate() const;
@@ -149,8 +139,9 @@ struct FleetReport {
 
 /// Run the fleet: for each MISR width, simulate `instances` chips in
 /// shards (chunk-strided over the executor/worker pool), then the
-/// test-length curve. Aggregates are bit-identical for every jobs value,
-/// executor and shard size; only wall time differs.
+/// test-length curve. One warm state serves every width and the curve, so
+/// each lane width is compiled once per run. Aggregates are bit-identical
+/// for every jobs value, executor and shard size; only wall time differs.
 FleetReport run_fleet(const ControllerStructure& cs, const FleetOptions& opt);
 
 /// Multi-line human-readable report: per-width alias table (empirical vs

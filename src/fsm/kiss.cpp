@@ -27,6 +27,8 @@ struct RawRow {
 // orders of magnitude below both.
 constexpr std::size_t kMaxStates = std::size_t{1} << 20;
 constexpr std::size_t kMaxRows = std::size_t{1} << 24;
+// An output vector is packed into one Output word, one bit per output.
+constexpr std::size_t kMaxOutputBits = 8 * sizeof(Output);
 
 /// Parse a directive argument as a bounded decimal count. Rejects
 /// non-digits, overlong strings (which could wrap the accumulator), and
@@ -126,7 +128,7 @@ MealyMachine parse_kiss2(const std::string& text, const KissOptions& options) {
     } else if (tok[0] == ".o") {
       reject_duplicate(seen_o, ".o");
       seen_o = true;
-      no = parse_bounded(arg(), 64, ".o", lineno);
+      no = parse_bounded(arg(), kMaxOutputBits, ".o", lineno);
     } else if (tok[0] == ".s") {
       reject_duplicate(seen_s, ".s");
       seen_s = true;

@@ -33,6 +33,7 @@ struct KissParseError : Error {
 
 /// Parse KISS2 text. Input symbols are the 2^.i binary input vectors
 /// (value = the vector read MSB-first), output symbols the 2^.o vectors.
+/// `.o` above 32 is a KissParseError: an output vector is one Output word.
 MealyMachine parse_kiss2(const std::string& text, const KissOptions& options = {});
 
 /// Parse from a file path. A file that cannot be opened raises

@@ -71,7 +71,8 @@ struct DaemonOptions {
   std::uint64_t ostr_max_nodes = 2000000;
   /// recover(): crash-looping jobs are poisoned past this many recoveries.
   std::uint64_t max_recoveries = 3;
-  /// JobCache LRU bound for the convenience overload (0 = unbounded).
+  /// JobCache LRU bound on cached structures for the convenience overload
+  /// (0 = unbounded).
   std::size_t cache_max_entries = 0;
   RetryPolicy retry;
   /// Graceful-shutdown token (install_sigint_cancel() in stcd).
@@ -100,8 +101,8 @@ struct DaemonReport {
 /// Run the daemon loop until shutdown (or, in drain mode, until the spool
 /// is empty). The overload without a cache builds one bounded by
 /// opt.cache_max_entries; the seam taking `cache` lets tests assert
-/// warm-reuse across successive daemon runs (restart keeps the cache only
-/// if the caller keeps it).
+/// machine and structure reuse across successive daemon runs (restart
+/// keeps the cache only if the caller keeps it).
 DaemonReport run_daemon(const DaemonOptions& opt);
 DaemonReport run_daemon(const DaemonOptions& opt, JobCache& cache);
 

@@ -114,14 +114,6 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     fopt.campaign.num_threads = 1;
     fopt.campaign.executor = executor;
 
-    // Warm compiled-netlist + scratch for the campaign-driven structures
-    // (fig1 runs no sessions).
-    std::shared_ptr<CampaignWarmState> warm;
-    if (fopt.with_fault_sim && spec.arch != ArchKind::kFig1) {
-      warm = cache.warm(s, plan_for(spec).output_misr_width, &r.warm_cached);
-      fopt.campaign.warm = warm.get();
-    }
-
     r.report = measure_structure(s->cs, fopt, &r.coverage);
 
     if (fleet_mode) {
@@ -135,15 +127,6 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
       flo.budget = budget;
       flo.executor = executor;
       flo.jobs = 1;  // scheduler-owned or serial; never a nested pool
-      // Warm states come from the cache per MISR width, so re-queued fleet
-      // jobs on a cached structure skip every compile (run_fleet calls this
-      // serially from the width loop).
-      flo.warm = [&cache, &s, &r](std::size_t width) {
-        bool hit = false;
-        auto w = cache.warm(s, width, &hit);
-        r.warm_cached = r.warm_cached || hit;
-        return w;
-      };
       auto fleet = std::make_shared<FleetReport>(run_fleet(s->cs, flo));
       if (fleet->degradation.degraded)
         r.report.degradations.push_back(fleet->degradation);
@@ -335,9 +318,9 @@ std::string render_corpus_row(const CampaignJobResult& row) {
     os << std::setw(9) << "-" << std::setw(9) << "-";
   }
   os << std::setw(9) << (fixed1(row.seconds * 1000.0) + "ms");
-  // Which cache levels were hot for this job: Machine / Structure / Warm.
+  // Which cache levels were hot for this job: Machine / Structure.
   os << "  " << (row.machine_cached ? 'M' : '.')
-     << (row.structure_cached ? 'S' : '.') << (row.warm_cached ? 'W' : '.');
+     << (row.structure_cached ? 'S' : '.');
   if (row.fleet) {
     os << "  fleet " << row.fleet->instances_simulated() << " inst";
     if (!row.fleet->widths.empty()) {
@@ -364,7 +347,7 @@ std::string render_corpus_summary(const CorpusReport& rep) {
      << pct(rep.pool_utilization()) << "\n";
   os << "cache hits: " << rep.cache.hits() << " (hit rate "
      << pct(rep.cache.hit_rate()) << "), misses " << rep.cache.misses()
-     << ", warm scratch reuses " << rep.cache.scratch_reuses << "\n";
+     << "\n";
   os << "corpus: " << rep.total_faults << " faults, " << rep.faults_simulated
      << " simulated, " << rep.faults_detected << " detected, coverage "
      << pct(rep.coverage()) << "\n";

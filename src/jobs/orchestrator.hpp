@@ -70,7 +70,7 @@ struct CampaignJobResult {
   bool failed() const { return !skipped && !error.empty(); }
   double seconds = 0.0;  // job wall time (build amortized into first job)
   // Which cache levels served this job hot:
-  bool machine_cached = false, structure_cached = false, warm_cached = false;
+  bool machine_cached = false, structure_cached = false;
 };
 
 /// Whole-sweep configuration (the drivers' --all mode).
@@ -94,8 +94,8 @@ struct SweepOptions {
   /// identical for any value; only wall time differs.
   std::size_t jobs = 1;
   /// Enqueue the whole job list this many times: pass 2+ exercises the
-  /// warm path end to end (every repeat after the first must be all cache
-  /// hits -- no recompiles).
+  /// cached path end to end (every repeat after the first must be all
+  /// machine and structure hits -- no rebuilds).
   std::size_t repeat = 1;
   /// Per-job wall-clock budget in ms (< 0 = none). The deadline starts
   /// when the job starts, so queueing delay is never charged to a job.

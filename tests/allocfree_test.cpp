@@ -101,5 +101,37 @@ TEST(CampaignAllocations, StableAcrossRepeatedCampaigns) {
   EXPECT_EQ(first, second);
 }
 
+TEST(CampaignAllocations, FlatAfterAMisrWidthChange) {
+  // One warm state serves every MISR width: a lease at a new width
+  // re-sizes the parked scratch's output MISR once, outside the cycle
+  // loop, and later runs at that width allocate what runs at the old
+  // width did -- and no more for a longer test.
+  const MealyMachine m = load_benchmark("dk27");
+  const ControllerStructure cs =
+      build_fig3(encode_fsm(m, natural_encoding(m.num_states())));
+  const std::vector<Fault> faults = enumerate_stuck_faults(cs.nl);
+  const FleetDefectSampler sampler = [&faults](std::uint64_t i,
+                                               std::vector<Fault>& out) {
+    out.push_back(faults[i % faults.size()]);
+  };
+  const auto warm = make_campaign_warm_state(cs);
+  const auto count_shard_allocs = [&](std::size_t misr_width,
+                                      std::size_t cycles) {
+    SelfTestPlan plan = SelfTestPlan::two_session(cycles);
+    plan.output_misr_width = misr_width;
+    const std::uint64_t before = g_allocations.load();
+    const FleetShardStats st =
+        run_fleet_shard(cs, plan, *warm, 7, 0, 256, sampler, Budget{});
+    EXPECT_EQ(st.instances, 256u);
+    return g_allocations.load() - before;
+  };
+  count_shard_allocs(8, 24);  // builds the 512-lane scratch
+  const std::uint64_t narrow = count_shard_allocs(8, 24);
+  count_shard_allocs(40, 24);  // re-sizes its output MISR
+  EXPECT_EQ(narrow, count_shard_allocs(40, 24));
+  EXPECT_EQ(narrow, count_shard_allocs(40, 240));
+  EXPECT_EQ(campaign_warm_builds(*warm), 1u);
+}
+
 }  // namespace
 }  // namespace stc

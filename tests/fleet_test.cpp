@@ -369,6 +369,49 @@ TEST(Fleet, WorkLimitCountsInstances) {
   }
 }
 
+// --- one warm state, every MISR width --------------------------------------
+
+FleetShardStats shard_at(const ControllerStructure& cs, CampaignWarmState& warm,
+                         std::size_t misr_width, std::uint64_t count) {
+  SelfTestPlan plan = SelfTestPlan::two_session(48);
+  plan.output_misr_width = misr_width;
+  return run_fleet_shard(cs, plan, warm, 0xF1EE7, 0, count,
+                         make_defect_sampler(cs, DefectSpec{}), Budget{});
+}
+
+TEST(FleetWarmState, OneStateServesAWidthChangeLikeAFreshOne) {
+  // The scratch parked at width 8 is leased again at width 40 and then at
+  // 8: its output MISR is re-sized each time, and every run equals the
+  // same run on a warm state that never saw another width.
+  const ControllerStructure cs = fleet_structure();
+  const auto shared = make_campaign_warm_state(cs);
+  for (const std::size_t width : {8u, 40u, 8u}) {
+    const std::string what = "width " + std::to_string(width);
+    const FleetShardStats hot = shard_at(cs, *shared, width, 512);
+    const auto fresh = make_campaign_warm_state(cs);
+    expect_same_stats(shard_at(cs, *fresh, width, 512), hot, what.c_str());
+  }
+  EXPECT_EQ(campaign_warm_builds(*shared), 1u);  // one scratch, re-sized
+  EXPECT_EQ(campaign_warm_reuses(*shared), 2u);
+}
+
+TEST(FleetWarmState, SharedStateMatchesAFreshStatePerWidth) {
+  // run_fleet's pattern: one warm state for {8, 16, 24, 40}, with shards
+  // of 32, 128 and 512 instances leasing 64-, 256- and 512-lane scratch.
+  const ControllerStructure cs = fleet_structure();
+  const auto shared = make_campaign_warm_state(cs);
+  for (const std::size_t width : {8u, 16u, 24u, 40u}) {
+    for (const std::uint64_t count : {32u, 128u, 512u}) {
+      const std::string what =
+          "width " + std::to_string(width) + ", " + std::to_string(count);
+      const FleetShardStats hot = shard_at(cs, *shared, width, count);
+      const auto fresh = make_campaign_warm_state(cs);
+      expect_same_stats(shard_at(cs, *fresh, width, count), hot, what.c_str());
+    }
+  }
+  EXPECT_EQ(campaign_warm_builds(*shared), 3u);  // one scratch per lane width
+}
+
 TEST(Fleet, ValidateRejectsBadOptions) {
   const ControllerStructure cs = fleet_structure();
   FleetOptions opt = small_fleet();
@@ -399,10 +442,10 @@ TEST(FleetJobs, RunsThroughOrchestrator) {
   ASSERT_TRUE(r.fleet);
   EXPECT_EQ(r.fleet->instances_simulated(), 2u * spec.fleet_instances);
   EXPECT_EQ(r.fleet->widths.size(), 2u);
-  // Re-running the same job must hit the warm cache.
+  // Re-running the same job is served the cached structure.
   const CampaignJobResult r2 = run_campaign_job(spec, cache);
   ASSERT_FALSE(r2.failed());
-  EXPECT_TRUE(r2.warm_cached);
+  EXPECT_TRUE(r2.structure_cached);
   // And the aggregates are reproducible run to run.
   for (std::size_t i = 0; i < r.fleet->widths.size(); ++i)
     expect_same_stats(r.fleet->widths[i].stats, r2.fleet->widths[i].stats,

@@ -235,6 +235,36 @@ TEST(Kiss, HostileHeaderCountsBoundedBeforeAllocation) {
   EXPECT_THROW(parse_kiss2(".i 1\n.o\n0 a a 1\n"), KissParseError);  // no arg
 }
 
+TEST(Kiss, MoreOutputsThanAnOutputWordHoldsRejected) {
+  // An output vector is one 32-bit Output word: a wider .o would drop its
+  // top outputs without a word, so it is rejected and the bound is named.
+  const auto expect_bound_error = [](std::size_t no) {
+    const std::string ones(no, '1'), zeros(no, '0');
+    const std::string text = ".i 1\n.o " + std::to_string(no) + "\n0 a a " +
+                             ones + "\n1 a a " + zeros + "\n.e\n";
+    try {
+      parse_kiss2(text);
+      FAIL() << ".o " << no << " must be rejected";
+    } catch (const KissParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(".o " + std::to_string(no)), std::string::npos) << what;
+      EXPECT_NE(what.find("limit 32"), std::string::npos) << what;
+    }
+  };
+  expect_bound_error(40);  // output 39 is 1 on the first row
+  expect_bound_error(64);  // 2^64 output symbols do not fit a size_t
+  EXPECT_THROW(parse_kiss2(".i 1\n.o 33\n0 a a 1\n"), KissParseError);
+}
+
+TEST(Kiss, ThirtyTwoOutputAllOnesRowParses) {
+  const std::string ones(32, '1'), zeros(32, '0');
+  const MealyMachine m =
+      parse_kiss2(".i 1\n.o 32\n0 a a " + ones + "\n1 a a " + zeros + "\n.e\n");
+  EXPECT_EQ(m.output_bits(), 32u);
+  EXPECT_EQ(m.output(0, 0), Output{0xFFFFFFFFu});
+  EXPECT_EQ(m.output(0, 1), Output{0});
+}
+
 TEST(Kiss, MissingFileRaisesTypedIoError) {
   try {
     load_kiss2_file("/nonexistent/dir/machine.kiss2");

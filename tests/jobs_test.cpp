@@ -22,6 +22,7 @@
 #include "encoding/encoding.hpp"
 #include "jobs/orchestrator.hpp"
 #include "util/error.hpp"
+#include "util/faultpoint.hpp"
 
 namespace stc {
 namespace {
@@ -113,28 +114,29 @@ TEST(CampaignValidate, RejectsNestedPoolUnderScheduler) {
 }
 
 TEST(CampaignValidate, RejectsMismatchedWarmState) {
+  // A warm state is bound to one structure object; a fleet shard handed
+  // one built for another structure fails typed before any simulation.
   const MealyMachine m = load_benchmark("dk27");
   const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
   const ControllerStructure fig3 = build_fig3(enc);
   const ControllerStructure fig2 = build_fig2(enc);
   const SelfTestPlan plan = SelfTestPlan::two_session(16);
-  auto warm = make_campaign_warm_state(fig3, plan.output_misr_width);
-  CampaignOptions opt;
-  opt.warm = warm.get();
+  const FleetDefectSampler no_defects = [](std::uint64_t, std::vector<Fault>&) {};
+  auto warm = make_campaign_warm_state(fig3);
   try {
-    run_fault_campaign(fig2, plan, opt);  // warm built for fig3, not fig2
+    run_fleet_shard(fig2, plan, *warm, 1, 0, 32, no_defects, Budget{});
     FAIL() << "expected Error";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
-    EXPECT_NE(std::string(e.what()).find("warm"), std::string::npos);
+    EXPECT_NE(e.context().find("warm"), std::string::npos) << e.context();
   }
-  // Matching structure: accepted, and results equal the warm-free path.
-  const CampaignResult cold = run_fault_campaign(fig3, plan);
-  const CampaignResult hot = run_fault_campaign(fig3, plan, opt);
-  EXPECT_EQ(cold.raw.total, hot.raw.total);
-  EXPECT_EQ(cold.raw.detected, hot.raw.detected);
-  EXPECT_EQ(cold.raw.undetected, hot.raw.undetected);
-  EXPECT_GE(campaign_warm_reuses(*warm) + campaign_warm_builds(*warm), 1u);
+  EXPECT_EQ(campaign_warm_builds(*warm), 0u);  // rejected before any lease
+  // Matching structure: accepted.
+  const FleetShardStats st =
+      run_fleet_shard(fig3, plan, *warm, 1, 0, 32, no_defects, Budget{});
+  EXPECT_EQ(st.instances, 32u);
+  EXPECT_EQ(st.sig_detected, 0u);  // fault-free instances never flag
+  EXPECT_EQ(campaign_warm_builds(*warm), 1u);
 }
 
 // --- JobCache: cold vs warm determinism -------------------------------------
@@ -198,19 +200,15 @@ TEST(JobCache, WarmRerunIsBitIdenticalAndAllHits) {
                      specs[i].machine + "/" + arch_name(specs[i].arch));
     EXPECT_TRUE(warm[i].machine_cached);
     EXPECT_TRUE(warm[i].structure_cached);
-    if (specs[i].arch != ArchKind::kFig1) EXPECT_TRUE(warm[i].warm_cached);
   }
   // The warm pass added exactly one hit per cache lookup and zero misses.
   EXPECT_EQ(after.machine_misses, mid.machine_misses);
   EXPECT_EQ(after.structure_misses, mid.structure_misses);
-  EXPECT_EQ(after.warm_misses, mid.warm_misses);
   EXPECT_EQ(after.ostr_misses, mid.ostr_misses);
   EXPECT_EQ(after.machine_hits, mid.machine_hits + specs.size());
   EXPECT_EQ(after.structure_hits, mid.structure_hits + specs.size());
   EXPECT_GT(after.hits(), 0u);
   EXPECT_GT(after.hit_rate(), 0.0);
-  // Warm campaigns lease scratch from the free-list: reuses were counted.
-  EXPECT_GT(after.scratch_reuses, 0u);
 }
 
 TEST(JobCache, StructureKeyIsContentNotName) {
@@ -250,19 +248,17 @@ TEST(JobCache, DegradedStructureIsNotServedToLaterJobs) {
   const CampaignJobResult full = run_campaign_job(spec, cache);
   ASSERT_TRUE(full.error.empty()) << full.error;
   EXPECT_FALSE(full.structure_cached);
-  EXPECT_FALSE(full.warm_cached);
   EXPECT_TRUE(full.report.degradations.empty())
       << render_degradations(full.report.degradations);
   JobCacheStats st = cache.stats();
   EXPECT_EQ(st.structure_misses, 2u);
   EXPECT_EQ(st.structure_hits, 0u);
 
-  // The complete build is published: a third job is served it, whatever
-  // its own budget, along with its cache-keyed warm state.
+  // The complete build is stored: a third job is served it, whatever its
+  // own budget.
   const CampaignJobResult again =
       run_campaign_job(spec, cache, Budget::deadline_ms(0));
   EXPECT_TRUE(again.structure_cached);
-  EXPECT_TRUE(again.warm_cached);
   EXPECT_EQ(again.report.area_ge, full.report.area_ge);
   st = cache.stats();
   EXPECT_EQ(st.structure_misses, 2u);
@@ -320,25 +316,44 @@ TEST(JobCache, TruncatedOstrSearchIsNotServedToLaterJobs) {
   EXPECT_EQ(st.ostr_hits, 1u);
 }
 
-TEST(JobCache, UnpublishedStructureGetsPrivateWarmStates) {
+TEST(JobCache, FailedMachineLoadIsRetriedAsAMiss) {
+  // A load that throws stores nothing: the next call loads again and that
+  // is a miss, not a hit on the slot the failed call created.
   JobCache cache;
-  auto m = cache.machine("dk16");
+  int loads = 0;
+  const auto flaky = [&loads](const std::string&) {
+    if (++loads == 1) throw Error(ErrorCode::kIo, "transient load failure");
+    return load_benchmark("dk27");
+  };
+  EXPECT_THROW(cache.machine("flaky", flaky), Error);
   bool hit = true;
-  const auto s = cache.structure(m, ArchKind::kFig3, Technology::kTwoLevel,
-                                 OstrOptions{}, Budget::deadline_ms(0), &hit);
+  const auto m = cache.machine("flaky", flaky, &hit);
   EXPECT_FALSE(hit);
-  ASSERT_FALSE(s->cs.degradations.empty());
-  EXPECT_FALSE(s->published);
-  // Never keyed on the private structure's address: every request
-  // compiles its own state and counts a miss.
-  bool warm_hit = true;
-  const auto w1 = cache.warm(s, 16, &warm_hit);
-  EXPECT_FALSE(warm_hit);
-  const auto w2 = cache.warm(s, 16, &warm_hit);
-  EXPECT_FALSE(warm_hit);
-  EXPECT_NE(w1, w2);
-  EXPECT_EQ(cache.stats().warm_misses, 2u);
-  EXPECT_EQ(cache.stats().warm_hits, 0u);
+  EXPECT_EQ(loads, 2);
+  EXPECT_EQ(m->fsm.num_states(), load_benchmark("dk27").num_states());
+  JobCacheStats st = cache.stats();
+  EXPECT_EQ(st.machine_misses, 2u);
+  EXPECT_EQ(st.machine_hits, 0u);
+
+  // A built entry is a hit, and the loader is not called.
+  EXPECT_EQ(cache.machine("flaky", flaky, &hit), m);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(loads, 2);
+  st = cache.stats();
+  EXPECT_EQ(st.machine_misses, 2u);
+  EXPECT_EQ(st.machine_hits, 1u);
+
+  // The same holds when the build's fault point fires instead.
+  FaultSpec once;
+  faultpoints::arm("cache.machine.build", once);
+  EXPECT_THROW(cache.machine("dk16"), Error);
+  faultpoints::reset();
+  const auto corpus = [](const std::string& n) { return load_benchmark(n); };
+  EXPECT_NE(cache.machine("dk16", corpus, &hit), nullptr);
+  EXPECT_FALSE(hit);
+  st = cache.stats();
+  EXPECT_EQ(st.machine_misses, 4u);
+  EXPECT_EQ(st.machine_hits, 1u);
 }
 
 TEST(JobCache, IdleUnbuiltSlotsAreEvictable) {
