@@ -1,5 +1,7 @@
 #include "jobs/cache.hpp"
 
+#include <algorithm>
+
 #include "encoding/encoding.hpp"
 #include "ostr/ostr.hpp"
 #include "util/error.hpp"
@@ -71,19 +73,32 @@ std::shared_ptr<JobCache::MachineEntry> JobCache::machine(
 
 std::shared_ptr<const JobCache::OstrArtifacts> JobCache::ensure_ostr(
     MachineEntry& m, const OstrOptions& options) {
+  // The node cap the search runs under (solve_ostr folds the budget's work
+  // allowance into max_nodes the same way).
+  const std::uint64_t cap =
+      std::min<std::uint64_t>(options.max_nodes, options.budget.work_allowance());
   std::lock_guard<std::mutex> lock(m.ostr_mu);
-  if (m.ostr) {
+  std::shared_ptr<const OstrArtifacts> stored = m.ostr;
+  if (!stored) {
+    const auto it = m.capped_ostr.find(cap);
+    if (it != m.capped_ostr.end()) stored = it->second;
+  }
+  if (stored) {
     std::lock_guard<std::mutex> stats_lock(mu_);
     ++stats_.ostr_hits;
-    return m.ostr;
+    return stored;
   }
   auto a = std::make_shared<OstrArtifacts>();
   a->ostr = solve_ostr(m.fsm, options);
   a->realization = build_realization(m.fsm, a->ostr.best.pi, a->ostr.best.tau);
   a->verification = verify_realization(m.fsm, a->realization);
-  // Like a structure, a search cut short by this job's budget stays this
-  // job's own; stored, it would reach every later fig4 job.
-  if (!a->ostr.degradation.degraded) m.ostr = a;
+  // A search stopped by its node cap is deterministic in that cap, so it
+  // serves every later job with the same cap (degradation label included).
+  // One a deadline or a cancel cut short stays this job's own: stored, it
+  // would reach every later fig4 job.
+  const Degradation& d = a->ostr.degradation;
+  if (!d.degraded) m.ostr = a;
+  else if (d.reason == "work-allowance") m.capped_ostr[cap] = a;
   std::lock_guard<std::mutex> stats_lock(mu_);
   ++stats_.ostr_misses;
   return a;

@@ -6,8 +6,9 @@
 //
 //   machine    name -> { MealyMachine, fingerprint, EncodedFsm }
 //              plus lazily the OSTR result / realization / verification
-//              (only fig4 jobs pay for the search; only a complete
-//              search is stored);
+//              (only fig4 jobs pay for the search; a complete search is
+//              stored for every caller, one stopped by its node cap for
+//              the callers with that cap);
 //   structure  (fingerprint, arch, tech) -> built
 //              ControllerStructure (espresso + factoring baked in);
 //              only complete builds -- one a job's budget truncated is
@@ -39,6 +40,7 @@
 // may be read while jobs run.
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -92,10 +94,12 @@ class JobCache {
     EncodedFsm encoded;  // natural encoding, shared by fig1-fig3 builds
                          // (with its block memo: C is minimized once)
 
-    // OSTR artifacts of a complete search, built lazily under ostr_mu
-    // (fig4 only); null until then.
+    // OSTR artifacts, built lazily under ostr_mu (fig4 only): a complete
+    // search (null until then) and the searches stopped by their node cap,
+    // keyed by that cap.
     std::mutex ostr_mu;
     std::shared_ptr<const OstrArtifacts> ostr;
+    std::map<std::uint64_t, std::shared_ptr<const OstrArtifacts>> capped_ostr;
   };
 
   struct StructureEntry {
@@ -123,7 +127,10 @@ class JobCache {
 
   /// OSTR + realization + verification for a machine under `options`. A
   /// complete search is stored and served to every later caller, whatever
-  /// its options. A search the budget truncated (ostr.degradation.degraded)
+  /// its options. A search stopped by its node cap (reason
+  /// "work-allowance"; the cap is min(max_nodes, work allowance)) is
+  /// stored under that cap and served, degradation label and all, to later
+  /// callers with the same cap. A search a deadline or a cancel cut short
   /// is returned to this caller only: the next caller searches again.
   std::shared_ptr<const OstrArtifacts> ensure_ostr(MachineEntry& m,
                                                    const OstrOptions& options);

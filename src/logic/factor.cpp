@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "logic/pair_queue.hpp"
 
@@ -35,15 +36,6 @@ FCube cube_union(const FCube& a, const FCube& b) {
 
 FCube cube_intersection(const FCube& a, const FCube& b) {
   FCube out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-/// Intersection of two sorted duplicate-free cube lists.
-std::vector<FCube> cubeset_intersection(const std::vector<FCube>& a,
-                                        const std::vector<FCube>& b) {
-  std::vector<FCube> out;
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(out));
   return out;
@@ -108,29 +100,47 @@ FCube common_cube(const std::vector<FCube>& cubes) {
   return common;
 }
 
+SopExpr algebraic_quotient(const SopExpr& f, const SopExpr& d) {
+  // Intersection over divisor cubes of { c \ dc : dc subset c }. Every
+  // cube of the intersection is support-disjoint from *every* divisor cube
+  // (it equals c' \ dc for each dc), so quotient * divisor is a proper
+  // algebraic product and each of its cubes is a cube of f.
+  SopExpr q;
+  if (d.cubes.empty()) return q;
+  q.cubes = quotient_by_cube(f, d.cubes[0]);
+  // Every later divisor cube only filters the candidates: keep a quotient
+  // cube when some cube of f equals it joined with dc.
+  std::vector<bool> hit;
+  FCube diff;
+  for (std::size_t k = 1; k < d.cubes.size() && !q.cubes.empty(); ++k) {
+    const FCube& dc = d.cubes[k];
+    hit.assign(q.cubes.size(), false);
+    for (const FCube& c : f.cubes) {
+      if (!cube_includes(c, dc)) continue;
+      diff.clear();
+      std::set_difference(c.begin(), c.end(), dc.begin(), dc.end(),
+                          std::back_inserter(diff));
+      const auto it = std::lower_bound(q.cubes.begin(), q.cubes.end(), diff);
+      if (it != q.cubes.end() && *it == diff) hit[it - q.cubes.begin()] = true;
+    }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < q.cubes.size(); ++i) {
+      if (!hit[i]) continue;
+      if (kept != i) q.cubes[kept] = std::move(q.cubes[i]);
+      ++kept;
+    }
+    q.cubes.resize(kept);
+  }
+  return q;
+}
+
 DivisionResult divide(const SopExpr& f, const SopExpr& d) {
   DivisionResult res;
   if (d.cubes.empty()) {
     res.remainder = f;
     return res;
   }
-  // Quotient: intersection over divisor cubes of { c \ dc : dc subset c }.
-  // Every cube of the intersection is support-disjoint from *every* divisor
-  // cube (it equals c' \ dc for each dc), so quotient * divisor is a proper
-  // algebraic product and each of its cubes is a cube of f.
-  bool first = true;
-  std::vector<FCube> q;
-  for (const FCube& dc : d.cubes) {
-    std::vector<FCube> cand = quotient_by_cube(f, dc);
-    if (first) {
-      q = std::move(cand);
-      first = false;
-    } else {
-      q = cubeset_intersection(q, cand);
-    }
-    if (q.empty()) break;
-  }
-  res.quotient.cubes = std::move(q);
+  res.quotient = algebraic_quotient(f, d);
 
   // Remainder: the cubes of f not covered by quotient * divisor. Scanned
   // by membership (not set_difference) so f's cube *list* need not be
@@ -282,20 +292,23 @@ constexpr std::size_t kMaxKernelsPerFunc = 24;
 
 /// The extraction working state: outputs and node definitions live in one
 /// function array (funcs_[b] = output b, funcs_[num_outputs + j] = node j),
-/// with incremental bookkeeping for the cube-divisor search:
+/// with incremental bookkeeping that every rewrite keeps exact, so no
+/// search ever rescans the network:
 ///   * pairs_ -- global occurrence counts of 2-literal sub-cubes, in a
 ///     queue holding one entry per pair that occurs at least twice;
-///   * lit_cubes_ -- literal -> cube references, also lazily stale: entries
-///     are validated against the function generation and actual membership
-///     before use.
+///   * lit_bits_ -- literal -> bitset over cube slots (every live cube owns
+///     one slot), so the cubes containing a literal set are one AND;
+///   * lit_funcs_ / FuncIndex::max_width -- literal -> the functions
+///     using it, with a cube count per (literal, function), and each
+///     function's widest cube: the candidate filter of kernel scoring.
 class Extractor {
  public:
   /// `outputs` are the per-output expressions, each normalized.
   Extractor(std::size_t num_vars, std::vector<SopExpr> outputs, const Budget& budget)
       : num_vars_(num_vars), num_outputs_(outputs.size()), budget_(budget),
         funcs_(std::move(outputs)) {
-    gen_.assign(funcs_.size(), 0);
     dirty_.assign(funcs_.size(), true);
+    func_index_.resize(funcs_.size());
     for (std::uint32_t f = 0; f < funcs_.size(); ++f) register_func(f);
     pairs_.build();
   }
@@ -327,7 +340,19 @@ class Extractor {
   struct CubeRef {
     std::uint32_t func;
     std::uint32_t idx;
-    std::uint32_t gen;
+  };
+  /// One entry of a literal's function list: a function using the literal
+  /// and the number of its cubes that do.
+  struct FuncUse {
+    std::uint32_t func;
+    std::uint32_t cubes;
+  };
+  /// A function's share of the indexes: the slot of each of its cubes and
+  /// its cube count per width, whose highest nonzero entry is max_width.
+  struct FuncIndex {
+    std::vector<std::uint32_t> slots;
+    std::vector<std::uint32_t> width_count;
+    std::uint32_t max_width = 0;
   };
 
   std::size_t num_nodes() const { return funcs_.size() - num_outputs_; }
@@ -339,9 +364,6 @@ class Extractor {
     return (std::uint64_t{a} << 32) | b;  // requires a < b
   }
 
-  bool ref_valid(const CubeRef& r) const {
-    return r.gen == gen_[r.func] && r.idx < funcs_[r.func].cubes.size();
-  }
   const FCube& ref_cube(const CubeRef& r) const {
     return funcs_[r.func].cubes[r.idx];
   }
@@ -352,22 +374,83 @@ class Extractor {
         pairs_.add(pair_key(c[i], c[j]), delta);
   }
 
-  /// Register every cube of a function (fresh generation).
+  // --- the literal indexes ---------------------------------------------------
+
+  void set_bit(LitId l, std::uint32_t slot) {
+    if (lit_bits_.size() <= l) lit_bits_.resize(l + 1);
+    std::vector<std::uint64_t>& bits = lit_bits_[l];
+    if (bits.size() <= slot / 64) bits.resize(slot / 64 + 1, 0);
+    bits[slot / 64] |= std::uint64_t{1} << (slot % 64);
+  }
+  void clear_bit(LitId l, std::uint32_t slot) {
+    lit_bits_[l][slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+  }
+
+  /// Count one more (delta +1) or one fewer (-1) cube of `f` using `l`.
+  void count_use(LitId l, std::uint32_t f, int delta) {
+    if (lit_funcs_.size() <= l) lit_funcs_.resize(l + 1);
+    std::vector<FuncUse>& uses = lit_funcs_[l];
+    const auto it = std::lower_bound(
+        uses.begin(), uses.end(), f,
+        [](const FuncUse& u, std::uint32_t g) { return u.func < g; });
+    if (delta > 0) {
+      if (it != uses.end() && it->func == f) ++it->cubes;
+      else uses.insert(it, FuncUse{f, 1});
+    } else if (--it->cubes == 0) {
+      uses.erase(it);
+    }
+  }
+
+  /// Count one more (+1) or one fewer (-1) cube of `width` literals in `f`.
+  void count_width(std::uint32_t f, std::size_t width, int delta) {
+    FuncIndex& fi = func_index_[f];
+    if (fi.width_count.size() <= width) fi.width_count.resize(width + 1, 0);
+    fi.width_count[width] += static_cast<std::uint32_t>(delta);
+    if (delta > 0) {
+      fi.max_width = std::max(fi.max_width, static_cast<std::uint32_t>(width));
+    } else {
+      while (fi.max_width > 0 && fi.width_count[fi.max_width] == 0) --fi.max_width;
+    }
+  }
+
+  /// Enter or drop cube i of f in every index (its pairs included).
+  void index_cube(std::uint32_t f, std::uint32_t i, int delta) {
+    const FCube& c = funcs_[f].cubes[i];
+    const std::uint32_t slot = func_index_[f].slots[i];
+    for (LitId l : c) {
+      if (delta > 0) set_bit(l, slot);
+      else clear_bit(l, slot);
+      count_use(l, f, delta);
+    }
+    count_width(f, c.size(), delta);
+    add_pairs(c, delta);
+  }
+
+  /// Give every cube of f a slot and index it.
   void register_func(std::uint32_t f) {
-    const std::uint32_t g = gen_[f];
-    for (std::uint32_t i = 0; i < funcs_[f].cubes.size(); ++i) {
-      const FCube& c = funcs_[f].cubes[i];
-      for (LitId l : c) lit_cubes_[l].push_back({f, i, g});
-      add_pairs(c, +1);
+    const std::uint32_t n = static_cast<std::uint32_t>(funcs_[f].cubes.size());
+    func_index_[f].slots.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::uint32_t slot;
+      if (free_slots_.empty()) {
+        slot = static_cast<std::uint32_t>(slot_cube_.size());
+        slot_cube_.emplace_back();
+      } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+      }
+      slot_cube_[slot] = {f, i};
+      func_index_[f].slots[i] = slot;
+      index_cube(f, i, +1);
     }
   }
 
   /// Substitute the cube divisor `divisor` (a subset of the cube) by its
   /// node literal `x`, in place. Only the pairs that change are counted:
-  /// those touching a divisor literal leave, those with x arrive. Removed
-  /// literals leave stale index entries behind; x is indexed.
+  /// those touching a divisor literal leave, those with x arrive.
   void rewrite_cube(const CubeRef& r, const FCube& divisor, LitId x) {
     FCube& cur = funcs_[r.func].cubes[r.idx];
+    const std::uint32_t slot = func_index_[r.func].slots[r.idx];
     auto in_divisor = [&](LitId l) {
       return std::binary_search(divisor.begin(), divisor.end(), l);
     };
@@ -375,22 +458,31 @@ class Extractor {
       for (std::size_t j = i + 1; j < cur.size(); ++j)
         if (in_divisor(cur[i]) || in_divisor(cur[j]))
           pairs_.add(pair_key(cur[i], cur[j]), -1);
+    for (LitId l : divisor) {
+      clear_bit(l, slot);
+      count_use(l, r.func, -1);
+    }
+    count_width(r.func, cur.size(), -1);
     FCube next = cube_difference(cur, divisor);
     for (LitId l : next) pairs_.add(pair_key(l, x), +1);
     next.push_back(x);  // x is the largest id: stays sorted
     cur = std::move(next);
-    lit_cubes_[x].push_back({r.func, r.idx, r.gen});
+    set_bit(x, slot);
+    count_use(x, r.func, +1);
+    count_width(r.func, cur.size(), +1);
     dirty_[r.func] = true;
   }
 
-  /// Replace a whole function (kernel substitution): bump the generation so
-  /// every old index entry goes stale, then re-register.
+  /// Replace a whole function (kernel substitution): drop its cubes from
+  /// every index, free their slots, then register the new cubes.
   void rebuild_func(std::uint32_t f, std::vector<FCube> next) {
-    for (const FCube& c : funcs_[f].cubes) add_pairs(c, -1);
+    for (std::uint32_t i = 0; i < funcs_[f].cubes.size(); ++i) {
+      index_cube(f, i, -1);
+      free_slots_.push_back(func_index_[f].slots[i]);
+    }
     std::sort(next.begin(), next.end());
     next.erase(std::unique(next.begin(), next.end()), next.end());
     funcs_[f].cubes = std::move(next);
-    ++gen_[f];
     register_func(f);
     dirty_[f] = true;
   }
@@ -400,8 +492,8 @@ class Extractor {
     funcs_.emplace_back();
     std::sort(def.begin(), def.end());
     funcs_.back().cubes = std::move(def);
-    gen_.push_back(0);
     dirty_.push_back(true);
+    func_index_.emplace_back();
     register_func(f);
     return f;
   }
@@ -443,28 +535,19 @@ class Extractor {
     return false;
   }
 
-  /// All current cubes containing every literal of `c` (c non-empty).
-  /// Valid entries are unique per literal list (one entry per cube per
-  /// generation), so no deduplication is needed.
-  std::vector<CubeRef> cubes_containing(const FCube& c) {
-    // Scan the shortest literal index list.
-    LitId best = c[0];
-    std::size_t best_size = SIZE_MAX;
-    for (LitId l : c) {
-      auto it = lit_cubes_.find(l);
-      const std::size_t sz = it == lit_cubes_.end() ? 0 : it->second.size();
-      if (sz < best_size) {
-        best_size = sz;
-        best = l;
-      }
-    }
+  /// All current cubes containing both literals a and b, in slot order.
+  std::vector<CubeRef> cubes_containing(LitId a, LitId b) const {
     std::vector<CubeRef> out;
-    auto it = lit_cubes_.find(best);
-    if (it == lit_cubes_.end()) return out;
-    for (const CubeRef& r : it->second) {
-      if (!ref_valid(r)) continue;
-      if (!cube_includes(ref_cube(r), c)) continue;
-      out.push_back(r);
+    const std::vector<std::uint64_t>& x = lit_bits_[a];
+    const std::vector<std::uint64_t>& y = lit_bits_[b];
+    const std::size_t words = std::min(x.size(), y.size());
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t both = x[w] & y[w];
+      while (both) {
+        const std::size_t bit = static_cast<std::size_t>(__builtin_ctzll(both));
+        both &= both - 1;
+        out.push_back(slot_cube_[w * 64 + bit]);
+      }
     }
     return out;
   }
@@ -479,24 +562,31 @@ class Extractor {
 
   /// Best common-cube divisor grown from the pair (a, b): take every cube
   /// containing the pair and try both the pair itself and the full common
-  /// cube of those occurrences.
+  /// cube of those occurrences. Both divisors occur in exactly those cubes
+  /// (each contains the common cube), so one lookup serves both.
   CubeCandidate grow_pair(LitId a, LitId b) {
     CubeCandidate cand;
     const FCube pair = {a, b};
-    std::vector<CubeRef> occ = cubes_containing(pair);
+    const std::vector<CubeRef> occ = cubes_containing(a, b);
     if (occ.size() < 2) return cand;
 
-    std::vector<FCube> occ_cubes;
-    occ_cubes.reserve(occ.size());
-    for (const CubeRef& r : occ) occ_cubes.push_back(ref_cube(r));
-    const FCube grown = common_cube(occ_cubes);
+    FCube grown = ref_cube(occ[0]);
+    for (std::size_t k = 1; k < occ.size() && grown.size() > 2; ++k) {
+      const FCube& c = ref_cube(occ[k]);
+      std::size_t kept = 0;
+      std::size_t j = 0;
+      for (LitId l : grown) {
+        while (j < c.size() && c[j] < l) ++j;
+        if (j < c.size() && c[j] == l) grown[kept++] = l;
+      }
+      grown.resize(kept);
+    }
 
-    for (const FCube* divisor : {&pair, &grown}) {
+    for (const FCube* divisor : {&pair, &std::as_const(grown)}) {
       if (divisor->size() < 2) continue;
-      std::vector<CubeRef> targets =
-          divisor == &pair ? occ : cubes_containing(*divisor);
       // Cycle guard: drop occurrences inside node definitions the divisor's
       // own cone depends on.
+      std::vector<CubeRef> targets = occ;
       targets.erase(std::remove_if(targets.begin(), targets.end(),
                                    [&](const CubeRef& r) {
                                      return is_node_func(r.func) &&
@@ -538,11 +628,7 @@ class Extractor {
         // divisor's literals and gains a reference to it.
         const std::uint32_t nf = new_node({best.divisor});
         const LitId x = lit_of_node(nf - num_outputs_);
-        for (const CubeRef& r : best.targets) {
-          if (!ref_valid(r) || !cube_includes(ref_cube(r), best.divisor))
-            continue;  // the new node's own def is not among the targets
-          rewrite_cube(r, best.divisor, x);
-        }
+        for (const CubeRef& r : best.targets) rewrite_cube(r, best.divisor, x);
       }
       pairs_.release();
       ++steps_;
@@ -560,34 +646,12 @@ class Extractor {
     SopExpr remainder;
   };
 
-  /// Literal -> sorted list of functions whose current cubes use it.
-  /// Rebuilt once per kernel round (O(total literals)); the support
-  /// intersection below is what keeps candidate evaluation from dividing
-  /// every function in the network.
-  using LitFuncIndex = std::unordered_map<LitId, std::vector<std::uint32_t>>;
-
-  LitFuncIndex build_lit_func_index(std::vector<std::uint32_t>* max_width) const {
-    LitFuncIndex index;
-    max_width->assign(funcs_.size(), 0);
-    for (std::uint32_t f = 0; f < funcs_.size(); ++f) {
-      for (const FCube& c : funcs_[f].cubes) {
-        (*max_width)[f] = std::max((*max_width)[f],
-                                   static_cast<std::uint32_t>(c.size()));
-        for (LitId l : c) {
-          auto& v = index[l];
-          if (v.empty() || v.back() != f) v.push_back(f);
-        }
-      }
-    }
-    return index;
-  }
-
   /// Candidate value: substituting divisor d into g = q*d + r turns
   /// cubes(d)*lits(q) + cubes(q)*lits(d) product literals into
   /// lits(q) + cubes(q), and the node definition itself costs lits(d).
-  long evaluate_kernel(const SopExpr& d, const LitFuncIndex& index,
-                       const std::vector<std::uint32_t>& max_width,
-                       std::vector<KernelTarget>* targets,
+  /// Scoring needs only the quotients; with `targets` the full division of
+  /// every divided function is collected for the rewrite.
+  long evaluate_kernel(const SopExpr& d, std::vector<KernelTarget>* targets,
                        std::vector<std::uint32_t>* watched = nullptr) {
     std::uint32_t d_width = 0;
     for (const FCube& c : d.cubes)
@@ -603,15 +667,17 @@ class Extractor {
     if (support.empty()) return 0;
     std::vector<std::uint32_t> funcs;
     for (std::size_t i = 0; i < support.size(); ++i) {
-      auto it = index.find(support[i]);
-      if (it == index.end()) return 0;
+      const std::vector<FuncUse>& uses = lit_funcs_[support[i]];
       if (i == 0) {
-        funcs = it->second;
+        for (const FuncUse& u : uses) funcs.push_back(u.func);
       } else {
-        std::vector<std::uint32_t> next;
-        std::set_intersection(funcs.begin(), funcs.end(), it->second.begin(),
-                              it->second.end(), std::back_inserter(next));
-        funcs = std::move(next);
+        std::size_t kept = 0;
+        auto u = uses.begin();
+        for (std::uint32_t f : funcs) {
+          while (u != uses.end() && u->func < f) ++u;
+          if (u != uses.end() && u->func == f) funcs[kept++] = f;
+        }
+        funcs.resize(kept);
       }
       if (funcs.empty()) return 0;
     }
@@ -622,9 +688,11 @@ class Extractor {
     long value = -d_lits;
     for (std::uint32_t g : funcs) {
       // Every divisor cube must fit inside some cube of g.
-      if (d_width > max_width[g]) continue;
+      if (d_width > func_index_[g].max_width) continue;
       if (is_node_func(g) && cone_reaches(support, g)) continue;
-      DivisionResult div = divide(funcs_[g], d);
+      DivisionResult div;
+      if (targets) div = divide(funcs_[g], d);
+      else div.quotient = algebraic_quotient(funcs_[g], d);
       if (div.quotient.cubes.empty()) continue;
       const long q_cubes = static_cast<long>(div.quotient.cubes.size());
       const long q_lits = static_cast<long>(div.quotient.num_literals());
@@ -695,8 +763,6 @@ class Extractor {
 
       if (truncated_) break;
 
-      std::vector<std::uint32_t> max_width;
-      const LitFuncIndex index = build_lit_func_index(&max_width);
       changed.resize(funcs_.size(), 0);
       long best_value = 0;
       const std::vector<FCube>* best = nullptr;
@@ -711,7 +777,7 @@ class Extractor {
           stale = stale || changed[f] >= e.eval_round;
         if (stale) {
           e.watched.clear();
-          e.value = evaluate_kernel(e.expr, index, max_width, nullptr, &e.watched);
+          e.value = evaluate_kernel(e.expr, nullptr, &e.watched);
           e.eval_round = round;
           if (e.value <= 0) {
             it = pool.erase(it);
@@ -731,7 +797,7 @@ class Extractor {
       // Re-evaluate the winner collecting quotients, then rewrite.
       std::vector<KernelTarget> targets;
       const SopExpr divisor = pool.find(*best)->second.expr;
-      if (evaluate_kernel(divisor, index, max_width, &targets) <= 0 ||
+      if (evaluate_kernel(divisor, &targets) <= 0 ||
           targets.empty()) {
         pool.erase(divisor.cubes);
         continue;
@@ -762,20 +828,21 @@ class Extractor {
   /// (no index shifts, so one pass applies as many as it can validate),
   /// while a multi-cube inline erases a cube and ends the pass, and
   /// cascades (a freed node exposing another single use) land in the next
-  /// pass's recount.
+  /// pass's recount. Only emission follows, so the indexes are not kept
+  /// current from here on.
   void cleanup() {
     bool changed = true;
     while (changed) {
       changed = false;
       // Use counts + the single use site per node.
       std::vector<std::size_t> uses(num_nodes(), 0);
-      std::vector<CubeRef> site(num_nodes(), CubeRef{0, 0, 0});
+      std::vector<CubeRef> site(num_nodes(), CubeRef{0, 0});
       for (std::uint32_t f = 0; f < funcs_.size(); ++f)
         for (std::uint32_t i = 0; i < funcs_[f].cubes.size(); ++i)
           for (LitId l : funcs_[f].cubes[i])
             if (is_node_lit(l, num_vars_)) {
               const std::size_t j = node_of_lit(l, num_vars_);
-              if (++uses[j] == 1) site[j] = {f, i, 0};
+              if (++uses[j] == 1) site[j] = {f, i};
             }
 
       bool shifted = false;
@@ -897,10 +964,13 @@ class Extractor {
   bool truncated_ = false;
   std::uint64_t steps_ = 0;
   std::vector<SopExpr> funcs_;
-  std::vector<std::uint32_t> gen_;
   std::vector<bool> dirty_;
   PairQueue pairs_;
-  std::unordered_map<LitId, std::vector<CubeRef>> lit_cubes_;
+  std::vector<FuncIndex> func_index_;
+  std::vector<CubeRef> slot_cube_;                    // slot -> cube
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::vector<std::uint64_t>> lit_bits_;  // literal -> slots
+  std::vector<std::vector<FuncUse>> lit_funcs_;       // literal -> sorted uses
   std::vector<std::uint32_t> reach_seen_;
   std::vector<std::uint32_t> reach_stack_;
   std::uint32_t reach_stamp_ = 0;

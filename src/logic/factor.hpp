@@ -99,6 +99,11 @@ struct DivisionResult {
 /// product cube a cube of f. q is empty when d does not divide f.
 DivisionResult divide(const SopExpr& f, const SopExpr& d);
 
+/// The quotient step of divide() alone: divide(f, d).quotient without
+/// building the remainder (what candidate scoring needs). f's cube list
+/// may be unsorted but must be duplicate-free.
+SopExpr algebraic_quotient(const SopExpr& f, const SopExpr& d);
+
 /// Quotient of division by a single cube: { c \ d : d subset of c in f }.
 std::vector<FCube> quotient_by_cube(const SopExpr& f, const FCube& d);
 

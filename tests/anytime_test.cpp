@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "benchdata/iwls93.hpp"
+#include "bist/architectures.hpp"
 #include "logic/espresso_lite.hpp"
 #include "logic/factor.hpp"
 #include "netlist/eval64.hpp"
@@ -139,6 +140,19 @@ TEST_P(CorpusAnytime, FactoringStaysExactUnderEveryBudget) {
   // two-level PLA literal count.)
   const std::size_t flat_literals =
       extract_factored(pla, Budget::work_limit(0)).num_literals();
+  // Algebraic identity at every stopping point: exhaustive equivalence
+  // against the functions of the factoring input.
+  const auto expect_exact = [&](const FactoredNetwork& fn, const char* input,
+                                const auto& reference) {
+    std::vector<bool> node_vals, out_vals;
+    const Minterm total = Minterm{1} << enc.num_vars();
+    for (Minterm mm = 0; mm < total; ++mm) {
+      fn.evaluate_all(mm, node_vals, out_vals);
+      for (std::size_t bbit = 0; bbit < tables.size(); ++bbit)
+        ASSERT_EQ(out_vals[bbit], reference(mm, bbit))
+            << GetParam() << " " << input << " minterm " << mm << " output " << bbit;
+    }
+  };
 
   for (const Budget& b : budget_grid()) {
     Degradation deg;
@@ -146,17 +160,23 @@ TEST_P(CorpusAnytime, FactoringStaysExactUnderEveryBudget) {
     fn.check();
     // Never worse than the flat PLA it started from.
     EXPECT_LE(fn.num_literals(), flat_literals) << GetParam();
-    // Algebraic identity at every stopping point: exhaustive equivalence
-    // against the two-level truth tables.
-    std::vector<bool> node_vals, out_vals;
-    const Minterm total = Minterm{1} << enc.num_vars();
-    for (Minterm mm = 0; mm < total; ++mm) {
-      fn.evaluate_all(mm, node_vals, out_vals);
-      for (std::size_t bbit = 0; bbit < tables.size(); ++bbit)
-        ASSERT_EQ(out_vals[bbit], pla.evaluate(mm, bbit))
-            << GetParam() << " minterm " << mm << " output " << bbit;
-    }
+    expect_exact(fn, "pla",
+                 [&](Minterm mm, std::size_t bbit) { return pla.evaluate(mm, bbit); });
     if (deg.degraded) EXPECT_EQ(deg.stage, "factor");
+  }
+
+  // The flow's own factoring input: one espresso cover per output.
+  const std::vector<Cover> covers = per_output_covers(tables);
+  for (const Budget& b : budget_grid()) {
+    Degradation deg;
+    const FactoredNetwork fn = extract_factored(covers, b, &deg);
+    fn.check();
+    expect_exact(fn, "covers", [&](Minterm mm, std::size_t bbit) {
+      return covers[bbit].evaluate(mm);
+    });
+    if (deg.degraded) {
+      EXPECT_EQ(deg.stage, "factor");
+    }
   }
 }
 

@@ -121,37 +121,49 @@ TEST(AlgebraicDivision, QuotientByCube) {
 /// own kernel sets, quotient * divisor + remainder re-expands to exactly
 /// the original cube set, and to a boolean-equivalent cover (mutual
 /// containment via is_tautology).
+/// One random division problem: a normalized SOP f over 4..8 variables
+/// and its divisors, every kernel of f plus a random unrelated cover.
+struct RandomDivision {
+  std::size_t num_vars;
+  SopExpr f;
+  std::vector<SopExpr> divisors;
+};
+
+RandomDivision random_division(Rng& rng) {
+  RandomDivision r;
+  r.num_vars = 4 + rng.below(5);  // 4..8
+  const std::size_t cubes = 2 + rng.below(10);
+  for (std::size_t i = 0; i < cubes; ++i) {
+    FCube c;
+    for (std::size_t v = 0; v < r.num_vars; ++v) {
+      if (rng.chance(0.45))
+        c.push_back(rng.chance(0.5) ? pos_lit(v) : neg_lit(v));
+    }
+    r.f.cubes.push_back(std::move(c));
+  }
+  r.f.normalize();
+
+  for (Kernel& k : enumerate_kernels(r.f)) r.divisors.push_back(std::move(k.kernel));
+  SopExpr d;
+  for (int i = 0; i < 3; ++i) {
+    FCube c;
+    for (std::size_t v = 0; v < r.num_vars; ++v)
+      if (rng.chance(0.3))
+        c.push_back(rng.chance(0.5) ? pos_lit(v) : neg_lit(v));
+    d.cubes.push_back(std::move(c));
+  }
+  d.normalize();
+  r.divisors.push_back(std::move(d));
+  return r;
+}
+
 TEST(AlgebraicDivision, RandomReexpansionIsIdentity) {
   Rng rng(0xD1F1DE);
   for (int iter = 0; iter < 200; ++iter) {
-    const std::size_t num_vars = 4 + rng.below(5);  // 4..8
-    SopExpr f;
-    const std::size_t cubes = 2 + rng.below(10);
-    for (std::size_t i = 0; i < cubes; ++i) {
-      FCube c;
-      for (std::size_t v = 0; v < num_vars; ++v) {
-        if (rng.chance(0.45))
-          c.push_back(rng.chance(0.5) ? pos_lit(v) : neg_lit(v));
-      }
-      f.cubes.push_back(std::move(c));
-    }
-    f.normalize();
-
-    // Divisors: every kernel of f, plus a random unrelated cover.
-    std::vector<SopExpr> divisors;
-    for (Kernel& k : enumerate_kernels(f)) divisors.push_back(std::move(k.kernel));
-    {
-      SopExpr d;
-      for (int i = 0; i < 3; ++i) {
-        FCube c;
-        for (std::size_t v = 0; v < num_vars; ++v)
-          if (rng.chance(0.3))
-            c.push_back(rng.chance(0.5) ? pos_lit(v) : neg_lit(v));
-        d.cubes.push_back(std::move(c));
-      }
-      d.normalize();
-      divisors.push_back(std::move(d));
-    }
+    const RandomDivision r = random_division(rng);
+    const SopExpr& f = r.f;
+    const std::size_t num_vars = r.num_vars;
+    const std::vector<SopExpr>& divisors = r.divisors;
 
     const Cover f_cover = cover_from_sop(f, num_vars);
     for (const SopExpr& d : divisors) {
@@ -161,6 +173,36 @@ TEST(AlgebraicDivision, RandomReexpansionIsIdentity) {
       ASSERT_TRUE(equivalent_covers(cover_from_sop(reexpand(res, d), num_vars),
                                     f_cover))
           << "iter " << iter;
+    }
+  }
+}
+
+/// The quotient step shared by kernel scoring and divide() gives divide()'s
+/// quotient on the random SOPs above, equal to the textbook definition (the
+/// intersection over divisor cubes of the single-cube quotients), and so
+/// does any order of the dividend's cubes (the extractor rewrites cubes in
+/// place).
+TEST(AlgebraicDivision, QuotientMatchesDivide) {
+  Rng rng(0xD1F1DE);
+  for (int iter = 0; iter < 200; ++iter) {
+    const RandomDivision r = random_division(rng);
+    SopExpr shuffled = r.f;
+    std::reverse(shuffled.cubes.begin(), shuffled.cubes.end());
+    for (const SopExpr& d : r.divisors) {
+      SopExpr reference;
+      reference.cubes = quotient_by_cube(r.f, d.cubes.at(0));
+      for (const FCube& dc : d.cubes) {
+        const std::vector<FCube> by_cube = quotient_by_cube(r.f, dc);
+        std::vector<FCube> both;
+        std::set_intersection(reference.cubes.begin(), reference.cubes.end(),
+                              by_cube.begin(), by_cube.end(),
+                              std::back_inserter(both));
+        reference.cubes = std::move(both);
+      }
+      const SopExpr q = divide(r.f, d).quotient;
+      EXPECT_EQ(q, reference) << "iter " << iter;
+      EXPECT_EQ(algebraic_quotient(r.f, d), q) << "iter " << iter;
+      EXPECT_EQ(algebraic_quotient(shuffled, d), q) << "iter " << iter;
     }
   }
 }
@@ -281,6 +323,47 @@ TEST(Extraction, RandomPlasStayEquivalentAndNeverGainLiterals) {
     const FactoredNetwork fn = extract_factored(pla);
     expect_factored_equivalent(pla, fn);
     EXPECT_LE(fn.num_literals(), expanded) << "iter " << iter;
+  }
+}
+
+/// Random per-output covers factored under small step allowances and
+/// without one: every stopping point computes exactly its covers.
+TEST(Extraction, RandomCoversStayEquivalentUnderEveryStepLimit) {
+  Rng rng(0xC0FE5);
+  for (int iter = 0; iter < 40; ++iter) {
+    const std::size_t num_vars = 3 + rng.below(6);  // 3..8
+    const std::size_t num_outs = 1 + rng.below(6);  // 1..6
+    std::vector<Cover> covers(num_outs, Cover(num_vars));
+    for (Cover& cover : covers) {
+      const std::size_t cubes = rng.below(14);
+      for (std::size_t i = 0; i < cubes; ++i) {
+        Cube c;
+        for (std::size_t v = 0; v < num_vars; ++v) {
+          const std::uint64_t bit = std::uint64_t{1} << v;
+          if (rng.chance(0.6)) {
+            c.care |= bit;
+            if (rng.chance(0.5)) c.value |= bit;
+          }
+        }
+        cover.add(c);
+      }
+    }
+    std::vector<Budget> budgets;
+    for (const std::uint64_t k : {0u, 1u, 2u, 4u, 8u, 32u})
+      budgets.push_back(Budget::work_limit(k));
+    budgets.push_back(Budget::unlimited());
+    for (const Budget& budget : budgets) {
+      const FactoredNetwork fn = extract_factored(covers, budget);
+      fn.check();
+      std::vector<bool> node_vals, out_vals;
+      for (Minterm m = 0; m < (Minterm{1} << num_vars); ++m) {
+        fn.evaluate_all(m, node_vals, out_vals);
+        for (std::size_t b = 0; b < num_outs; ++b)
+          ASSERT_EQ(out_vals[b], covers[b].evaluate(m))
+              << "iter " << iter << " allowance " << budget.work_allowance()
+              << " minterm " << m << " output " << b;
+      }
+    }
   }
 }
 

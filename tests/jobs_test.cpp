@@ -316,6 +316,60 @@ TEST(JobCache, TruncatedOstrSearchIsNotServedToLaterJobs) {
   EXPECT_EQ(st.ostr_hits, 1u);
 }
 
+TEST(JobCache, CappedOstrSearchIsServedToJobsWithTheSameCap) {
+  // dk16's search stops at the default 2,000,000-node cap. That stop is
+  // deterministic in the cap, so the machine entry keeps the search for
+  // the later fig4 jobs with the same cap.
+  JobCache cache;
+  CampaignJobSpec spec;
+  spec.machine = "dk16";
+  spec.arch = ArchKind::kFig4;
+  spec.tech = Technology::kTwoLevel;
+  spec.with_fault_sim = false;
+
+  const auto ostr_label = [](const CampaignJobResult& r) {
+    for (const Degradation& d : r.report.degradations)
+      if (d.stage == "ostr") return d;
+    return Degradation{};
+  };
+
+  const CampaignJobResult first = run_campaign_job(spec, cache);
+  ASSERT_TRUE(first.error.empty()) << first.error;
+  const Degradation label = ostr_label(first);
+  ASSERT_TRUE(label.degraded) << render_degradations(first.report.degradations);
+  EXPECT_EQ(label.reason, "work-allowance");
+  JobCacheStats st = cache.stats();
+  EXPECT_EQ(st.ostr_misses, 1u);
+  EXPECT_EQ(st.ostr_hits, 0u);
+
+  // Same options: an OSTR hit, and the row keeps the search's label. The
+  // structure built on a capped search is degraded, so it is built again.
+  const CampaignJobResult second = run_campaign_job(spec, cache);
+  ASSERT_TRUE(second.error.empty()) << second.error;
+  st = cache.stats();
+  EXPECT_EQ(st.ostr_misses, 1u);
+  EXPECT_EQ(st.ostr_hits, 1u);
+  EXPECT_FALSE(second.structure_cached);
+  const Degradation again = ostr_label(second);
+  EXPECT_TRUE(again.degraded);
+  EXPECT_EQ(again.reason, label.reason);
+  EXPECT_EQ(again.work_done, label.work_done);
+  EXPECT_EQ(again.detail, label.detail);
+  EXPECT_EQ(second.report.flipflops, first.report.flipflops);
+  EXPECT_EQ(second.report.area_ge, first.report.area_ge);
+
+  // A different max_nodes is a different search: it runs again.
+  const CampaignJobResult smaller =
+      run_campaign_job(spec, cache, Budget(), nullptr, 1000);
+  ASSERT_TRUE(smaller.error.empty()) << smaller.error;
+  st = cache.stats();
+  EXPECT_EQ(st.ostr_misses, 2u);
+  EXPECT_EQ(st.ostr_hits, 1u);
+  const Degradation capped = ostr_label(smaller);
+  EXPECT_TRUE(capped.degraded);
+  EXPECT_LT(capped.work_done, label.work_done);
+}
+
 TEST(JobCache, FailedMachineLoadIsRetriedAsAMiss) {
   // A load that throws stores nothing: the next call loads again and that
   // is a miss, not a hit on the slot the failed call created.
