@@ -31,10 +31,10 @@ using namespace stc;
 /// (synthesis cost stays out of the measured loop).
 const ControllerStructure& dk27_fig4() {
   static JobCache cache;
-  static std::shared_ptr<JobCache::StructureEntry> s = cache.structure(
+  static const std::shared_ptr<const ControllerStructure> s = cache.structure(
       cache.machine("dk27"), ArchKind::kFig4, Technology::kTwoLevel,
       OstrOptions{}, Budget{});
-  return s->cs;
+  return *s;
 }
 
 FleetOptions fleet_options(std::uint64_t instances) {

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   sw.techs = all ? std::vector<Technology>{Technology::kTwoLevel,
                                            Technology::kMultiLevel}
                  : std::vector<Technology>{tech};
-  sw.bist_cycles = bist_cycles;
+  sw.job.bist_cycles = bist_cycles;
   sw.jobs = static_cast<std::size_t>(
       cli.get_int("jobs", hw > 0 ? static_cast<long>(hw) : 1));
   sw.repeat = static_cast<std::size_t>(cli.get_int("repeat", 1));

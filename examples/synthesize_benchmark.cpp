@@ -9,9 +9,9 @@
 // selected --tech) as CampaignJobs on the jobs/ work-stealing scheduler:
 // --jobs sizes the shared pool (results identical at any value), the keyed
 // artifact cache deduplicates builds (with --repeat 2 every second-pass
-// row reads "MS", a machine and structure hit, except degraded builds,
-// which are never stored), and one aggregated corpus report closes the
-// run.
+// row reads "MS", a machine and structure hit; a build a deadline cut is
+// not stored, one cut only at its OSTR node cap is), and one aggregated
+// corpus report closes the run.
 //
 // With --faultsim the per-structure report includes campaign wall time and
 // the event engine's mean per-cycle activity ratio; the engine picks its
@@ -71,13 +71,13 @@ int main(int argc, char** argv) {
   if (cli.has("all")) {
     const std::size_t hw = std::thread::hardware_concurrency();
     SweepOptions sw;  // empty machine list = the full corpus
-    sw.with_fault_sim = cli.has("faultsim");
+    sw.job.with_fault_sim = cli.has("faultsim");
     sw.jobs = static_cast<std::size_t>(
         cli.get_int("jobs", hw > 0 ? static_cast<long>(hw) : 1));
     sw.repeat = static_cast<std::size_t>(cli.get_int("repeat", 1));
-    sw.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
-    sw.ostr_max_nodes =
-        static_cast<std::uint64_t>(cli.get_int("max-nodes", 2000000));
+    sw.job.bist_cycles = static_cast<std::size_t>(cli.get_int("cycles", 256));
+    sw.job.ostr_max_nodes = static_cast<std::uint64_t>(
+        cli.get_int("max-nodes", static_cast<long>(sw.job.ostr_max_nodes)));
     try {
       sw.techs = {parse_technology(cli.get("tech", "two_level"))};
     } catch (const std::exception& e) {
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     sw.cancel = install_sigint_cancel();
 
     std::printf("Corpus synthesis sweep: %zu jobs%s\n", sw.jobs,
-                sw.with_fault_sim ? ", fault simulation on" : "");
+                sw.job.with_fault_sim ? ", fault simulation on" : "");
     std::printf("%s\n", corpus_row_header().c_str());
     JobCache cache;
     const CorpusReport rep =

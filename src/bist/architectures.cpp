@@ -77,8 +77,9 @@ std::vector<TruthTable> combined_tables(const EncodedFsm& enc) {
 
 /// C of figs 1-3: the combined block of `enc`, minimized (and on the
 /// multi-level path factored) through the encoded machine's memo, so the
-/// figures share one complete result per work allowance instead of each
-/// recomputing it. A degraded result is never stored. On the multi-level
+/// figures share one result per work allowance instead of each
+/// recomputing it (one a deadline or cancel cut short is not stored; one
+/// cut at the allowance is, with its labels). On the multi-level
 /// path `factoring`, when given, receives the memo entry the network came
 /// from.
 MinimizedBlock combined_block(const EncodedFsm& enc, Technology tech,

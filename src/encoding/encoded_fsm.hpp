@@ -35,7 +35,7 @@ struct EncodedFsm {
   /// padding input pattern). This is what the multi-output minimizer
   /// consumes -- it never touches the dense tables.
   PlaSpec spec;
-  /// Complete minimized / factored forms of the combined (next-state,
+  /// Stored minimized / factored forms of the combined (next-state,
   /// outputs) block, shared by the fig1-3 builders (bist/architectures).
   /// Never null: each constructed EncodedFsm gets its own memo, every
   /// copy shares it, and it is freed with the last one.

@@ -242,10 +242,11 @@ DaemonReport run_daemon(const DaemonOptions& opt, JobCache& cache) {
                         inf->claimed.job.spec.machine.c_str(),
                         arch_name(inf->claimed.job.spec.arch)));
           inflight.push_back(inf);
+          inf->claimed.job.spec.ostr_max_nodes = opt.ostr_max_nodes;
           group.run([inf, &cache, &executor, &opt] {
             inf->outcome = run_campaign_job_with_retry(
                 inf->claimed.job.spec, cache, opt.retry, inf->budget_ms,
-                inf->cancel, &executor, opt.ostr_max_nodes);
+                inf->cancel, &executor);
             int expected = Inflight::kRunning;
             inf->state.compare_exchange_strong(expected, Inflight::kFinished,
                                                std::memory_order_acq_rel);

@@ -68,6 +68,8 @@ struct DaemonOptions {
   double watchdog_kill_grace = 4.0;
   /// Main-loop poll interval when idle (ms).
   double poll_ms = 20.0;
+  /// Node cap of every claimed job's fig4 OSTR search (the spool format
+  /// carries none): it overrides CampaignJobSpec::ostr_max_nodes.
   std::uint64_t ostr_max_nodes = 2000000;
   /// recover(): crash-looping jobs are poisoned past this many recoveries.
   std::uint64_t max_recoveries = 3;

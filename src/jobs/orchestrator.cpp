@@ -53,18 +53,10 @@ std::vector<CampaignJobSpec> expand_sweep(const SweepOptions& opt) {
     for (const std::string& name : machines) {
       for (Technology tech : opt.techs) {
         for (ArchKind arch : opt.archs) {
-          CampaignJobSpec s;
+          CampaignJobSpec s = opt.job;
           s.machine = name;
           s.arch = arch;
           s.tech = tech;
-          s.bist_cycles = opt.bist_cycles;
-          s.functional_cycles = opt.functional_cycles;
-          s.with_fault_sim = opt.with_fault_sim;
-          s.fleet_instances = opt.fleet_instances;
-          s.fleet_widths = opt.fleet_widths;
-          s.fleet_distribution = opt.fleet_distribution;
-          s.fleet_defect_rate = opt.fleet_defect_rate;
-          s.fleet_seed = opt.fleet_seed;
           specs.push_back(std::move(s));
         }
       }
@@ -75,8 +67,7 @@ std::vector<CampaignJobSpec> expand_sweep(const SweepOptions& opt) {
 
 CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
                                    const Budget& budget,
-                                   CampaignChunkExecutor* executor,
-                                   std::uint64_t ostr_max_nodes) {
+                                   CampaignChunkExecutor* executor) {
   CampaignJobResult r;
   r.spec = spec;
   const auto t0 = std::chrono::steady_clock::now();
@@ -90,7 +81,7 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
                            &r.machine_cached);
 
     OstrOptions ostr_opt;
-    ostr_opt.max_nodes = ostr_max_nodes;
+    ostr_opt.max_nodes = spec.ostr_max_nodes;
     ostr_opt.budget = budget;
     auto s = cache.structure(m, spec.arch, spec.tech, ostr_opt, budget,
                              &r.structure_cached);
@@ -114,7 +105,7 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
     fopt.campaign.num_threads = 1;
     fopt.campaign.executor = executor;
 
-    r.report = measure_structure(s->cs, fopt, &r.coverage);
+    r.report = measure_structure(*s, fopt, &r.coverage);
 
     if (fleet_mode) {
       FleetOptions flo;
@@ -127,7 +118,7 @@ CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
       flo.budget = budget;
       flo.executor = executor;
       flo.jobs = 1;  // scheduler-owned or serial; never a nested pool
-      auto fleet = std::make_shared<FleetReport>(run_fleet(s->cs, flo));
+      auto fleet = std::make_shared<FleetReport>(run_fleet(*s, flo));
       if (fleet->degradation.degraded)
         r.report.degradations.push_back(fleet->degradation);
       r.fleet = std::move(fleet);
@@ -166,7 +157,7 @@ double RetryPolicy::backoff_ms(std::size_t retry, std::uint64_t seed) const {
 JobAttemptOutcome run_campaign_job_with_retry(
     const CampaignJobSpec& spec, JobCache& cache, const RetryPolicy& policy,
     double attempt_budget_ms, std::shared_ptr<const CancelToken> cancel,
-    CampaignChunkExecutor* executor, std::uint64_t ostr_max_nodes) {
+    CampaignChunkExecutor* executor) {
   const std::uint64_t seed =
       fnv1a_str(hash_combine(kFnvOffset, static_cast<std::uint64_t>(spec.arch)),
                 spec.machine);
@@ -180,7 +171,7 @@ JobAttemptOutcome run_campaign_job_with_retry(
     if (attempt_budget_ms >= 0.0) budget.with_deadline_ms(attempt_budget_ms);
     if (cancel) budget.with_cancel(cancel);
 
-    out.result = run_campaign_job(spec, cache, budget, executor, ostr_max_nodes);
+    out.result = run_campaign_job(spec, cache, budget, executor);
     out.attempts = attempt;
     if (!out.result.failed()) return out;
     if (!policy.is_transient(out.result.error_code)) return out;  // permanent
@@ -245,8 +236,7 @@ CorpusReport run_corpus_sweep(
           Budget budget;
           if (opt.job_budget_ms >= 0.0) budget.with_deadline_ms(opt.job_budget_ms);
           if (opt.cancel) budget.with_cancel(opt.cancel);
-          r = run_campaign_job(specs[i], cache, budget, &exec,
-                               opt.ostr_max_nodes);
+          r = run_campaign_job(specs[i], cache, budget, &exec);
         }
         std::lock_guard<std::mutex> lock(retire_mu);
         rep.rows[i] = std::move(r);

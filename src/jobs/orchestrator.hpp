@@ -43,6 +43,8 @@ struct CampaignJobSpec {
   /// Base seed of the per-instance LFSR-seed derivation (not the defect
   /// sampler seed, which DefectSpec owns).
   std::uint64_t fleet_seed = 0xF1EE7;
+  /// Node cap of the fig4 OSTR search (OstrOptions::max_nodes).
+  std::uint64_t ostr_max_nodes = 2000000;
 };
 
 struct CampaignJobResult {
@@ -80,16 +82,10 @@ struct SweepOptions {
   std::vector<ArchKind> archs = {ArchKind::kFig1, ArchKind::kFig2,
                                  ArchKind::kFig3, ArchKind::kFig4};
   std::vector<Technology> techs = {Technology::kTwoLevel};
-  std::size_t bist_cycles = 256;
-  std::size_t functional_cycles = 512;
-  bool with_fault_sim = true;
-  /// Fleet mode for every expanded job (see CampaignJobSpec): > 0 turns the
-  /// sweep into a corpus-wide deployment simulation.
-  std::uint64_t fleet_instances = 0;
-  std::vector<std::size_t> fleet_widths = {8, 16, 24, 40};
-  DefectModel fleet_distribution = DefectModel::kSingleUniform;
-  double fleet_defect_rate = 1.0;
-  std::uint64_t fleet_seed = 0xF1EE7;
+  /// Per-job settings of every expanded job; expand_sweep sets its
+  /// machine, arch and tech. Fleet mode (job.fleet_instances > 0) turns
+  /// the sweep into a corpus-wide deployment simulation.
+  CampaignJobSpec job;
   /// Worker threads of the shared pool (the --jobs flag). Results are
   /// identical for any value; only wall time differs.
   std::size_t jobs = 1;
@@ -100,7 +96,6 @@ struct SweepOptions {
   /// Per-job wall-clock budget in ms (< 0 = none). The deadline starts
   /// when the job starts, so queueing delay is never charged to a job.
   double job_budget_ms = -1.0;
-  std::uint64_t ostr_max_nodes = 2000000;
   /// Cooperative cancellation (Ctrl-C): queued jobs drain as 'skipped'
   /// labeled rows, running jobs truncate via their budget, and the report
   /// aggregates whatever completed.
@@ -160,8 +155,7 @@ CorpusReport run_corpus_sweep(const SweepOptions& opt, JobCache& cache,
 /// `executor` when given.
 CampaignJobResult run_campaign_job(const CampaignJobSpec& spec, JobCache& cache,
                                    const Budget& budget = {},
-                                   CampaignChunkExecutor* executor = nullptr,
-                                   std::uint64_t ostr_max_nodes = 2000000);
+                                   CampaignChunkExecutor* executor = nullptr);
 
 // --- retry policy (the daemon's failure taxonomy) ---------------------------
 
@@ -203,8 +197,7 @@ JobAttemptOutcome run_campaign_job_with_retry(
     const CampaignJobSpec& spec, JobCache& cache, const RetryPolicy& policy,
     double attempt_budget_ms = -1.0,
     std::shared_ptr<const CancelToken> cancel = nullptr,
-    CampaignChunkExecutor* executor = nullptr,
-    std::uint64_t ostr_max_nodes = 2000000);
+    CampaignChunkExecutor* executor = nullptr);
 
 /// Failed rows that should fail a CI gate: everything except
 /// kBudgetExhausted (budget-labeled rows are valid anytime results -- the

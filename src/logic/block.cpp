@@ -1,46 +1,12 @@
 #include "logic/block.hpp"
 
-#include <iterator>
-
 namespace stc {
-
-namespace {
-
-/// Look up `key`; on a miss run `compute` without the lock held and store
-/// its result when it reported no degradation.
-template <typename T, typename Compute>
-std::shared_ptr<const T> get_or_compute(
-    std::mutex& mu, std::map<BlockMemo::Key, std::shared_ptr<const T>>& table,
-    std::size_t& runs, std::size_t& hits, const BlockMemo::Key& key,
-    const Compute& compute, std::vector<Degradation>* degradations) {
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = table.find(key);
-    if (it != table.end()) {
-      ++hits;
-      return it->second;
-    }
-    ++runs;
-  }
-  std::vector<Degradation> degs;
-  std::shared_ptr<const T> value = compute(&degs);
-  if (degs.empty()) {
-    std::lock_guard<std::mutex> lock(mu);
-    table.emplace(key, value);  // a racing complete result is identical
-  }
-  if (degradations)
-    degradations->insert(degradations->end(), std::make_move_iterator(degs.begin()),
-                         std::make_move_iterator(degs.end()));
-  return value;
-}
-
-}  // namespace
 
 std::shared_ptr<const MinimizedBlock> BlockMemo::two_level(
     const Key& key, const Compute<MinimizedBlock>& minimize,
     std::vector<Degradation>* degradations) {
-  return get_or_compute<MinimizedBlock>(
-      mu_, two_level_, stats_.minimizations, stats_.hits, key,
+  return two_level_.get(
+      key,
       [&minimize](std::vector<Degradation>* degs) {
         return std::make_shared<const MinimizedBlock>(minimize(degs));
       },
@@ -50,8 +16,8 @@ std::shared_ptr<const MinimizedBlock> BlockMemo::two_level(
 std::shared_ptr<const FactoredBlock> BlockMemo::factored(
     const Key& key, const Compute<FactoredBlock>& factor,
     std::vector<Degradation>* degradations) {
-  return get_or_compute<FactoredBlock>(
-      mu_, factored_, stats_.factorings, stats_.hits, key,
+  return factored_.get(
+      key,
       [&factor](std::vector<Degradation>* degs) {
         return std::make_shared<const FactoredBlock>(factor(degs));
       },
@@ -59,8 +25,9 @@ std::shared_ptr<const FactoredBlock> BlockMemo::factored(
 }
 
 BlockMemo::Stats BlockMemo::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  const MemoStats two = two_level_.stats(), fact = factored_.stats();
+  return {two.misses, fact.misses, two.hits + fact.hits,
+          two.lost_races + fact.lost_races};
 }
 
 }  // namespace stc

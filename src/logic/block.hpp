@@ -7,22 +7,22 @@
 // Fig. 3 duplicates it. A BlockMemo, owned by the EncodedFsm through a
 // shared_ptr, keeps C's two-level form and its factoring (the per-output
 // covers and the network extracted from them), so the six fig1-3 builds
-// of a machine minimize and factor C once. Its lifetime is the encoded
-// machine's: there is no process-wide cache, and a fresh encode_fsm
-// minimizes again. See DESIGN.md "Block sharing across
-// structures".
+// of a machine minimize and factor C once per work allowance. It stores
+// what util/memo.hpp stores: results complete or cut at their allowance.
+// Its lifetime is the encoded machine's: there is no process-wide cache,
+// and a fresh encode_fsm minimizes again. See DESIGN.md "Block sharing
+// across structures".
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "logic/cost.hpp"
 #include "logic/factor.hpp"
 #include "util/budget.hpp"
+#include "util/memo.hpp"
 
 namespace stc {
 
@@ -56,27 +56,26 @@ struct FactoredBlock {
   FactoredNetwork network;
 };
 
-/// Thread-safe memo of one block's complete results: the two-level form
-/// and the factoring of that block, each keyed by the work allowance. The
-/// allowance is in the key because a work-limited stage is deterministic
-/// in it; a deadline or cancel token is not, but a result that finished
-/// is what any deadline would have produced, so it is served to every
-/// budget. Only complete results are stored: a stage that
-/// reports a Degradation leaves the memo unchanged, so a later caller with
-/// a larger budget computes the full-quality result instead of inheriting
-/// the truncated one. Concurrent callers that miss the same key both
-/// compute (there is no waiting); the first complete result stays.
+/// Thread-safe memo of one block's results: the two-level form and the
+/// factoring of that block, each a Memo (util/memo.hpp) keyed by the work
+/// allowance. The allowance is in the key because a work-limited stage is
+/// deterministic in it, so a result cut at the allowance is stored with its
+/// labels and served, labels and all, to the next build under the same
+/// allowance. A deadline or cancel token is not in the key: a result that
+/// finished is what any deadline would have produced, so it is served to
+/// every budget, and a result a deadline or cancel cut short is not stored.
 class BlockMemo {
  public:
   /// Budget::work_allowance() of the computing stage.
   using Key = std::uint64_t;
 
-  /// How often each stage ran on a miss, and how many lookups were served
-  /// from the memo.
+  /// How often each stage ran on a miss, how many lookups were served
+  /// from the memo, and how many runs found their result already stored.
   struct Stats {
     std::size_t minimizations = 0;
     std::size_t factorings = 0;
     std::size_t hits = 0;
+    std::size_t lost_races = 0;
   };
 
   /// A stage run: appends its degradations (none = complete) and returns
@@ -85,8 +84,7 @@ class BlockMemo {
   using Compute = std::function<T(std::vector<Degradation>*)>;
 
   /// The two-level block for `key`: the stored one, else `minimize`'s
-  /// result (stored when complete). The run's degradations are appended
-  /// to `degradations`; a served block appends nothing.
+  /// result. The block's degradations are appended to `degradations`.
   std::shared_ptr<const MinimizedBlock> two_level(
       const Key& key, const Compute<MinimizedBlock>& minimize,
       std::vector<Degradation>* degradations);
@@ -99,10 +97,8 @@ class BlockMemo {
   Stats stats() const;
 
  private:
-  mutable std::mutex mu_;
-  std::map<Key, std::shared_ptr<const MinimizedBlock>> two_level_;
-  std::map<Key, std::shared_ptr<const FactoredBlock>> factored_;
-  Stats stats_;
+  Memo<Key, MinimizedBlock> two_level_;
+  Memo<Key, FactoredBlock> factored_;
 };
 
 }  // namespace stc

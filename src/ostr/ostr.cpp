@@ -313,8 +313,7 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
   // The budget's work allowance caps nodes exactly like max_nodes; fold
   // them into one effective cap so the deterministic quota machinery (and
   // its thread-count invariance) governs both.
-  const std::uint64_t max_nodes =
-      std::min<std::uint64_t>(opt.max_nodes, opt.budget.work_allowance());
+  const std::uint64_t max_nodes = ostr_node_cap(opt);
 
   const auto label_degraded = [&out](const Budget& b) {
     out.degradation.stage = "ostr";

@@ -22,6 +22,7 @@
 // the same optimal cost as the single-threaded search (see DESIGN.md
 // "Interner architecture" for the determinism argument).
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -103,6 +104,13 @@ struct OstrResult {
   /// ("work-allowance" covers the max_nodes cap too) and the node counts.
   Degradation degradation;
 };
+
+/// The node cap a search under `options` runs to: min(max_nodes, the
+/// budget's work allowance). A search stopped at this cap is deterministic
+/// in it (the job cache keys stored searches by it).
+inline std::uint64_t ostr_node_cap(const OstrOptions& options) {
+  return std::min<std::uint64_t>(options.max_nodes, options.budget.work_allowance());
+}
 
 /// Run the Section-3 depth-first search. The machine must be completely
 /// specified.

@@ -118,6 +118,16 @@ struct Degradation {
   std::uint64_t work_total = 0;  // stage units requested (0 = open-ended)
 };
 
+/// The storage rule of every memo (util/memo.hpp): a result is reproduced
+/// by a key that holds its budget's work allowance exactly when each of
+/// its truncations stopped at that allowance. A deadline or a cancel stops
+/// a stage at a moment, not at a count, so such a result is not stored.
+inline bool reproducible(const std::vector<Degradation>& ds) {
+  for (const Degradation& d : ds)
+    if (d.degraded && d.reason != "work-allowance") return false;
+  return true;
+}
+
 /// One line, e.g. "espresso degraded (deadline): 3/8 rounds -- returned
 /// best cover so far". Returns "" for a non-degraded record.
 std::string render_degradation(const Degradation& d);

@@ -9,8 +9,9 @@
 //     builds, and a fresh encode_fsm minimizes again;
 //   * a combined block of more than 64 outputs is factored too, and its
 //     multi-level figs equal their two-level twins word for word;
-//   * a degraded result is never stored, so a later unlimited build gets
-//     the full-quality block;
+//   * a result a deadline cut is never stored, so a later unlimited build
+//     gets the full-quality block; one cut at its work allowance is stored
+//     and served, labels and all, under the same allowance;
 //   * concurrent builds from one EncodedFsm are safe (the TSan job runs
 //     this suite).
 
@@ -269,6 +270,36 @@ TEST(BlockMemo, DegradedFactoringIsNotServedToUnlimitedBuild) {
   expect_same_structure(full, build_fig3(encode(m), Technology::kMultiLevel));
   const BlockMemo::Stats st = enc.block_memo->stats();
   EXPECT_EQ(st.minimizations, 1u);
+  EXPECT_EQ(st.factorings, 2u);
+}
+
+TEST(BlockMemo, BlockCutAtItsWorkAllowanceIsStoredWithItsLabels) {
+  // A work-limited stage is deterministic in its allowance, and the
+  // allowance is the key: the cut block is stored and served, labels and
+  // all, to the next build under the same allowance.
+  const MealyMachine m = load_benchmark("dk16");
+  const EncodedFsm enc = encode(m);
+  const Budget limited = Budget::work_limit(1);
+  const ControllerStructure cut = build_fig1(enc, Technology::kMultiLevel, limited);
+  ASSERT_FALSE(cut.degradations.empty());
+  for (const Degradation& d : cut.degradations) EXPECT_EQ(d.reason, "work-allowance");
+
+  const ControllerStructure served = build_fig2(enc, Technology::kMultiLevel, limited);
+  BlockMemo::Stats st = enc.block_memo->stats();
+  EXPECT_EQ(st.minimizations, 1u);
+  EXPECT_EQ(st.factorings, 1u);
+  EXPECT_EQ(st.hits, 2u);
+  const ControllerStructure fresh =
+      build_fig2(encode(m), Technology::kMultiLevel, limited);
+  expect_same_structure(served, fresh);
+  EXPECT_EQ(render_degradations(served.degradations),
+            render_degradations(fresh.degradations));
+
+  // An unlimited build is another key: it minimizes and factors again.
+  const ControllerStructure full = build_fig2(enc, Technology::kMultiLevel);
+  EXPECT_TRUE(full.degradations.empty()) << render_degradations(full.degradations);
+  st = enc.block_memo->stats();
+  EXPECT_EQ(st.minimizations, 2u);
   EXPECT_EQ(st.factorings, 2u);
 }
 

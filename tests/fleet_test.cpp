@@ -232,7 +232,7 @@ ControllerStructure fleet_structure() {
   JobCache cache;
   auto s = cache.structure(cache.machine("dk27"), ArchKind::kFig4,
                            Technology::kTwoLevel, OstrOptions{}, Budget{});
-  return s->cs;  // copy: the cache dies with this scope
+  return *s;  // copy: the cache dies with this scope
 }
 
 void expect_same_stats(const FleetShardStats& a, const FleetShardStats& b,

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <set>
+#include <thread>
 
 #include "benchdata/iwls93.hpp"
 #include "encoding/encoding.hpp"
@@ -318,8 +319,8 @@ TEST(JobCache, TruncatedOstrSearchIsNotServedToLaterJobs) {
 
 TEST(JobCache, CappedOstrSearchIsServedToJobsWithTheSameCap) {
   // dk16's search stops at the default 2,000,000-node cap. That stop is
-  // deterministic in the cap, so the machine entry keeps the search for
-  // the later fig4 jobs with the same cap.
+  // deterministic in the cap, so the cache keeps the search, and the
+  // structure built on it, for the later fig4 jobs with the same cap.
   JobCache cache;
   CampaignJobSpec spec;
   spec.machine = "dk16";
@@ -342,29 +343,35 @@ TEST(JobCache, CappedOstrSearchIsServedToJobsWithTheSameCap) {
   EXPECT_EQ(st.ostr_misses, 1u);
   EXPECT_EQ(st.ostr_hits, 0u);
 
-  // Same options: an OSTR hit, and the row keeps the search's label. The
-  // structure built on a capped search is degraded, so it is built again.
+  // Same options: a structure hit, with the search's label and the same
+  // report. The stored structure is served, so the search is not looked up.
   const CampaignJobResult second = run_campaign_job(spec, cache);
   ASSERT_TRUE(second.error.empty()) << second.error;
   st = cache.stats();
   EXPECT_EQ(st.ostr_misses, 1u);
-  EXPECT_EQ(st.ostr_hits, 1u);
-  EXPECT_FALSE(second.structure_cached);
+  EXPECT_EQ(st.ostr_hits, 0u);
+  EXPECT_EQ(st.structure_misses, 1u);
+  EXPECT_EQ(st.structure_hits, 1u);
+  EXPECT_TRUE(second.structure_cached);
+  expect_identical(first, second, "dk16/fig4 second job");
   const Degradation again = ostr_label(second);
   EXPECT_TRUE(again.degraded);
   EXPECT_EQ(again.reason, label.reason);
   EXPECT_EQ(again.work_done, label.work_done);
   EXPECT_EQ(again.detail, label.detail);
-  EXPECT_EQ(second.report.flipflops, first.report.flipflops);
-  EXPECT_EQ(second.report.area_ge, first.report.area_ge);
+  EXPECT_EQ(render_degradations(second.report.degradations),
+            render_degradations(first.report.degradations));
 
-  // A different max_nodes is a different search: it runs again.
-  const CampaignJobResult smaller =
-      run_campaign_job(spec, cache, Budget(), nullptr, 1000);
+  // A different max_nodes is a different search and a different
+  // structure: both are computed again.
+  spec.ostr_max_nodes = 1000;
+  const CampaignJobResult smaller = run_campaign_job(spec, cache);
   ASSERT_TRUE(smaller.error.empty()) << smaller.error;
+  EXPECT_FALSE(smaller.structure_cached);
   st = cache.stats();
   EXPECT_EQ(st.ostr_misses, 2u);
-  EXPECT_EQ(st.ostr_hits, 1u);
+  EXPECT_EQ(st.ostr_hits, 0u);
+  EXPECT_EQ(st.structure_misses, 2u);
   const Degradation capped = ostr_label(smaller);
   EXPECT_TRUE(capped.degraded);
   EXPECT_LT(capped.work_done, label.work_done);
@@ -410,16 +417,60 @@ TEST(JobCache, FailedMachineLoadIsRetriedAsAMiss) {
   EXPECT_EQ(st.machine_hits, 1u);
 }
 
-TEST(JobCache, IdleUnbuiltSlotsAreEvictable) {
-  // A key whose only build was degraded holds an unbuilt slot; a bounded
-  // cache must be able to drop it like any unpinned entry.
-  JobCache cache(1);
-  auto m = cache.machine("dk16");
-  cache.structure(m, ArchKind::kFig2, Technology::kTwoLevel, OstrOptions{},
-                  Budget::deadline_ms(0));
-  cache.structure(m, ArchKind::kFig3, Technology::kTwoLevel, OstrOptions{},
-                  Budget::deadline_ms(0));
-  EXPECT_GE(cache.stats().structure_evictions, 1u);
+TEST(JobCache, BoundedCacheHoldsAtMostMaxEntriesUnpinnedStructures) {
+  // Each stored structure evicts the least recently used unpinned one
+  // once the cache holds more than max_entries; a leased one stays.
+  JobCache cache(2);
+  const auto m = cache.machine("dk27");
+  const auto build = [&](ArchKind arch) {
+    bool hit = false;
+    cache.structure(m, arch, Technology::kTwoLevel, OstrOptions{}, Budget(), &hit);
+    return hit;
+  };
+  const auto leased = cache.structure(m, ArchKind::kFig1, Technology::kTwoLevel,
+                                      OstrOptions{}, Budget());
+  EXPECT_FALSE(build(ArchKind::kFig2));
+  EXPECT_FALSE(build(ArchKind::kFig3));  // 3 stored: fig2 (unpinned) goes
+  EXPECT_EQ(cache.stats().structure_evictions, 1u);
+  EXPECT_FALSE(build(ArchKind::kFig4));  // fig3 goes
+  EXPECT_EQ(cache.stats().structure_evictions, 2u);
+  EXPECT_TRUE(build(ArchKind::kFig1));   // the leased entry was kept
+  EXPECT_TRUE(build(ArchKind::kFig4));
+  EXPECT_FALSE(build(ArchKind::kFig2));  // evicted: built again
+  EXPECT_EQ(cache.stats().structure_evictions, 3u);
+}
+
+TEST(JobCache, ConcurrentMissesAllReceiveTheStoredEntry) {
+  // No call waits for another's computation: concurrent misses each
+  // compute, and every caller gets back the one stored result. The
+  // fig1-3 builds share C through the machine entry's block memo, so they
+  // must all see the same machine entry.
+  JobCache cache;
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::shared_ptr<const JobCache::MachineEntry>> machines(kThreads);
+  std::vector<std::shared_ptr<const ControllerStructure>> structures(kThreads);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      machines[t] = cache.machine("s1");
+      structures[t] = cache.structure(cache.machine("dk27"), ArchKind::kFig2,
+                                      Technology::kTwoLevel, OstrOptions{}, Budget());
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(machines[t], machines[0]) << "thread " << t;
+    EXPECT_EQ(structures[t], structures[0]) << "thread " << t;
+  }
+  // Every miss computed a storable result, and one per key was stored:
+  // the rest lost the race.
+  const JobCacheStats st = cache.stats();
+  EXPECT_EQ(st.machine_hits + st.machine_misses, 2 * kThreads);
+  EXPECT_EQ(st.structure_hits + st.structure_misses, kThreads);
+  EXPECT_EQ(st.lost_races, st.machine_misses + st.structure_misses - 3);
 }
 
 // --- Corpus sweep: determinism and serial equivalence -----------------------
@@ -427,8 +478,8 @@ TEST(JobCache, IdleUnbuiltSlotsAreEvictable) {
 SweepOptions small_sweep(std::size_t jobs) {
   SweepOptions sw;
   sw.machines = {"paper_fig5", "shiftreg", "tav", "dk27", "serial_adder"};
-  sw.bist_cycles = 64;
-  sw.functional_cycles = 128;
+  sw.job.bist_cycles = 64;
+  sw.job.functional_cycles = 128;
   sw.jobs = jobs;
   return sw;
 }
@@ -470,8 +521,8 @@ TEST(CorpusSweep, MatchesDirectSerialMeasureStructure) {
                                        : build_fig3(enc);
     FlowOptions fopt;
     fopt.with_fault_sim = true;
-    fopt.bist_cycles = sw.bist_cycles;
-    fopt.functional_cycles = sw.functional_cycles;
+    fopt.bist_cycles = sw.job.bist_cycles;
+    fopt.functional_cycles = sw.job.functional_cycles;
     CoverageResult cov;
     const StructureReport ref = measure_structure(cs, fopt, &cov);
     SCOPED_TRACE(row.spec.machine + "/" + arch_name(row.spec.arch));
