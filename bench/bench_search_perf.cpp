@@ -64,23 +64,6 @@ void RegisterCorpusBenches() {
   }
 }
 
-// --- thread fan-out ----------------------------------------------------------
-
-void BM_OstrThreads(benchmark::State& state) {
-  const MealyMachine m = load_benchmark("tbk");
-  OstrOptions opts;
-  opts.max_nodes = 100000;
-  opts.num_threads = static_cast<std::size_t>(state.range(0));
-  OstrResult res;
-  for (auto _ : state) {
-    res = solve_ostr(m, opts);
-    benchmark::DoNotOptimize(res.best.flipflops);
-  }
-  report_solve(state, res);
-}
-BENCHMARK(BM_OstrThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 // --- synthetic scaling -------------------------------------------------------
 
 void BM_OstrRandom(benchmark::State& state) {
@@ -110,6 +93,22 @@ void BM_OstrDecomposable(benchmark::State& state) {
   report_solve(state, res);
 }
 BENCHMARK(BM_OstrDecomposable)->Arg(2)->Arg(3)->Arg(4);
+
+// The perfbench synth workload's held-out shape: 5 x 5 = 25 states, 4
+// inputs, 3 outputs, searched at the default 5M node cap. Its search is
+// almost all Lemma-1 dead ends, so it measures the child-table inheritance.
+void BM_OstrSynthShape(benchmark::State& state) {
+  const MealyMachine m =
+      decomposable_mealy(static_cast<std::uint64_t>(state.range(0)), 5, 5, 4, 3);
+  const OstrOptions opts;
+  OstrResult res;
+  for (auto _ : state) {
+    res = solve_ostr(m, opts);
+    benchmark::DoNotOptimize(res.best.flipflops);
+  }
+  report_solve(state, res);
+}
+BENCHMARK(BM_OstrSynthShape)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_MmBasis(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -171,8 +171,8 @@ std::size_t campaign_warm_reuses(const CampaignWarmState& warm);
 std::size_t campaign_warm_builds(const CampaignWarmState& warm);
 
 struct CampaignOptions {
-  /// Fan fault batches across worker threads (mirrors
-  /// OstrOptions::num_threads). Results are identical for any value.
+  /// Fan fault batches across worker threads. A complete campaign gives
+  /// identical results for any value (a truncated one: see `budget`).
   std::size_t num_threads = 1;
   /// Structural fault collapsing: simulate one representative per
   /// equivalence class (see collapse_faults) and expand the verdicts.

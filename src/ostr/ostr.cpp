@@ -1,13 +1,10 @@
 #include "ostr/ostr.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 
 #include "fsm/minimize.hpp"
-#include "util/parallel.hpp"
 
 namespace stc {
 
@@ -46,22 +43,8 @@ std::uint64_t pack_cost(std::size_t ff, double balance) {
   return (static_cast<std::uint64_t>(ff) << 32) | bits;
 }
 
-/// Best-solution bound shared by all workers (lock-free CAS-min).
-struct SharedBound {
-  std::atomic<std::uint64_t> packed{UINT64_MAX};
-
-  void offer(std::uint64_t v) {
-    std::uint64_t cur = packed.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !packed.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  std::uint64_t load() const { return packed.load(std::memory_order_relaxed); }
-};
-
 /// Outcome of one independent unit of search (the identity root, or one
-/// top-level subtree). Results are merged in task order, which makes the
-/// final best independent of how tasks were scheduled onto threads.
+/// top-level subtree). Results are merged in task order (see run_search).
 struct TaskResult {
   bool has_best = false;
   OstrSolution best;
@@ -72,27 +55,47 @@ struct TaskResult {
   bool exhausted = true;
 };
 
-/// Per-worker state: a private interner plus the interned search anchors.
-/// Ids are store-relative, so everything a task touches lives here.
-struct WorkerCtx {
+/// A child-table entry is the id of the child kappa v b_j, or one of
+/// two verdicts that the frames above inherit (see SearchCtx::push_frame).
+constexpr PartitionId kSelfChild = kNoPartition;      // kappa v b_j == kappa
+constexpr PartitionId kDeadChild = kNoPartition - 1;  // fails Lemma 1 (prune on)
+
+/// A frame gets a complete child table only while its task's remaining
+/// quota is at least this many times |basis|. A table the quota cuts short
+/// wastes up to |basis| joins and Lemma-1 checks per frame on the stack;
+/// with this much quota left that stays a small share of the task's work.
+constexpr std::uint64_t kFillFactor = 64;
+
+/// Search state: the interner plus the interned search anchors, the
+/// Lemma-1 verdicts and the DFS stack with its child tables. Ids are
+/// store-relative, so everything a task touches lives here.
+struct SearchCtx {
   const MealyMachine& fsm;
   const OstrOptions& opt;
   PartitionStore& store;
-  SharedBound& bound;
+  /// Packed cost of the best offer of any task so far (the floor exit).
+  std::uint64_t bound = UINT64_MAX;
   PartitionId eps_id;
   PartitionId identity_id;
   std::vector<PartitionId> basis_ids;
   std::vector<PartitionId> rho_ids;  // lazily interned pair relations
-  std::vector<PartitionId> frame_kappa;  // reusable DFS stack
+  /// Lemma-1 verdict per PartitionId: 0 unknown, 1 viable, 2 dead.
+  std::vector<std::uint8_t> lemma1;
+  /// DFS stack. Row r of `children` (|basis| entries) is the child table
+  /// of frame r - 1; row 0 belongs to the identity root, whose children
+  /// are the basis elements themselves, and lives for the whole solve.
+  /// Rows 0..filled-1 are complete.
+  std::vector<PartitionId> frame_kappa;
   std::vector<std::size_t> frame_next;
+  std::vector<PartitionId> children;
+  std::size_t filled = 0;
   /// Deadline/cancel copy of the caller's budget (the work allowance is
   /// folded into the deterministic node quotas instead, see run_search).
   Budget budget;
 
-  WorkerCtx(const MealyMachine& f, const OstrOptions& o, PartitionStore& s,
-            const Partition& eps, const std::vector<Partition>& basis,
-            SharedBound& b)
-      : fsm(f), opt(o), store(s), bound(b), budget(o.budget) {
+  SearchCtx(const MealyMachine& f, const OstrOptions& o, PartitionStore& s,
+            const Partition& eps, const std::vector<Partition>& basis)
+      : fsm(f), opt(o), store(s), budget(o.budget) {
     budget.with_work(UINT64_MAX);
     eps_id = store.intern(eps);
     identity_id = store.identity_id(fsm.num_states());
@@ -108,21 +111,87 @@ struct WorkerCtx {
       rho_ids[idx] = store.intern(Partition::pair_relation(n, s, t));
     return rho_ids[idx];
   }
+
+  /// Lemma 1 / minimal-intersection argument: m(kappa) meet kappa is the
+  /// least intersection over the whole interval of pairs anchored at the
+  /// Mm-pair of kappa. If it already violates epsilon, neither kappa nor
+  /// any node above it can yield a solution. Checked once per id.
+  bool viable(PartitionId kappa) {
+    if (kappa >= lemma1.size()) lemma1.resize(store.size(), 0);
+    if (lemma1[kappa] == 0) {
+      const bool ok = store.refines(store.meet(store.m_of(kappa), kappa), eps_id);
+      lemma1[kappa] = ok ? 1 : 2;
+    }
+    return lemma1[kappa] == 1;
+  }
+
+  /// Child-table entry of the child `child` of kappa.
+  PartitionId entry_of(PartitionId kappa, PartitionId child) {
+    if (child == kappa) return kSelfChild;
+    if (opt.prune && !viable(child)) return kDeadChild;
+    return child;
+  }
+
+  /// Child-table entry of kappa v b_j, given `below`: the entry of b_j in
+  /// the table of a frame kappa' <= kappa. Its verdicts hold for kappa
+  /// too: b_j <= kappa' <= kappa gives kappa v b_j = kappa, and since m,
+  /// meet and refines are monotone, kappa v b_j >= kappa' v b_j fails
+  /// Lemma 1 whenever kappa' v b_j does.
+  PartitionId inherit_entry(PartitionId kappa, std::size_t j, PartitionId below) {
+    if (below == kSelfChild || below == kDeadChild) return below;
+    return entry_of(kappa, store.join(kappa, basis_ids[j]));
+  }
+
+  /// Row 0: the identity root's children, one per basis element.
+  void fill_root_children() {
+    children.resize(basis_ids.size());
+    for (std::size_t j = 0; j < basis_ids.size(); ++j)
+      children[j] = entry_of(identity_id, basis_ids[j]);
+    filled = 1;
+  }
+
+  /// Child kappa v b_j of the frame at `depth`: read from its table, or
+  /// evaluated against the topmost complete one.
+  PartitionId child(std::size_t depth, std::size_t j) {
+    const std::size_t nb = basis_ids.size();
+    if (depth + 1 < filled) return children[(depth + 1) * nb + j];
+    return inherit_entry(frame_kappa[depth], j, children[(filled - 1) * nb + j]);
+  }
+
+  /// Push frame kappa, expanding basis indices >= `from`. With `fill`, and
+  /// when every frame below has its table, evaluate the frame's whole
+  /// child table now, each entry inherited from the table below or joined.
+  void push_frame(PartitionId kappa, std::size_t from, bool fill) {
+    const std::size_t row = frame_kappa.size() + 1;
+    frame_kappa.push_back(kappa);
+    frame_next.push_back(from);
+    if (!fill || row != filled) return;
+    const std::size_t nb = basis_ids.size();
+    if (children.size() < (row + 1) * nb) children.resize((row + 1) * nb);
+    for (std::size_t j = from; j < nb; ++j)
+      children[row * nb + j] = inherit_entry(kappa, j, children[(row - 1) * nb + j]);
+    filled = row + 1;
+  }
+
+  void pop_frame() {
+    frame_kappa.pop_back();
+    frame_next.pop_back();
+    filled = std::min(filled, frame_kappa.size() + 1);
+  }
 };
 
 /// One task: the iterative DFS over a single top-level subtree (or the
 /// identity root alone), with a task-local incumbent seeded at the trivial
 /// doubling solution. Candidate generation depends only on the task and
-/// the machine -- never on other tasks or timing -- which is what makes
-/// multi-threaded runs return the same cost as single-threaded ones.
+/// the machine, never on the other tasks.
 struct TaskRun {
-  WorkerCtx& w;
+  SearchCtx& w;
   std::uint64_t quota;
   TaskResult res;
   OstrSolution incumbent;  // starts as the doubling solution
   bool improved = false;   // reset per node; gates greedy_coarsen
 
-  TaskRun(WorkerCtx& ctx, std::uint64_t q, const OstrSolution& doubling)
+  TaskRun(SearchCtx& ctx, std::uint64_t q, const OstrSolution& doubling)
       : w(ctx), quota(q), incumbent(doubling) {}
 
   void offer(PartitionId pi, PartitionId tau) {
@@ -143,7 +212,7 @@ struct TaskRun {
     res.has_best = true;
     res.best = incumbent;
     if (w.opt.keep_history) res.history.push_back(incumbent);
-    w.bound.offer(pack_cost(ff, bal));
+    w.bound = std::min(w.bound, pack_cost(ff, bal));
   }
 
   /// Examine the node kappa; returns false if (by Lemma 1) the subtree
@@ -151,23 +220,18 @@ struct TaskRun {
   bool visit(PartitionId kappa) {
     ++res.nodes;
     improved = false;
-
-    // Lemma 1 / minimal-intersection argument: m(kappa) meet kappa is the
-    // least intersection over the whole interval of pairs anchored at this
-    // Mm-pair. If it already violates epsilon, neither this node nor any
-    // successor can yield a solution.
-    const PartitionId mk = w.store.m_of(kappa);
-    if (!w.store.refines(w.store.meet(mk, kappa), w.eps_id)) return false;
+    if (!w.viable(kappa)) return false;
 
     // Preferred candidate: the Mm-pair (M(kappa), kappa); pi as coarse as
     // possible means the fewest R1 states.
+    const PartitionId mk = w.store.m_of(kappa);
     const PartitionId Mk = w.store.M_of(kappa);
     if (w.store.refines(w.store.meet(Mk, kappa), w.eps_id) &&
         w.store.refines(mk, Mk)) {  // (kappa, M(kappa)) is a pair
       offer(Mk, kappa);
     } else if (w.store.refines(w.store.m_of(mk), kappa)) {
       // Fallback of Section 3: (m(kappa), kappa) has the minimal
-      // intersection in the interval; by the check above it refines eps.
+      // intersection in the interval; by Lemma 1 it refines eps.
       offer(mk, kappa);
     }
 
@@ -222,7 +286,12 @@ struct TaskRun {
   bool run_root() { return visit(w.identity_id); }
 
   /// Iterative pre-order DFS over the subtree rooted at basis element k,
-  /// expanding with basis indices > k. Child kappa = one memoized join.
+  /// expanding with basis indices > k. A dead child still counts as one
+  /// investigated node and one pruned subtree, exactly as if visited.
+  /// Frames get complete child tables while prune is on (without dead
+  /// entries a table only saves memo hits) and the quota leaves room for
+  /// them (kFillFactor); a frame without one evaluates its children one
+  /// at a time, still inheriting from the topmost complete table.
   void run_subtree(std::size_t k) {
     const PartitionId root = w.basis_ids[k];
     if (root == w.identity_id) return;  // join leaves kappa unchanged
@@ -236,32 +305,33 @@ struct TaskRun {
       return;
     }
     const std::size_t num_basis = w.basis_ids.size();
-    auto& kap = w.frame_kappa;
-    auto& nxt = w.frame_next;
-    kap.clear();
-    nxt.clear();
-    kap.push_back(root);
-    nxt.push_back(k + 1);
-    while (!kap.empty()) {
-      if (nxt.back() >= num_basis) {
-        kap.pop_back();
-        nxt.pop_back();
+    const auto fill = [&] {
+      return w.opt.prune && quota - res.nodes >= kFillFactor * num_basis;
+    };
+    w.frame_kappa.clear();
+    w.frame_next.clear();
+    w.filled = 1;
+    w.push_frame(root, k + 1, fill());
+    while (!w.frame_kappa.empty()) {
+      const std::size_t depth = w.frame_kappa.size() - 1;
+      if (w.frame_next[depth] >= num_basis) {
+        w.pop_frame();
         continue;
       }
-      const std::size_t j = nxt.back()++;
-      const PartitionId child = w.store.join(kap.back(), w.basis_ids[j]);
-      if (child == kap.back()) continue;
+      const std::size_t j = w.frame_next[depth]++;
+      const PartitionId child = w.child(depth, j);
+      if (child == kSelfChild) continue;
       if (res.nodes >= quota || w.budget.spend()) {
         res.exhausted = false;
         return;
       }
-      const bool v = visit(child);
-      if (!v && w.opt.prune) {
+      if (child == kDeadChild) {
+        ++res.nodes;
         ++res.pruned;
         continue;
       }
-      kap.push_back(child);
-      nxt.push_back(j + 1);
+      visit(child);  // viable, unless prune is off
+      w.push_frame(child, j + 1, fill());
     }
   }
 };
@@ -269,19 +339,17 @@ struct TaskRun {
 /// Deterministic node quota for the task at position `rank` of the current
 /// round's active list: geometric in the rank (subtree k ranges over basis
 /// indices > k, so its node count upper bound halves with each k), floored
-/// so deep tasks always get a share. Quotas depend only on (budget, rank)
-/// -- never on how other tasks were scheduled -- which keeps budgeted
-/// searches identical across thread counts. Tasks that hit their quota are
-/// re-run in a later round with the leftover budget redistributed (see
-/// run_search), so a generous global budget is never stranded on small
-/// subtrees.
+/// so deep tasks always get a share. Quotas depend only on (budget, rank).
+/// Tasks that hit their quota are re-run in a later round with the leftover
+/// budget redistributed (see run_search), so a generous global budget is
+/// never stranded on small subtrees.
 std::uint64_t task_quota(std::uint64_t budget, std::size_t rank) {
   const std::size_t shift = std::min<std::size_t>(rank + 1, 14);
   return std::max<std::uint64_t>(1, budget >> shift);
 }
 
 OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
-                      PartitionStore& caller_store) {
+                      PartitionStore& store) {
   const Partition eps = state_equivalence(fsm);
   const std::vector<Partition> basis = mm_basis(fsm);
   const std::size_t num_tasks = basis.size();
@@ -290,7 +358,7 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
   out.stats.num_states = fsm.num_states();
   out.stats.basis_size = num_tasks;
 
-  const PartitionStore::Stats caller_before = caller_store.stats();
+  const PartitionStore::Stats store_before = store.stats();
 
   // The trivial doubling solution (identity, identity) always exists and
   // seeds every incumbent.
@@ -298,12 +366,9 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
   const OstrSolution doubling = make_solution(id, id);
   out.best = doubling;
 
-  SharedBound bound;
-  bound.offer(pack_cost(doubling.flipflops, doubling.balance));
-
   // Nothing can beat (ceil_log2(|S/eps|), 0): s1*s2 >= |meet blocks| >=
-  // |eps blocks| and balance >= 0. Once the shared bound reaches this
-  // floor, remaining tasks cannot improve the cost and may be skipped.
+  // |eps blocks| and balance >= 0. Once the bound reaches this floor,
+  // remaining tasks cannot improve the cost and are skipped.
   const std::uint64_t floor_packed = pack_cost(ceil_log2(eps.num_blocks()), 0.0);
   const auto reached_floor = [&](std::uint64_t b) {
     return opt.balance_tiebreak ? b <= floor_packed
@@ -311,8 +376,8 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
   };
 
   // The budget's work allowance caps nodes exactly like max_nodes; fold
-  // them into one effective cap so the deterministic quota machinery (and
-  // its thread-count invariance) governs both.
+  // them into one effective cap so the deterministic quota rounds govern
+  // both.
   const std::uint64_t max_nodes = ostr_node_cap(opt);
 
   const auto label_degraded = [&out](const Budget& b) {
@@ -328,33 +393,27 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
 
   if (max_nodes == 0) {
     out.stats.exhausted = false;
-    out.stats.cache = caller_store.stats().delta(caller_before);
+    out.stats.cache = store.stats().delta(store_before);
     label_degraded(opt.budget);
     return out;
   }
 
-  WorkerCtx main_ctx(fsm, opt, caller_store, eps, basis, bound);
+  SearchCtx ctx(fsm, opt, store, eps, basis);
+  ctx.bound = pack_cost(doubling.flipflops, doubling.balance);
 
-  // Root node (kappa = identity) on the calling thread.
-  TaskRun root_run(main_ctx, 1, doubling);
+  TaskRun root_run(ctx, 1, doubling);
   const bool root_viable = root_run.run_root();
   TaskResult root_res = std::move(root_run.res);
 
   std::vector<TaskResult> task_results(num_tasks);
-  PartitionStore::Stats worker_cache;
 
   if (!root_viable && opt.prune) {
     ++root_res.pruned;  // Lemma 1 cuts the entire tree at the root
   } else if (num_tasks > 0) {
-    const std::size_t num_threads =
-        std::max<std::size_t>(1, std::min(opt.num_threads, num_tasks));
-
     // Budget rounds: every round hands the still-unfinished tasks
     // deterministic geometric quotas from the remaining budget; tasks that
     // hit their quota are restarted next round with a bigger share (their
     // already-visited prefix replays through the memo tables cheaply).
-    // Round boundaries are barriers, so the schedule never leaks into the
-    // results: any thread count produces the same per-task outcome.
     std::uint64_t budget = max_nodes - 1;
     std::vector<std::size_t> active(num_tasks);
     for (std::size_t k = 0; k < num_tasks; ++k) active[k] = k;
@@ -364,18 +423,8 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
       // Root consumed the whole budget; any real subtree goes unvisited.
       for (const auto& b : basis)
         if (!b.is_identity()) out.stats.exhausted = false;
-    }
-
-    // Worker stores persist across budget rounds so a restarted task's
-    // replayed prefix really does hit the memo tables.
-    std::vector<std::unique_ptr<PartitionStore>> worker_stores;
-    std::vector<std::unique_ptr<WorkerCtx>> worker_ctxs;
-    if (num_threads > 1) {
-      for (std::size_t w = 0; w < num_threads; ++w) {
-        worker_stores.push_back(std::make_unique<PartitionStore>(&fsm));
-        worker_ctxs.push_back(std::make_unique<WorkerCtx>(
-            fsm, opt, *worker_stores[w], eps, basis, bound));
-      }
+    } else {
+      ctx.fill_root_children();
     }
 
     for (int round = 0; round < kMaxRounds && !active.empty() && budget > 0;
@@ -395,24 +444,15 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
       if (run_tasks.empty()) break;
       active = run_tasks;
 
-      // Worker w pulls the next task rank off the shared counter; a single
-      // worker runs inline on the caller's context, in rank order.
-      std::atomic<std::size_t> next_rank{0};
-      run_on_threads(num_threads, [&](std::size_t w) {
-        WorkerCtx& ctx = num_threads == 1 ? main_ctx : *worker_ctxs[w];
-        for (;;) {
-          const std::size_t rank =
-              next_rank.fetch_add(1, std::memory_order_relaxed);
-          if (rank >= active.size()) break;
-          if (reached_floor(bound.load())) break;  // optimum already in hand
-          TaskRun t(ctx, quotas[rank], doubling);
-          t.run_subtree(active[rank]);
-          task_results[active[rank]] = std::move(t.res);
-        }
-      });
+      for (std::size_t rank = 0; rank < active.size(); ++rank) {
+        if (reached_floor(ctx.bound)) break;  // optimum already in hand
+        TaskRun t(ctx, quotas[rank], doubling);
+        t.run_subtree(active[rank]);
+        task_results[active[rank]] = std::move(t.res);
+      }
 
-      // Deterministic accounting: every node visited this round (including
-      // replayed prefixes of restarted tasks) draws down the budget.
+      // Every node visited this round (including replayed prefixes of
+      // restarted tasks) draws down the budget.
       std::uint64_t spent = 0;
       std::vector<std::size_t> still_active;
       for (const std::size_t k : active) {
@@ -421,17 +461,15 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
       }
       budget = spent >= budget ? 0 : budget - spent;
       active = std::move(still_active);
-      if (reached_floor(bound.load())) break;
+      if (reached_floor(ctx.bound)) break;
       // Deadline/cancellation: restarting truncated tasks cannot make
       // progress once the wall-clock budget is gone.
-      if (main_ctx.budget.exhausted()) break;
+      if (ctx.budget.exhausted()) break;
     }
-
-    for (const auto& store : worker_stores) worker_cache += store->stats();
   }
 
-  // Deterministic merge in task order (root first): the earliest task with
-  // a strictly better ((i),(ii)) cost wins, matching sequential DFS order.
+  // Merge in task order (root first): the earliest task with a strictly
+  // better ((i),(ii)) cost wins, matching sequential DFS order.
   auto absorb = [&](TaskResult& r) {
     out.stats.nodes_investigated += r.nodes;
     out.stats.nodes_pruned += r.pruned;
@@ -454,11 +492,10 @@ OstrResult run_search(const MealyMachine& fsm, const OstrOptions& opt,
 
   // A bound at the problem floor certifies optimality even when some task
   // was truncated: the answer is final, so the search counts as exhausted.
-  if (reached_floor(bound.load())) out.stats.exhausted = true;
+  if (reached_floor(ctx.bound)) out.stats.exhausted = true;
 
-  out.stats.cache = caller_store.stats().delta(caller_before);
-  out.stats.cache += worker_cache;
-  label_degraded(main_ctx.budget);
+  out.stats.cache = store.stats().delta(store_before);
+  label_degraded(ctx.budget);
   return out;
 }
 

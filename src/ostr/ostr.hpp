@@ -14,13 +14,15 @@
 // epsilon, no node in the subtree can yield a solution -> prune.
 //
 // Engine: the search runs as an explicit iterative frontier over interned
-// PartitionIds (see partition/store.hpp). Each child kappa is one memoized
-// join of the parent kappa with a basis element; all m/M/meet/refines
-// queries hit the store's memo tables. The top-level subtrees (one per
-// basis element) are independent tasks with deterministic node quotas, so
-// OstrOptions::num_threads > 1 fans them across worker threads and returns
-// the same optimal cost as the single-threaded search (see DESIGN.md
-// "Interner architecture" for the determinism argument).
+// PartitionIds (see partition/store.hpp). Expanding a node evaluates its
+// children kappa v b_j once, into a child table: the child's id, "self"
+// (the join is kappa) or "dead" (the join fails Lemma 1). A child inherits
+// its parent's self and dead entries without a join -- b_j <= kappa
+// stays below every child, and m, meet and refines are monotone, so a
+// dead join stays dead above. The Lemma-1 verdict of each id is computed
+// once. The top-level subtrees (one per basis element) are independent
+// tasks with deterministic node quotas, so a node cap means the same
+// search on every run (see DESIGN.md "Interner architecture").
 
 #include <algorithm>
 #include <cstdint>
@@ -39,19 +41,18 @@ struct OstrOptions {
   bool prune = true;
   /// Abort after visiting (approximately) this many search-tree nodes
   /// (paper: "timeout" for tbk). The budget is split across the top-level
-  /// subtrees with deterministic geometric quotas, so results do not depend
-  /// on thread count; the best solution found so far is returned.
+  /// subtrees with deterministic geometric quotas; the best solution found
+  /// so far is returned.
   std::uint64_t max_nodes = 5'000'000;
   /// Anytime governance (util/budget.hpp). The work allowance caps search
   /// nodes exactly like max_nodes (the effective node cap is the minimum
   /// of the two, split with the same deterministic quotas); the deadline
   /// and the cancel token are checked with a cheap strided test at every
-  /// frontier pop, on the calling thread and every subtree worker. Node-
-  /// capped searches stay identical across thread counts; a deadline or a
-  /// cancellation stops all workers near-simultaneously, so WHICH nodes
-  /// were visited may vary -- the returned best is always a valid
-  /// symmetric pair (the doubling solution exists at budget zero), and
-  /// the result is labeled via OstrResult::degradation.
+  /// frontier pop. A node-capped search is deterministic; a deadline or a
+  /// cancellation stops it wherever it is, so WHICH nodes were visited may
+  /// vary -- the returned best is always a valid symmetric pair (the
+  /// doubling solution exists at budget zero), and the result is labeled
+  /// via OstrResult::degradation.
   Budget budget;
   /// Use cost criterion (ii) as tie-break; when false, the first solution
   /// with minimal (i) wins (ablation bench).
@@ -64,11 +65,6 @@ struct OstrOptions {
   bool extended_candidates = true;
   /// Collect every improving solution (for reporting/ablation).
   bool keep_history = false;
-  /// Number of worker threads for the top-level subtree fan-out. 0 or 1 =
-  /// run everything on the calling thread. Workers share an atomic
-  /// best-solution bound; each worker owns a private PartitionStore. The
-  /// returned best cost ((i),(ii)) is identical for every thread count.
-  std::size_t num_threads = 1;
 };
 
 /// One candidate solution of problem OSTR.
@@ -91,8 +87,10 @@ struct OstrStats {
   std::uint64_t nodes_pruned = 0;      // subtree roots cut by Lemma 1
   std::uint64_t solutions_seen = 0;    // candidate symmetric pairs evaluated
   bool exhausted = true;               // false if max_nodes hit
-  /// Interner/memo counters aggregated over all worker stores (deltas for
-  /// this solve when an external long-lived store was supplied).
+  /// Interner/memo counters of this solve (deltas when an external
+  /// long-lived store was supplied). A child inherited as self or dead
+  /// from its parent's child table costs no lookup, so join lookups count
+  /// the children actually evaluated, not every investigated node.
   PartitionStore::Stats cache;
 };
 
@@ -117,8 +115,7 @@ inline std::uint64_t ostr_node_cap(const OstrOptions& options) {
 OstrResult solve_ostr(const MealyMachine& fsm, const OstrOptions& options = {});
 
 /// Same, but reuse a caller-owned interner (one per machine across a whole
-/// synthesis flow). The store must be bound to `fsm`. Used by the
-/// single-threaded path; worker threads always own private stores.
+/// synthesis flow). The store must be bound to `fsm`.
 OstrResult solve_ostr(const MealyMachine& fsm, const OstrOptions& options,
                       PartitionStore& store);
 

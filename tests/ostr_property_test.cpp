@@ -1,9 +1,12 @@
 // Property tests for the OSTR solver (src/ostr): agreement with the
 // brute-force reference, validity of every returned solution, planted-
-// decomposition bounds, Lemma-1 pruning soundness, and the state-splitting
-// extension.
+// decomposition bounds, Lemma-1 pruning soundness, the state-splitting
+// extension, and node-for-node agreement with a plain recursive search.
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
 
 #include "benchdata/iwls93.hpp"
 #include "fsm/generate.hpp"
@@ -12,6 +15,8 @@
 #include "ostr/ostr.hpp"
 #include "ostr/state_split.hpp"
 #include "ostr/verify.hpp"
+#include "partition/lattice.hpp"
+#include "partition/pairs.hpp"
 
 namespace stc {
 namespace {
@@ -252,53 +257,169 @@ TEST(OstrDeterminism, CacheStatsAreReported) {
   EXPECT_GT(res.stats.cache.m_op.hits, 0u);
 }
 
-// --- multi-threaded fan-out ----------------------------------------------------
+// --- oracle: the Section-3 search as a plain recursion ------------------------
 
-TEST(OstrThreads, RandomMachinesMatchSingleThreadCost) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    const MealyMachine m = random_mealy(seed + 500, 8, 2, 2);
-    OstrOptions single;
-    const OstrResult a = solve_ostr(m, single);
-    for (std::size_t threads : {2, 4}) {
-      OstrOptions multi;
-      multi.num_threads = threads;
-      const OstrResult b = solve_ostr(m, multi);
-      EXPECT_EQ(a.best.flipflops, b.best.flipflops)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(a.best.balance, b.best.balance)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_TRUE(is_symmetric_pair(m, b.best.pi, b.best.tau));
+// The search written as a textbook recursion over Partition values: every
+// node is one join, then m, meet and refines from scratch. No store, no
+// inherited child verdicts, no quotas. Candidates, tie-breaks and the
+// per-subtree incumbents follow solve_ostr's documented rules, and the
+// walk stops between top-level subtrees once the best cost reaches the
+// floor (ceil_log2(|S/eps|), 0).
+class PlainSearch {
+ public:
+  PlainSearch(const MealyMachine& m, bool prune)
+      : m_(m),
+        prune_(prune),
+        eps_(state_equivalence(m)),
+        basis_(mm_basis(m)),
+        doubling_(solution(Partition::identity(m.num_states()),
+                           Partition::identity(m.num_states()))),
+        best_(doubling_),
+        incumbent_(doubling_) {}
+
+  void run() {
+    const std::size_t floor_ff = ceil_log2(eps_.num_blocks());
+    if (!visit(Partition::identity(m_.num_states())) && prune_) {
+      ++pruned_;
+      return;
+    }
+    absorb();
+    for (std::size_t k = 0; k < basis_.size(); ++k) {
+      if (best_.flipflops <= floor_ff && best_.balance == 0.0) break;
+      if (basis_[k].is_identity()) continue;
+      incumbent_ = doubling_;
+      if (!visit(basis_[k]) && prune_) {
+        ++pruned_;
+      } else {
+        expand(basis_[k], k + 1);
+      }
+      absorb();
     }
   }
+
+  std::uint64_t nodes() const { return nodes_; }
+  std::uint64_t pruned() const { return pruned_; }
+  const OstrSolution& best() const { return best_; }
+
+ private:
+  static OstrSolution solution(const Partition& pi, const Partition& tau) {
+    OstrSolution s;
+    s.pi = pi;
+    s.tau = tau;
+    s.s1 = pi.num_blocks();
+    s.s2 = tau.num_blocks();
+    s.flipflops = ceil_log2(s.s1) + ceil_log2(s.s2);
+    s.balance = std::abs(static_cast<double>(s.s1) / static_cast<double>(s.s2) - 1.0);
+    return s;
+  }
+
+  bool is_pair(const Partition& pi, const Partition& tau) const {
+    return m_operator(m_, pi).refines(tau);
+  }
+
+  void offer(const Partition& pi, const Partition& tau) {
+    OstrSolution cand = solution(pi, tau);
+    if (!cand.better_than(incumbent_, true)) return;
+    incumbent_ = std::move(cand);
+    improved_ = true;
+  }
+
+  void absorb() {
+    if (incumbent_.better_than(best_, true)) best_ = incumbent_;
+  }
+
+  bool visit(const Partition& kappa) {
+    ++nodes_;
+    improved_ = false;
+    const Partition mk = m_operator(m_, kappa);
+    if (!mk.meet(kappa).refines(eps_)) return false;  // Lemma 1
+    const Partition Mk = M_operator(m_, kappa);
+    if (Mk.meet(kappa).refines(eps_) && mk.refines(Mk)) {
+      offer(Mk, kappa);
+    } else if (m_operator(m_, mk).refines(kappa)) {
+      offer(mk, kappa);
+    }
+    if (m_.num_states() <= 12 || improved_) coarsen(mk, kappa);
+    return true;
+  }
+
+  void coarsen(Partition pi, Partition tau) {
+    const std::size_t n = m_.num_states();
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (int side = 0; side < 2 && !progress; ++side) {
+        Partition& target = side == 0 ? pi : tau;
+        const Partition& other = side == 0 ? tau : pi;
+        for (std::size_t s = 0; s < n && !progress; ++s) {
+          for (std::size_t t = s + 1; t < n && !progress; ++t) {
+            if (target.same_block(s, t)) continue;
+            Partition cand = target.join(Partition::pair_relation(n, s, t));
+            if (!cand.meet(other).refines(eps_)) continue;
+            const Partition& new_pi = side == 0 ? cand : pi;
+            const Partition& new_tau = side == 0 ? tau : cand;
+            if (!is_pair(new_pi, new_tau) || !is_pair(new_tau, new_pi)) continue;
+            target = std::move(cand);
+            offer(pi, tau);
+            progress = true;
+          }
+        }
+      }
+    }
+  }
+
+  void expand(const Partition& kappa, std::size_t next) {
+    for (std::size_t j = next; j < basis_.size(); ++j) {
+      const Partition child = kappa.join(basis_[j]);
+      if (child == kappa) continue;
+      if (!visit(child) && prune_) {
+        ++pruned_;
+        continue;
+      }
+      expand(child, j + 1);
+    }
+  }
+
+  const MealyMachine& m_;
+  bool prune_;
+  Partition eps_;
+  std::vector<Partition> basis_;
+  OstrSolution doubling_;
+  OstrSolution best_;       // over the subtrees walked so far
+  OstrSolution incumbent_;  // of the current top-level subtree
+  bool improved_ = false;
+  std::uint64_t nodes_ = 0;
+  std::uint64_t pruned_ = 0;
+};
+
+void expect_matches_plain_search(const MealyMachine& m, bool prune) {
+  OstrOptions opt;
+  opt.prune = prune;
+  opt.max_nodes = std::numeric_limits<std::uint64_t>::max();
+  const OstrResult res = solve_ostr(m, opt);
+  PlainSearch plain(m, prune);
+  plain.run();
+  const std::string what = m.name() + (prune ? " prune on" : " prune off");
+  EXPECT_EQ(res.stats.nodes_investigated, plain.nodes()) << what;
+  EXPECT_EQ(res.stats.nodes_pruned, plain.pruned()) << what;
+  EXPECT_EQ(res.best.pi, plain.best().pi) << what;
+  EXPECT_EQ(res.best.tau, plain.best().tau) << what;
 }
 
-TEST(OstrThreads, CorpusMachinesMatchSingleThreadCost) {
-  // Acceptance gate of the interner PR: criteria (i) and (ii) of the best
-  // solution must be bit-identical across thread counts on every bundled
-  // machine, including budget-bound ones (per-task quotas and the merge
-  // are deterministic by construction).
+void check_against_plain_search(const MealyMachine& m) {
+  expect_matches_plain_search(m, true);
+  if (mm_basis(m).size() <= 12) expect_matches_plain_search(m, false);
+}
+
+TEST(OstrOracle, NodeCountsMatchAPlainRecursiveSearch) {
+  for (std::uint64_t seed = 0; seed < 10; ++seed)
+    check_against_plain_search(random_mealy(600 + seed, 6 + seed % 5, 2, 2));
+  for (std::uint64_t seed = 0; seed < 4; ++seed)
+    check_against_plain_search(decomposable_mealy(40 + seed, 3, 3, 2, 2));
   for (const auto& name : benchmark_names()) {
     const MealyMachine m = load_benchmark(name);
-    OstrOptions opts;
-    opts.max_nodes = 10000;
-    const OstrResult a = solve_ostr(m, opts);
-    OstrOptions multi = opts;
-    multi.num_threads = 4;
-    const OstrResult b = solve_ostr(m, multi);
-    EXPECT_EQ(a.best.flipflops, b.best.flipflops) << name;
-    EXPECT_EQ(a.best.balance, b.best.balance) << name;
-    EXPECT_TRUE(is_symmetric_pair(m, b.best.pi, b.best.tau)) << name;
+    if (solve_ostr(m).stats.exhausted) check_against_plain_search(m);
   }
-}
-
-TEST(OstrThreads, BudgetedParallelSolveStaysValid) {
-  const MealyMachine m = load_benchmark("dk16");
-  OstrOptions opts;
-  opts.max_nodes = 1000;
-  opts.num_threads = 4;
-  const OstrResult res = solve_ostr(m, opts);
-  EXPECT_TRUE(is_symmetric_pair(m, res.best.pi, res.best.tau));
-  EXPECT_LE(res.best.flipflops, 2 * ceil_log2(m.num_states()));
 }
 
 }  // namespace
