@@ -12,6 +12,10 @@
 //   * BM_Fleet_ShardSize/shard:S -- shards of 32, 128 and 256 instances,
 //     which the kernel packs at 64, 256 and 512 lanes (S instances per
 //     self-test run).
+//   * BM_Fleet_Default/<machine>  -- run_fleet with the default options
+//     (widths 8/16/24/40 plus the seven-point test-length curve, one
+//     worker) on dk27 and tbk fig4: every chip simulated once and read by
+//     eleven observers; instances_per_sec counts simulated chips.
 //
 // Archived as BENCH_fleet.json; scripts/bench_diff.py renders a dedicated
 // fleet section (instances/sec regressions and alias-rate drift).
@@ -19,6 +23,8 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <map>
+#include <string>
 
 #include "fleet/fleet.hpp"
 #include "jobs/cache.hpp"
@@ -27,15 +33,19 @@ namespace {
 
 using namespace stc;
 
-/// One cached dk27/fig4 structure shared by every benchmark iteration
-/// (synthesis cost stays out of the measured loop).
-const ControllerStructure& dk27_fig4() {
+/// Cached fig4 structures shared by every benchmark iteration (synthesis
+/// cost stays out of the measured loop).
+const ControllerStructure& fig4_of(const std::string& machine) {
   static JobCache cache;
-  static const std::shared_ptr<const ControllerStructure> s = cache.structure(
-      cache.machine("dk27"), ArchKind::kFig4, Technology::kTwoLevel,
-      OstrOptions{}, Budget{});
+  static std::map<std::string, std::shared_ptr<const ControllerStructure>> held;
+  std::shared_ptr<const ControllerStructure>& s = held[machine];
+  if (!s)
+    s = cache.structure(cache.machine(machine), ArchKind::kFig4,
+                        Technology::kTwoLevel, OstrOptions{}, Budget{});
   return *s;
 }
+
+const ControllerStructure& dk27_fig4() { return fig4_of("dk27"); }
 
 FleetOptions fleet_options(std::uint64_t instances) {
   FleetOptions opt;
@@ -66,8 +76,8 @@ void report_quality(benchmark::State& state, const FleetShardStats& st,
 void BM_FleetShard(benchmark::State& state) {
   const ControllerStructure& cs = dk27_fig4();
   const std::size_t width = static_cast<std::size_t>(state.range(0));
-  SelfTestPlan plan = SelfTestPlan::two_session(64);
-  plan.output_misr_width = width;
+  const SelfTestPlan plan = SelfTestPlan::two_session(64);
+  const std::vector<FleetObserver> observers = {FleetObserver{width}};
   auto warm = make_campaign_warm_state(cs);
   const FleetDefectSampler sampler = make_defect_sampler(cs, DefectSpec{});
   constexpr std::uint64_t kInstances = 2048;
@@ -75,8 +85,9 @@ void BM_FleetShard(benchmark::State& state) {
   double seconds = 0.0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
-    st = run_fleet_shard(cs, plan, *warm, 0xF1EE7, 0, kInstances, sampler,
-                         Budget{});
+    st = run_fleet_shard(cs, plan, observers, *warm, 0xF1EE7, 0, kInstances,
+                         sampler, Budget{})
+             .front();
     seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0)
                    .count();
@@ -121,6 +132,27 @@ void BM_Fleet_ShardSize(benchmark::State& state) {
 }
 BENCHMARK(BM_Fleet_ShardSize)
     ->ArgName("shard")->Arg(32)->Arg(128)->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_Fleet_Default(benchmark::State& state, const std::string& machine,
+                      std::uint64_t instances) {
+  const ControllerStructure& cs = fig4_of(machine);
+  FleetOptions opt;
+  opt.instances = instances;
+  FleetReport rep;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    rep = run_fleet(cs, opt);
+    seconds += rep.seconds;
+    benchmark::DoNotOptimize(rep.widths.front().stats.sig_detected);
+  }
+  report_quality(state, rep.widths.front().stats, seconds);
+  state.counters["observers"] =
+      static_cast<double>(rep.widths.size() + rep.curve.size());
+}
+BENCHMARK_CAPTURE(BM_Fleet_Default, dk27, std::string("dk27"), 16384)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Fleet_Default, tbk, std::string("tbk"), 1024)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -40,20 +40,31 @@ LaneMisr::LaneMisr(std::size_t width, unsigned lane_words)
   chunk_.assign(width * lane_words, 0);
 }
 
-void LaneMisr::reset() { std::fill(bits_.begin(), bits_.end(), 0); }
+void LaneMisr::reset() {
+  std::fill(bits_.begin(), bits_.end(), 0);
+  head_ = 0;
+}
 
 void LaneMisr::absorb(std::size_t n) {
   const unsigned W = lane_words_;
   std::uint64_t fb[8] = {0, 0, 0, 0, 0, 0, 0, 0};  // lane_words <= 8
-  for (unsigned t : taps_)
-    for (unsigned w = 0; w < W; ++w) fb[w] ^= bits_[(t - 1) * W + w];
-  for (std::size_t k = width_; k-- > 1;)
-    for (unsigned w = 0; w < W; ++w)
-      bits_[k * W + w] = bits_[(k - 1) * W + w] ^ (k < n ? chunk_[k * W + w] : 0);
-  for (unsigned w = 0; w < W; ++w)
-    bits_[w] = fb[w] ^ (n > 0 ? chunk_[w] : 0);
+  for (unsigned t : taps_) {
+    const std::uint64_t* r = row(t - 1);
+    for (unsigned w = 0; w < W; ++w) fb[w] ^= r[w];
+  }
+  // The shift: bit k takes the row of bit k - 1, and bit 0 the row the
+  // old top bit leaves, overwritten with the feedback.
+  head_ = head_ == 0 ? width_ - 1 : head_ - 1;
+  std::uint64_t* r0 = bits_.data() + head_ * W;
+  for (unsigned w = 0; w < W; ++w) r0[w] = fb[w] ^ (n > 0 ? chunk_[w] : 0);
+  for (std::size_t k = 1; k < n; ++k) {
+    std::uint64_t* r = row_mut(k);
+    for (unsigned w = 0; w < W; ++w) r[w] ^= chunk_[k * W + w];
+  }
 }
 
+// The two compares OR over every row, so they walk the rows in physical
+// order.
 void LaneMisr::accumulate_diff(std::uint64_t* diff) const {
   const unsigned W = lane_words_;
   for (std::size_t k = 0; k < width_; ++k) {
@@ -74,12 +85,11 @@ void LaneMisr::accumulate_pair_diff(std::uint64_t* diff) const {
 }
 
 std::uint64_t LaneMisr::lane_signature(std::size_t lane) const {
-  const unsigned W = lane_words_;
   const std::size_t word = lane >> 6;
   const unsigned shift = static_cast<unsigned>(lane & 63);
   std::uint64_t s = 0;
   for (std::size_t k = 0; k < width_; ++k)
-    s |= ((bits_[k * W + word] >> shift) & 1) << k;
+    s |= ((row(k)[word] >> shift) & 1) << k;
   return s;
 }
 

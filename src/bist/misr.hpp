@@ -32,10 +32,13 @@ class Misr {
 /// signature is a row of `lane_words` contiguous uint64_t words holding
 /// that bit's value in all 64*lane_words simulation lanes. The MISR
 /// recurrence is linear per bit, so the lane evolution is the scalar
-/// absorb applied word-wise. Construction allocates the rows and the tap
-/// table once; reset() clears the signature with no heap traffic. The
-/// caller gathers each response chunk into chunk_row() and then calls
-/// absorb(n) with the number of rows actually filled.
+/// absorb applied word-wise. The rows form a ring: the shift moves the
+/// index of bit 0 instead of the rows, so an absorb writes the feedback
+/// row and XORs the n filled chunk rows, whatever the width. Construction
+/// allocates the rows and the tap table once; reset() clears the
+/// signature with no heap traffic. The caller gathers each response chunk
+/// into chunk_row() and then calls absorb(n) with the number of rows
+/// actually filled.
 class LaneMisr {
  public:
   LaneMisr(std::size_t width, unsigned lane_words);
@@ -53,6 +56,7 @@ class LaneMisr {
 
   /// state <- ((state << 1) | feedback) ^ chunk, word-wise per bit; chunk
   /// rows >= n absorb 0 (matching the scalar Misr's masked absorb).
+  /// Requires n <= width().
   void absorb(std::size_t n);
 
   /// OR into `diff` (lane_words words) the lanes whose signature differs
@@ -67,15 +71,25 @@ class LaneMisr {
   /// Row of signature bit k (lane_words words; lane l at bit l%64 of
   /// word l/64) -- the fleet aggregator's signature-histogram source.
   const std::uint64_t* row(std::size_t k) const {
-    return bits_.data() + k * lane_words_;
+    return bits_.data() + slot(k) * lane_words_;
   }
 
   /// Extract lane `lane`'s full signature.
   std::uint64_t lane_signature(std::size_t lane) const;
 
  private:
+  /// Physical row of signature bit k.
+  std::size_t slot(std::size_t k) const {
+    const std::size_t s = head_ + k;
+    return s >= width_ ? s - width_ : s;
+  }
+  std::uint64_t* row_mut(std::size_t k) {
+    return bits_.data() + slot(k) * lane_words_;
+  }
+
   std::size_t width_;
   unsigned lane_words_;
+  std::size_t head_ = 0;              // physical row of signature bit 0
   std::vector<unsigned> taps_;
   std::vector<std::uint64_t> bits_;   // width rows of lane_words words
   std::vector<std::uint64_t> chunk_;  // caller-filled response rows

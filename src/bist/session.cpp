@@ -341,6 +341,24 @@ void absorb_output_lanes(LaneMisr& misr, const std::uint64_t* values,
   if (j > 0 || absorbed == 0) misr.absorb(j);
 }
 
+/// Give `misr` `width` signature bits at its lane width; a no-op (no heap
+/// traffic) when the width already matches.
+void fit_misr(LaneMisr& misr, std::size_t width) {
+  if (misr.width() != width) misr = LaneMisr(width, misr.lane_words());
+}
+
+/// One fleet observer's view of a packed run: its output MISR and four
+/// pair masks (even bit 2j = pair j): PO stream diff, compressing-bank D
+/// stream diff, final output-MISR signature diff, any-signature diff.
+struct ObserverLanes {
+  ObserverLanes(std::size_t misr_width, unsigned W) : misr(misr_width, W) {}
+
+  LaneMisr misr;
+  std::array<std::uint64_t, 8> po{}, d{}, misr_sig{}, any_sig{};  // W <= 8
+  std::size_t horizon = 0;  // cycles observed in the current session
+  bool active = false;      // sees an instance of the current run
+};
+
 /// Everything one campaign worker needs across fault batches: the compiled
 /// program, the event evaluator's resident state, lane-sliced banks/MISR,
 /// the input generator, and every lane buffer. Constructed once per worker;
@@ -360,40 +378,33 @@ struct CampaignScratch {
   std::vector<LaneFault> batch;
   std::uint64_t cycles = 0;  // machine cycles simulated by this worker
 
-  // Fleet extras (run_fleet_shard only; idle in campaign use). Sized at
-  // construction so fleet runs stay allocation-free in the steady state
-  // just like campaign batches.
-  LaneLfsr fleet_input_gen;                    // per-lane input sequences
-  std::vector<std::uint64_t> fleet_po_stream;  // pair masks, W words each:
-  std::vector<std::uint64_t> fleet_d_stream;   //   even bit 2j = pair j
-  std::vector<std::uint64_t> fleet_misr_sig;
-  std::vector<std::uint64_t> fleet_any_sig;
-  std::vector<Fault> fleet_faults;             // defect-sampler sink
-  std::vector<char> fleet_defective;           // per-pair defect flags
+  // Fleet extras (run_fleet_shard only; idle in campaign use). The
+  // observer lanes are fitted on each lease and re-built only when a
+  // shard's observers differ in number or width, so fleet runs stay
+  // allocation-free in the steady state just like campaign batches.
+  LaneLfsr fleet_input_gen;                 // per-lane input sequences
+  std::vector<ObserverLanes> fleet_obs;     // one per FleetObserver
+  std::vector<Fault> fleet_faults;          // defect-sampler sink
+  std::vector<char> fleet_defective;        // per-pair defect flags
 
   /// `proto` is a compiled program shared by all workers: copying its
   /// vectors is far cheaper than re-running the compile (CSR build +
   /// AND-node folding fixpoint) once per thread, and each worker still
-  /// gets its own mutable mask state. Takes only `output_misr_width`, not
-  /// the whole SelfTestPlan: nothing else of a plan is baked into the
-  /// scratch, and CampaignWarmState::acquire re-sizes out_misr when a
-  /// later plan's width differs.
+  /// gets its own mutable mask state. Nothing of a SelfTestPlan is baked
+  /// into the scratch: out_misr starts at the default plan's width and
+  /// campaigns fit it to theirs on each lease.
   CampaignScratch(const ControllerStructure& cs, const CompiledNetlist& proto,
-                  std::size_t output_misr_width, const PinMap& pins)
+                  const PinMap& pins)
       : cn(proto),
         bank_a(cs.nl, cs.reg_a, proto.lane_words()),
         bank_b(cs.nl, cs.reg_b, proto.lane_words()),
-        out_misr(output_misr_width, proto.lane_words()),
+        out_misr(SelfTestPlan().output_misr_width, proto.lane_words()),
         input_gen(std::max<std::size_t>(8, cs.pi.size())),
         in_lanes(cs.nl.num_inputs() * proto.lane_words(), 0),
         dff_lanes(cs.nl.num_dffs() * proto.lane_words(), 0),
         diff_mask(proto.lane_words(), 0),
         fleet_input_gen(std::max<std::size_t>(8, cs.pi.size()),
                         proto.lane_words()),
-        fleet_po_stream(proto.lane_words(), 0),
-        fleet_d_stream(proto.lane_words(), 0),
-        fleet_misr_sig(proto.lane_words(), 0),
-        fleet_any_sig(proto.lane_words(), 0),
         fleet_defective(fleet_instances_per_run(proto.lane_words()), 0) {
     const unsigned W = proto.lane_words();
     const Netlist::SimState init = cs.nl.initial_state();
@@ -478,22 +489,30 @@ constexpr std::uint64_t kFleetInputSalt = 0x464c4545542d494eULL;  // "FLEET-IN"
 constexpr std::uint64_t kFleetGenASalt = 0x464c4545542d4741ULL;   // "FLEET-GA"
 constexpr std::uint64_t kFleetGenBSalt = 0x464c4545542d4742ULL;   // "FLEET-GB"
 
-/// One full self-test execution of n_pairs chip instances packed as
-/// (reference, faulty) lane pairs. The caller has loaded sc.batch with the
-/// sampled defects (lane 2j+1 for instance j); this fills the four fleet
-/// pair masks (even bit 2j = pair j): PO stream diff, compressing-bank D
-/// stream diff, final output-MISR signature diff, and any-signature diff.
+/// One self-test execution of n_pairs chip instances packed as
+/// (reference, faulty) lane pairs, read by every observer in sc.fleet_obs.
+/// The caller has loaded sc.batch with the sampled defects (lane 2j+1 for
+/// instance j) and set each observer's `active` flag. Each session is
+/// simulated for the longest horizon of an active observer; an observer
+/// absorbs into its MISR and ORs into its stream masks only the cycles
+/// below its horizon, and snapshots the compressing banks after its last
+/// cycle. Every session restarts from a fixed state, so each observer
+/// sees exactly what a run of its own width and length would.
 void run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
-                     const PinMap& pins, CampaignScratch& sc, std::size_t n_pairs,
-                     std::uint64_t base_seed, std::uint64_t first_instance) {
+                     const std::vector<FleetObserver>& observers,
+                     const PinMap& pins, CampaignScratch& sc,
+                     std::size_t n_pairs, std::uint64_t base_seed,
+                     std::uint64_t first_instance) {
   const unsigned W = sc.cn.lane_words();
   constexpr std::uint64_t kEven = 0x5555555555555555ULL;
   sc.cn.set_faults(sc.batch);
-  sc.out_misr.reset();
-  std::fill(sc.fleet_po_stream.begin(), sc.fleet_po_stream.end(), 0);
-  std::fill(sc.fleet_d_stream.begin(), sc.fleet_d_stream.end(), 0);
-  std::fill(sc.fleet_misr_sig.begin(), sc.fleet_misr_sig.end(), 0);
-  std::fill(sc.fleet_any_sig.begin(), sc.fleet_any_sig.end(), 0);
+  for (ObserverLanes& ob : sc.fleet_obs) {
+    ob.misr.reset();
+    ob.po.fill(0);
+    ob.d.fill(0);
+    ob.misr_sig.fill(0);
+    ob.any_sig.fill(0);
+  }
 
   for (std::size_t si = 0; si < plan.sessions.size(); ++si) {
     const SessionSpec& spec = plan.sessions[si];
@@ -529,7 +548,27 @@ void run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
               sc.dff_lanes.begin());
     sc.cn.reset(sc.ev);
 
-    for (std::size_t cycle = 0; cycle < spec.cycles; ++cycle) {
+    const bool compress_a = spec.role_a == RegRole::kCompress;
+    const bool compress_b =
+        spec.role_b == RegRole::kCompress && !sc.bank_b.empty();
+    // The compressing banks' signatures after `cycle` cycles, into the
+    // any-signature mask of every observer whose horizon ends there.
+    const auto snapshot = [&](std::size_t cycle) {
+      for (ObserverLanes& ob : sc.fleet_obs)
+        if (ob.active && ob.horizon == cycle) {
+          if (compress_a) sc.bank_a.accumulate_pair_diff(ob.any_sig.data());
+          if (compress_b) sc.bank_b.accumulate_pair_diff(ob.any_sig.data());
+        }
+    };
+    std::size_t cycles = 0;
+    for (std::size_t o = 0; o < observers.size(); ++o) {
+      ObserverLanes& ob = sc.fleet_obs[o];
+      ob.horizon = observers[o].horizon(spec);
+      if (ob.active) cycles = std::max(cycles, ob.horizon);
+    }
+    snapshot(0);
+
+    for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
       // Per-lane stimulus: every PI row is rewritten from the lane LFSR
       // each cycle (no broadcast/delta shortcut -- lanes genuinely differ).
       for (std::size_t k = 0; k < cs.pi.size(); ++k) {
@@ -543,35 +582,39 @@ void run_fleet_lanes(const ControllerStructure& cs, const SelfTestPlan& plan,
       sc.cn.evaluate_event(sc.in_lanes.data(), sc.dff_lanes.data(), sc.ev);
       const std::uint64_t* values = sc.ev.values.data();
 
-      absorb_output_lanes(sc.out_misr, values, cs.po, W);
       // Streaming observability: did the defect show on a primary output
       // THIS cycle? (What an external tester watching the pins would see.)
+      std::uint64_t po[8] = {0, 0, 0, 0, 0, 0, 0, 0};
       for (NetId net : cs.po) {
         const std::uint64_t* src = values + std::size_t{net} * W;
-        for (unsigned w = 0; w < W; ++w)
-          sc.fleet_po_stream[w] |= (src[w] ^ (src[w] >> 1)) & kEven;
+        for (unsigned w = 0; w < W; ++w) po[w] |= (src[w] ^ (src[w] >> 1)) & kEven;
       }
+      for (ObserverLanes& ob : sc.fleet_obs)
+        if (ob.active && cycle < ob.horizon) {
+          absorb_output_lanes(ob.misr, values, cs.po, W);
+          for (unsigned w = 0; w < W; ++w) ob.po[w] |= po[w];
+        }
 
       sc.bank_a.clock(values);
       sc.bank_b.clock(values);
       // ...and did it reach a compacting register's D inputs? (clock()
       // leaves the gathered D rows in place for the pair compare.)
-      if (spec.role_a == RegRole::kCompress)
-        sc.bank_a.accumulate_pair_d_diff(sc.fleet_d_stream.data());
-      if (spec.role_b == RegRole::kCompress && !sc.bank_b.empty())
-        sc.bank_b.accumulate_pair_d_diff(sc.fleet_d_stream.data());
+      std::uint64_t d[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+      if (compress_a) sc.bank_a.accumulate_pair_d_diff(d);
+      if (compress_b) sc.bank_b.accumulate_pair_d_diff(d);
+      for (ObserverLanes& ob : sc.fleet_obs)
+        if (ob.active && cycle < ob.horizon)
+          for (unsigned w = 0; w < W; ++w) ob.d[w] |= d[w];
+      snapshot(cycle + 1);
       sc.fleet_input_gen.step();
       ++sc.cycles;
     }
-
-    if (spec.role_a == RegRole::kCompress)
-      sc.bank_a.accumulate_pair_diff(sc.fleet_any_sig.data());
-    if (spec.role_b == RegRole::kCompress && !sc.bank_b.empty())
-      sc.bank_b.accumulate_pair_diff(sc.fleet_any_sig.data());
   }
-  sc.out_misr.accumulate_pair_diff(sc.fleet_misr_sig.data());
-  for (unsigned w = 0; w < W; ++w)
-    sc.fleet_any_sig[w] |= sc.fleet_misr_sig[w];
+  for (ObserverLanes& ob : sc.fleet_obs) {
+    if (!ob.active) continue;
+    ob.misr.accumulate_pair_diff(ob.misr_sig.data());
+    for (unsigned w = 0; w < W; ++w) ob.any_sig[w] |= ob.misr_sig[w];
+  }
   sc.cn.clear_faults();
 }
 
@@ -599,11 +642,10 @@ class CampaignWarmState {
 
   bool serves(const ControllerStructure& cs) const { return &cs == cs_; }
 
-  /// Lease a scratch of lane width W with a `misr_width`-bit output MISR:
-  /// reuse a parked one (warm start, its MISR re-sized if a plan of
-  /// another width parked it) or build a fresh one from W's program,
-  /// compiling it on first use.
-  ScratchLease acquire(unsigned W, std::size_t misr_width) {
+  /// Lease a scratch of lane width W: reuse a parked one (warm start) or
+  /// build a fresh one from W's program, compiling it on first use. The
+  /// caller fits its MISRs to its own widths.
+  ScratchLease acquire(unsigned W) {
     Width& wd = width(W);
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -611,16 +653,13 @@ class CampaignWarmState {
         ScratchLease sc(wd.free.back().release(), {this});
         wd.free.pop_back();
         reuses_.fetch_add(1, std::memory_order_relaxed);
-        if (sc->out_misr.width() != misr_width)
-          sc->out_misr = LaneMisr(misr_width, W);
         return sc;
       }
       if (!wd.proto) wd.proto = std::make_unique<CompiledNetlist>(cs_->nl, W);
     }
     // A published program is immutable: copying it needs no lock.
     builds_.fetch_add(1, std::memory_order_relaxed);
-    return ScratchLease(new CampaignScratch(*cs_, *wd.proto, misr_width, pins_),
-                        {this});
+    return ScratchLease(new CampaignScratch(*cs_, *wd.proto, pins_), {this});
   }
 
   void release(CampaignScratch* sc) {
@@ -751,8 +790,9 @@ CampaignResult sweep_fault_batches(
     std::vector<std::size_t> chunk_runs(num_chunks, 0);
     auto chunk_fn = [&](std::size_t c) {
       Budget bud = options.budget;  // per-chunk copy, absolute deadline
-      const ScratchLease lease = warm.acquire(W, output_misr_width);
+      const ScratchLease lease = warm.acquire(W);
       CampaignScratch& sc = *lease;
+      fit_misr(sc.out_misr, output_misr_width);
       const std::uint64_t cycles0 = sc.cycles;
       const std::uint64_t ops0 = sc.ev.ops_evaluated;
       for (std::size_t b = c; b < num_batches; b += num_chunks) {
@@ -871,22 +911,27 @@ void FleetShardStats::merge(const FleetShardStats& o) {
     signature_histogram[b] += o.signature_histogram[b];
 }
 
-FleetShardStats run_fleet_shard(const ControllerStructure& cs,
-                                const SelfTestPlan& plan,
-                                CampaignWarmState& warm,
-                                std::uint64_t base_seed, std::uint64_t first,
-                                std::uint64_t count,
-                                const FleetDefectSampler& sampler,
-                                const Budget& budget) {
+std::vector<FleetShardStats> run_fleet_shard(
+    const ControllerStructure& cs, const SelfTestPlan& plan,
+    const std::vector<FleetObserver>& observers, CampaignWarmState& warm,
+    std::uint64_t base_seed, std::uint64_t first, std::uint64_t count,
+    const FleetDefectSampler& sampler, const Budget& budget) {
   if (!cs.nl.finalized())
     throw std::logic_error("run_fleet_shard: netlist not finalized");
   std::string problems;
-  if (plan.sessions.empty()) problems = "plan has no sessions";
+  const auto add = [&problems](const char* p) {
+    problems += std::string(problems.empty() ? "" : "; ") + p;
+  };
+  if (plan.sessions.empty()) add("plan has no sessions");
+  if (observers.empty()) add("no observers");
+  for (const FleetObserver& o : observers)
+    if (o.misr_width < 1 || o.misr_width > 64) {
+      add("every observer's MISR width must be in [1, 64]");
+      break;
+    }
   if (!warm.serves(cs))
-    problems += std::string(problems.empty() ? "" : "; ") +
-                "warm state was built for a different structure object";
-  if (!sampler)
-    problems += std::string(problems.empty() ? "" : "; ") + "null defect sampler";
+    add("warm state was built for a different structure object");
+  if (!sampler) add("null defect sampler");
   if (!problems.empty())
     throw Error(ErrorCode::kInvalidInput, "invalid fleet shard", problems);
 
@@ -894,57 +939,77 @@ FleetShardStats run_fleet_shard(const ControllerStructure& cs,
   const unsigned W =
       fill_lane_words(static_cast<std::size_t>(count), fleet_instances_per_run);
   const std::size_t per_run = fleet_instances_per_run(W);
-  const ScratchLease lease = warm.acquire(W, plan.output_misr_width);
+  const ScratchLease lease = warm.acquire(W);
   CampaignScratch& sc = *lease;
+  if (sc.fleet_obs.size() > observers.size())
+    sc.fleet_obs.erase(sc.fleet_obs.begin() +
+                           static_cast<std::ptrdiff_t>(observers.size()),
+                       sc.fleet_obs.end());
+  for (std::size_t o = 0; o < observers.size(); ++o)
+    if (o == sc.fleet_obs.size())
+      sc.fleet_obs.emplace_back(observers[o].misr_width, W);
+    else
+      fit_misr(sc.fleet_obs[o].misr, observers[o].misr_width);
   const std::uint64_t cycles0 = sc.cycles;
   Budget bud = budget;
 
-  FleetShardStats st;
+  std::vector<FleetShardStats> stats(observers.size());
   std::uint64_t done = 0;
   while (done < count) {
-    // Trim the run to the allowance left; truncation leaves
-    // st.instances < count with every count exact.
+    // Trim the run to the allowance left; truncation leaves fewer than
+    // `count` instances simulated with every count exact.
     const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
         {per_run, count - done, bud.work_allowance() - bud.work_spent()}));
     if (n == 0 || bud.exhausted()) break;
     bud.spend(n);
+    const std::uint64_t run_first = first + done;
     sc.batch.clear();
     for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t instance = first + done + j;
       sc.fleet_faults.clear();
-      sampler(instance, sc.fleet_faults);
+      sampler(run_first + j, sc.fleet_faults);
       sc.fleet_defective[j] = sc.fleet_faults.empty() ? 0 : 1;
       for (const Fault& f : sc.fleet_faults)
         sc.batch.push_back(
             {f.net, f.stuck_value, static_cast<unsigned>(2 * j + 1)});
     }
-    run_fleet_lanes(cs, plan, warm.pins(), sc, n, base_seed, first + done);
-    ++st.session_runs;
+    for (std::size_t o = 0; o < observers.size(); ++o)
+      sc.fleet_obs[o].active = observers[o].instance_end > run_first;
+    run_fleet_lanes(cs, plan, observers, warm.pins(), sc, n, base_seed,
+                    run_first);
+    ++stats.front().session_runs;
 
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t pos = 2 * j;  // pair flag = even lane bit
-      const std::size_t word = pos >> 6;
-      const unsigned bit = static_cast<unsigned>(pos & 63);
-      const bool po = (sc.fleet_po_stream[word] >> bit) & 1;
-      const bool dstr = (sc.fleet_d_stream[word] >> bit) & 1;
-      const bool misr = (sc.fleet_misr_sig[word] >> bit) & 1;
-      const bool sig = (sc.fleet_any_sig[word] >> bit) & 1;
-      const bool any_stream = po || dstr;
-      ++st.instances;
-      st.defective += sc.fleet_defective[j] ? 1 : 0;
-      st.po_stream_detected += po ? 1 : 0;
-      st.any_stream_detected += any_stream ? 1 : 0;
-      st.misr_detected += misr ? 1 : 0;
-      st.sig_detected += sig ? 1 : 0;
-      st.aliases += (po && !misr) ? 1 : 0;
-      st.escapes += (any_stream && !sig) ? 1 : 0;
-      if (sc.fleet_defective[j])
-        ++st.signature_histogram[sc.out_misr.lane_signature(2 * j + 1) & 63];
+    for (std::size_t o = 0; o < observers.size(); ++o) {
+      const ObserverLanes& ob = sc.fleet_obs[o];
+      if (!ob.active) continue;
+      FleetShardStats& st = stats[o];
+      // Lanes at or above the observer's instance_end are masked out.
+      const std::size_t seen = static_cast<std::size_t>(std::min<std::uint64_t>(
+          n, observers[o].instance_end - run_first));
+      for (std::size_t j = 0; j < seen; ++j) {
+        const std::size_t pos = 2 * j;  // pair flag = even lane bit
+        const std::size_t word = pos >> 6;
+        const unsigned bit = static_cast<unsigned>(pos & 63);
+        const bool po = (ob.po[word] >> bit) & 1;
+        const bool dstr = (ob.d[word] >> bit) & 1;
+        const bool misr = (ob.misr_sig[word] >> bit) & 1;
+        const bool sig = (ob.any_sig[word] >> bit) & 1;
+        const bool any_stream = po || dstr;
+        ++st.instances;
+        st.defective += sc.fleet_defective[j] ? 1 : 0;
+        st.po_stream_detected += po ? 1 : 0;
+        st.any_stream_detected += any_stream ? 1 : 0;
+        st.misr_detected += misr ? 1 : 0;
+        st.sig_detected += sig ? 1 : 0;
+        st.aliases += (po && !misr) ? 1 : 0;
+        st.escapes += (any_stream && !sig) ? 1 : 0;
+        if (sc.fleet_defective[j])
+          ++st.signature_histogram[ob.misr.lane_signature(2 * j + 1) & 63];
+      }
     }
     done += n;
   }
-  st.cycles = sc.cycles - cycles0;
-  return st;
+  stats.front().cycles = sc.cycles - cycles0;
+  return stats;
 }
 
 CoverageResult measure_functional_coverage(const ControllerStructure& cs,

@@ -14,10 +14,12 @@
 // compresses, session 2 = the converse.
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "bist/architectures.hpp"
 #include "bist/bilbo.hpp"
@@ -154,12 +156,12 @@ class CampaignChunkExecutor {
 /// Per-structure lane state for one run: per lane width, the compiled lane
 /// program (built on first use) plus a free-list of per-worker scratch
 /// (lane buffers, banks, event residency). run_fault_campaign builds its
-/// own and shares it between its chunks; run_fleet builds one for all of
-/// its MISR widths and its curve, and its shards lease scratch from it.
-/// A leased scratch re-sizes its output MISR to the plan's width, outside
-/// the cycle loop. Bound to one structure object; run_fleet_shard rejects
-/// a warm state built for another with a typed Error. Thread-safe:
-/// concurrent shards may share one warm state.
+/// own and shares it between its chunks; run_fleet builds one for its
+/// pass, and its shards lease scratch from it. The lessee fits the
+/// scratch's MISRs to its widths (the campaign plan's, or one per fleet
+/// observer), outside the cycle loop. Bound to one structure
+/// object; run_fleet_shard rejects a warm state built for another with a
+/// typed Error. Thread-safe: concurrent shards may share one warm state.
 class CampaignWarmState;
 
 std::shared_ptr<CampaignWarmState> make_campaign_warm_state(
@@ -279,6 +281,28 @@ std::uint64_t fleet_instance_key(std::uint64_t base_seed, std::uint64_t instance
 using FleetDefectSampler =
     std::function<void(std::uint64_t instance, std::vector<Fault>& out)>;
 
+/// One reading of a fleet run: the output-MISR width and the test length
+/// at which it observes the simulated chips. run_fleet_shard simulates
+/// each packed run once and every observer reads it, so observers that
+/// differ in width or length share all of the netlist work. This is exact
+/// because every session restarts from a fixed state (banks re-seeded,
+/// inputs re-seeded, DFFs reset): a c-cycle session is a prefix of a
+/// longer one, and the MISR width only changes what is compacted.
+struct FleetObserver {
+  std::size_t misr_width = 16;  // output-MISR width, in [1, 64]
+  /// Cycles observed in every session; nullopt = each session's own
+  /// `cycles`. May exceed the plan's sessions: the run is simulated for
+  /// the longest horizon any observer of it needs.
+  std::optional<std::size_t> session_cycles;
+  /// Observe only instances with ids below this (a fleet's curve sample);
+  /// lanes of a packed run at or above it are masked out.
+  std::uint64_t instance_end = UINT64_MAX;
+
+  std::size_t horizon(const SessionSpec& spec) const {
+    return session_cycles.value_or(spec.cycles);
+  }
+};
+
 /// Streaming per-shard aggregate: O(1) memory regardless of instance
 /// count; no per-instance result is ever materialized.
 struct FleetShardStats {
@@ -297,6 +321,9 @@ struct FleetShardStats {
   /// Escape: the defect reached SOME compacted stream, yet every final
   /// signature matched -- the chip ships as good.
   std::uint64_t escapes = 0;  // any_stream_detected && !sig_detected
+  /// Packed self-test runs simulated and machine cycles clocked. A run
+  /// serves every observer but is counted once: run_fleet_shard charges
+  /// both to observer 0 and leaves them 0 for the others.
   std::uint64_t session_runs = 0;
   std::uint64_t cycles = 0;
   /// Final output-MISR signatures of defective instances, folded into 64
@@ -307,18 +334,20 @@ struct FleetShardStats {
   void merge(const FleetShardStats& o);
 };
 
-/// Simulate chip instances [first, first + count) of a fleet in packed
-/// runs as wide as `count` fills, leasing scratch from `warm` (built for
-/// `cs`; any plan.output_misr_width). The budget is charged one unit per
+/// Simulate chip instances [first, first + count) of a fleet once each,
+/// in packed runs as wide as `count` fills, leasing scratch from `warm`
+/// (built for `cs`), and return one FleetShardStats per observer, in
+/// order. The observers' widths and horizons replace the plan's
+/// output_misr_width and session cycles; everything else of the plan
+/// (roles, seeds) applies. The budget is charged one unit per simulated
 /// instance, trimming the last run; exhaustion truncates the shard
-/// (stats.instances < count) with every completed run's counts exact.
-FleetShardStats run_fleet_shard(const ControllerStructure& cs,
-                                const SelfTestPlan& plan,
-                                CampaignWarmState& warm,
-                                std::uint64_t base_seed, std::uint64_t first,
-                                std::uint64_t count,
-                                const FleetDefectSampler& sampler,
-                                const Budget& budget);
+/// (fewer than `count` instances) with every completed run's counts
+/// exact.
+std::vector<FleetShardStats> run_fleet_shard(
+    const ControllerStructure& cs, const SelfTestPlan& plan,
+    const std::vector<FleetObserver>& observers, CampaignWarmState& warm,
+    std::uint64_t base_seed, std::uint64_t first, std::uint64_t count,
+    const FleetDefectSampler& sampler, const Budget& budget);
 
 /// Functional (non-BIST) baseline: drive `cycles` LFSR input patterns in
 /// system mode (test_mode held at 0) on the campaign's lane engine; a fault

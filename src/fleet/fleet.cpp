@@ -58,48 +58,6 @@ void FleetOptions::validate() const {
   }
 }
 
-namespace {
-
-/// One sharded pass: simulate `instances` chips under `plan`, merging shard
-/// stats in shard-index order (the merge order never affects the sums, but
-/// a fixed order keeps even hypothetical float fields deterministic).
-FleetShardStats run_fleet_pass(const ControllerStructure& cs,
-                               const SelfTestPlan& plan,
-                               CampaignWarmState& warm,
-                               const FleetOptions& opt,
-                               const FleetDefectSampler& sampler,
-                               std::uint64_t instances) {
-  const std::uint64_t per_shard = opt.shard_instances;
-  const std::size_t n_shards =
-      static_cast<std::size_t>((instances + per_shard - 1) / per_shard);
-  std::vector<FleetShardStats> shard_stats(n_shards);
-  auto shard_fn = [&](std::size_t s) {
-    const std::uint64_t first = static_cast<std::uint64_t>(s) * per_shard;
-    const std::uint64_t count = std::min(per_shard, instances - first);
-    shard_stats[s] = run_fleet_shard(cs, plan, warm, opt.base_seed, first,
-                                     count, sampler, opt.budget);
-  };
-
-  if (opt.executor && n_shards > 1) {
-    opt.executor->run_chunks(n_shards, shard_fn);
-  } else {
-    std::size_t workers = opt.jobs != 0
-                              ? opt.jobs
-                              : std::max(1u, std::thread::hardware_concurrency());
-    workers = std::min(workers, n_shards);
-    // Chunk-strided worker assignment: worker t takes shards t, t+workers, ...
-    run_on_threads(workers, [&](std::size_t t) {
-      for (std::size_t s = t; s < n_shards; s += workers) shard_fn(s);
-    });
-  }
-
-  FleetShardStats total;
-  for (const FleetShardStats& s : shard_stats) total.merge(s);
-  return total;
-}
-
-}  // namespace
-
 FleetReport run_fleet(const ControllerStructure& cs, const FleetOptions& opt) {
   opt.validate();
   const auto t0 = std::chrono::steady_clock::now();
@@ -115,48 +73,69 @@ FleetReport run_fleet(const ControllerStructure& cs, const FleetOptions& opt) {
     rep.distribution = os.str();
   }
 
-  const FleetDefectSampler sampler = make_defect_sampler(cs, opt.defects);
-  std::uint64_t requested_total = 0;
-
-  const std::shared_ptr<CampaignWarmState> warm = make_campaign_warm_state(cs);
-  for (std::size_t width : opt.misr_widths) {
-    SelfTestPlan plan = opt.plan;
-    plan.output_misr_width = width;
-    FleetWidthResult wr;
-    wr.misr_width = width;
-    wr.stats = run_fleet_pass(cs, plan, *warm, opt, sampler, opt.instances);
-    requested_total += opt.instances;
-    rep.widths.push_back(std::move(wr));
-  }
-
-  if (!opt.curve_cycles.empty() && opt.curve_instances > 0) {
+  // One observer per MISR width, then one per curve point (at the first
+  // width, every session cut to the point's length, on the first n chips).
+  std::vector<FleetObserver> observers;
+  for (std::size_t width : opt.misr_widths)
+    observers.push_back({width, std::nullopt, UINT64_MAX});
+  const bool with_curve = !opt.curve_cycles.empty() && opt.curve_instances > 0;
+  if (with_curve) {
     rep.curve_misr_width = opt.misr_widths.front();
     const std::uint64_t n = std::min(opt.curve_instances, opt.instances);
-    for (std::size_t cycles : opt.curve_cycles) {
-      SelfTestPlan plan = opt.plan;
-      plan.output_misr_width = rep.curve_misr_width;
-      for (SessionSpec& s : plan.sessions) s.cycles = cycles;
-      FleetCurvePoint pt;
-      pt.cycles_per_session = cycles;
-      pt.stats = run_fleet_pass(cs, plan, *warm, opt, sampler, n);
-      requested_total += n;
-      rep.curve.push_back(std::move(pt));
-    }
+    for (std::size_t cycles : opt.curve_cycles)
+      observers.push_back({rep.curve_misr_width, cycles, n});
   }
 
-  std::uint64_t simulated_total = rep.instances_simulated();
-  for (const FleetCurvePoint& pt : rep.curve)
-    simulated_total += pt.stats.instances;
+  // One sharded pass: every chip is simulated once and read by every
+  // observer. Shard stats merge in shard-index order (the merge order
+  // never affects the sums, but a fixed order keeps even hypothetical
+  // float fields deterministic).
+  const FleetDefectSampler sampler = make_defect_sampler(cs, opt.defects);
+  const std::shared_ptr<CampaignWarmState> warm = make_campaign_warm_state(cs);
+  const std::uint64_t per_shard = opt.shard_instances;
+  const std::size_t n_shards =
+      static_cast<std::size_t>((opt.instances + per_shard - 1) / per_shard);
+  std::vector<std::vector<FleetShardStats>> shard_stats(n_shards);
+  auto shard_fn = [&](std::size_t s) {
+    const std::uint64_t first = static_cast<std::uint64_t>(s) * per_shard;
+    const std::uint64_t count = std::min(per_shard, opt.instances - first);
+    shard_stats[s] = run_fleet_shard(cs, opt.plan, observers, *warm,
+                                     opt.base_seed, first, count, sampler,
+                                     opt.budget);
+  };
+  if (opt.executor && n_shards > 1) {
+    opt.executor->run_chunks(n_shards, shard_fn);
+  } else {
+    std::size_t workers = opt.jobs != 0
+                              ? opt.jobs
+                              : std::max(1u, std::thread::hardware_concurrency());
+    workers = std::min(workers, n_shards);
+    // Chunk-strided worker assignment: worker t takes shards t, t+workers, ...
+    run_on_threads(workers, [&](std::size_t t) {
+      for (std::size_t s = t; s < n_shards; s += workers) shard_fn(s);
+    });
+  }
+  std::vector<FleetShardStats> total(observers.size());
+  for (const std::vector<FleetShardStats>& shard : shard_stats)
+    for (std::size_t o = 0; o < total.size(); ++o) total[o].merge(shard[o]);
 
+  for (std::size_t w = 0; w < opt.misr_widths.size(); ++w)
+    rep.widths.push_back({opt.misr_widths[w], total[w]});
+  for (std::size_t c = 0; with_curve && c < opt.curve_cycles.size(); ++c)
+    rep.curve.push_back(
+        {opt.curve_cycles[c], total[opt.misr_widths.size() + c]});
+
+  // Every width observer sees every simulated chip.
+  const std::uint64_t simulated = rep.widths.front().stats.instances;
   rep.degradation.stage = "fleet";
-  rep.degradation.work_done = simulated_total;
-  rep.degradation.work_total = requested_total;
-  if (simulated_total < requested_total) {
+  rep.degradation.work_done = simulated;
+  rep.degradation.work_total = opt.instances;
+  if (simulated < opt.instances) {
     rep.degradation.degraded = true;
     Budget probe = opt.budget;  // deadline absolute, cancel token shared
     rep.degradation.reason = probe.exhausted() ? probe.reason() : "budget";
     std::ostringstream os;
-    os << simulated_total << "/" << requested_total
+    os << simulated << "/" << opt.instances
        << " instances simulated -- partial counts are exact";
     rep.degradation.detail = os.str();
   }

@@ -7,7 +7,9 @@
 // self-test run as (reference, faulty) pairs on the bit-parallel campaign
 // engine (the allocation-free CampaignScratch loop, leased from a
 // CampaignWarmState), each instance with its own SplitMix64-derived LFSR
-// seeds and a defect set drawn from a pluggable distribution. Shards
+// seeds and a defect set drawn from a pluggable distribution. Each chip
+// is simulated once; every MISR width and every curve point is an
+// observer of that one run (FleetObserver in bist/session.hpp). Shards
 // stream into FleetShardStats -- O(shards) memory, no per-instance
 // materialization -- and the report compares the empirical MISR alias
 // probability (with a Wilson interval) against the theoretical 2^-k bound
@@ -37,7 +39,7 @@ WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
                                double z = 1.959964);
 
 struct FleetOptions {
-  /// Chip instances to simulate PER MISR width.
+  /// Chips simulated; each is observed at every width.
   std::uint64_t instances = 100000;
   /// Output-MISR widths to sweep (the 2^-k comparison axis).
   std::vector<std::size_t> misr_widths = {8, 16, 24, 40};
@@ -49,19 +51,24 @@ struct FleetOptions {
   std::size_t shard_instances = 4096;
   /// Worker threads when no executor is given (0 = hardware concurrency).
   std::size_t jobs = 1;
-  /// Plan template; output_misr_width is overridden per sweep entry and
-  /// session cycles per curve point.
+  /// Plan the chips run. Its output_misr_width is ignored: each width
+  /// observer compacts at its own width.
   SelfTestPlan plan = SelfTestPlan::two_session(256);
-  /// Test-length/coverage tradeoff curve: per-session cycle counts, run at
-  /// misr_widths.front() on min(curve_instances, instances) instances.
-  /// Empty curve_cycles or curve_instances == 0 skips the curve.
+  /// Test-length/coverage tradeoff curve: per-session cycle counts, each
+  /// read at misr_widths.front() off the same runs as the widths, on the
+  /// first min(curve_instances, instances) chips. Point c observes the
+  /// first c cycles of every session: a session restarts from a fixed
+  /// state, so that is exactly a plan with c cycles per session. A point
+  /// longer than the plan's sessions lengthens those chips' runs. Empty
+  /// curve_cycles or curve_instances == 0 skips the curve.
   std::vector<std::size_t> curve_cycles = {4, 8, 16, 32, 64, 128, 256};
   std::uint64_t curve_instances = 4096;
   std::uint64_t base_seed = 0xF1EE7;
   DefectSpec defects;
-  /// Anytime governance: one work unit = one chip instance, charged per
-  /// shard. Exhaustion truncates with exact partial counts, labeled in the
-  /// report's degradation.
+  /// Anytime governance: one work unit = one simulated chip, charged per
+  /// shard, so the degradation's work_total is `instances` (a chip's
+  /// widths and curve points cost no extra units). Exhaustion truncates
+  /// with exact partial counts, labeled in the report's degradation.
   Budget budget;
   /// Shared-pool hook (jobs/ scheduler); when set, `jobs` must stay 1.
   CampaignChunkExecutor* executor = nullptr;
@@ -120,7 +127,7 @@ struct FleetCurvePoint {
 };
 
 struct FleetReport {
-  std::uint64_t instances_requested = 0;  // per width
+  std::uint64_t instances_requested = 0;  // chips, each seen at every width
   std::uint64_t base_seed = 0;
   std::string distribution;  // defect_model_name + rate, for the header
   std::vector<FleetWidthResult> widths;
@@ -130,6 +137,8 @@ struct FleetReport {
   Degradation degradation;
   double seconds = 0.0;
 
+  /// Per-width results summed over the widths (chips simulated times the
+  /// number of widths when nothing was truncated).
   std::uint64_t instances_simulated() const {
     std::uint64_t n = 0;
     for (const FleetWidthResult& w : widths) n += w.stats.instances;
@@ -137,11 +146,15 @@ struct FleetReport {
   }
 };
 
-/// Run the fleet: for each MISR width, simulate `instances` chips in
-/// shards (chunk-strided over the executor/worker pool), then the
-/// test-length curve. One warm state serves every width and the curve, so
-/// each lane width is compiled once per run. Aggregates are bit-identical
-/// for every jobs value, executor and shard size; only wall time differs.
+/// Run the fleet: simulate `instances` chips once each in shards
+/// (chunk-strided over the executor/worker pool, one pass), every run read
+/// by one observer per MISR width and one per curve point. Each width's
+/// and each curve point's counts equal those of a separate run at that
+/// width or length alone. Per-width and per-curve stats carry the
+/// instances each observer saw; session_runs and cycles count the runs
+/// actually simulated, once each, on widths.front(). Aggregates are
+/// bit-identical for every jobs value, executor and shard size; only wall
+/// time differs.
 FleetReport run_fleet(const ControllerStructure& cs, const FleetOptions& opt);
 
 /// Multi-line human-readable report: per-width alias table (empirical vs

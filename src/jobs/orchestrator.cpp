@@ -307,7 +307,9 @@ std::string render_corpus_row(const CampaignJobResult& row) {
   } else {
     os << std::setw(9) << "-" << std::setw(9) << "-";
   }
-  os << std::setw(9) << (fixed1(row.seconds * 1000.0) + "ms");
+  // Always one separating space: a job of 10 s or more is 9 characters
+  // wide and must not glue onto the coverage column.
+  os << ' ' << std::setw(8) << (fixed1(row.seconds * 1000.0) + "ms");
   // Which cache levels were hot for this job: Machine / Structure.
   os << "  " << (row.machine_cached ? 'M' : '.')
      << (row.structure_cached ? 'S' : '.');

@@ -101,36 +101,74 @@ TEST(CampaignAllocations, StableAcrossRepeatedCampaigns) {
   EXPECT_EQ(first, second);
 }
 
+/// A dk27 fig3 structure, a sampler that gives every instance one fault,
+/// and the allocations of one fleet shard of 256 instances.
+class FleetShardAllocs {
+ public:
+  FleetShardAllocs()
+      : m_(load_benchmark("dk27")),
+        cs_(build_fig3(encode_fsm(m_, natural_encoding(m_.num_states())))),
+        faults_(enumerate_stuck_faults(cs_.nl)),
+        warm_(make_campaign_warm_state(cs_)) {}
+
+  std::uint64_t count(const std::vector<FleetObserver>& observers,
+                      std::size_t cycles) {
+    const std::vector<Fault>& faults = faults_;
+    const FleetDefectSampler sampler = [&faults](std::uint64_t i,
+                                                 std::vector<Fault>& out) {
+      out.push_back(faults[i % faults.size()]);
+    };
+    const SelfTestPlan plan = SelfTestPlan::two_session(cycles);
+    const std::uint64_t before = g_allocations.load();
+    const std::vector<FleetShardStats> st = run_fleet_shard(
+        cs_, plan, observers, *warm_, 7, 0, 256, sampler, Budget{});
+    const std::uint64_t allocs = g_allocations.load() - before;
+    EXPECT_EQ(st.front().instances, 256u);
+    return allocs;
+  }
+  const CampaignWarmState& warm() const { return *warm_; }
+
+ private:
+  MealyMachine m_;
+  ControllerStructure cs_;
+  std::vector<Fault> faults_;
+  std::shared_ptr<CampaignWarmState> warm_;
+};
+
 TEST(CampaignAllocations, FlatAfterAMisrWidthChange) {
   // One warm state serves every MISR width: a lease at a new width
-  // re-sizes the parked scratch's output MISR once, outside the cycle
+  // re-sizes the parked scratch's observer MISR once, outside the cycle
   // loop, and later runs at that width allocate what runs at the old
   // width did -- and no more for a longer test.
-  const MealyMachine m = load_benchmark("dk27");
-  const ControllerStructure cs =
-      build_fig3(encode_fsm(m, natural_encoding(m.num_states())));
-  const std::vector<Fault> faults = enumerate_stuck_faults(cs.nl);
-  const FleetDefectSampler sampler = [&faults](std::uint64_t i,
-                                               std::vector<Fault>& out) {
-    out.push_back(faults[i % faults.size()]);
-  };
-  const auto warm = make_campaign_warm_state(cs);
-  const auto count_shard_allocs = [&](std::size_t misr_width,
-                                      std::size_t cycles) {
-    SelfTestPlan plan = SelfTestPlan::two_session(cycles);
-    plan.output_misr_width = misr_width;
-    const std::uint64_t before = g_allocations.load();
-    const FleetShardStats st =
-        run_fleet_shard(cs, plan, *warm, 7, 0, 256, sampler, Budget{});
-    EXPECT_EQ(st.instances, 256u);
-    return g_allocations.load() - before;
-  };
-  count_shard_allocs(8, 24);  // builds the 512-lane scratch
-  const std::uint64_t narrow = count_shard_allocs(8, 24);
-  count_shard_allocs(40, 24);  // re-sizes its output MISR
-  EXPECT_EQ(narrow, count_shard_allocs(40, 24));
-  EXPECT_EQ(narrow, count_shard_allocs(40, 240));
-  EXPECT_EQ(campaign_warm_builds(*warm), 1u);
+  FleetShardAllocs shard;
+  const std::vector<FleetObserver> w8 = {FleetObserver{8}};
+  const std::vector<FleetObserver> w40 = {FleetObserver{40}};
+  shard.count(w8, 24);  // builds the 512-lane scratch
+  const std::uint64_t narrow = shard.count(w8, 24);
+  shard.count(w40, 24);  // re-sizes its observer MISR
+  EXPECT_EQ(narrow, shard.count(w40, 24));
+  EXPECT_EQ(narrow, shard.count(w40, 240));
+  EXPECT_EQ(campaign_warm_builds(shard.warm()), 1u);
+}
+
+TEST(CampaignAllocations, FleetShardWithEveryObserverIsFlat) {
+  // run_fleet's default observers: four widths plus seven curve points,
+  // the curve on the first 100 chips so the packed run straddles it. Once
+  // the scratch holds their lanes, a shard allocates only its result
+  // vector, as a one-width shard does, for a short and a long plan.
+  std::vector<FleetObserver> all;
+  for (const std::size_t w : {8u, 16u, 24u, 40u}) all.push_back({w});
+  for (const std::size_t c : {4u, 8u, 16u, 32u, 64u, 128u, 256u})
+    all.push_back({8, c, 100});
+  FleetShardAllocs shard;
+  shard.count(all, 24);  // builds the scratch and its observer lanes
+  const std::uint64_t short_plan = shard.count(all, 24);
+  EXPECT_EQ(short_plan, shard.count(all, 240));
+
+  FleetShardAllocs single;
+  const std::vector<FleetObserver> one = {FleetObserver{8}};
+  single.count(one, 24);
+  EXPECT_EQ(short_plan, single.count(one, 24));
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "bist/bilbo.hpp"
 #include "bist/faults.hpp"
 #include "bist/lfsr.hpp"
 #include "bist/misr.hpp"
+#include "util/rng.hpp"
 
 namespace stc {
 namespace {
@@ -105,6 +108,63 @@ TEST(Misr, ResetClearsState) {
   m.absorb(0xFF);
   m.reset(0x5A);
   EXPECT_EQ(m.signature(), 0x5Au);
+}
+
+TEST(LaneMisr, RingMatchesScalarMisrAtEveryWidth) {
+  // The ring index replaces the row shift: every lane's signature must stay
+  // the scalar Misr's on the same stream, at every width, for chunks that
+  // fill all rows, fewer rows or none, at one and two lane words; the
+  // lane-0 and pairwise compares must read the ring through its head, and
+  // reset() must restart it. Pairs in the low nibble of each byte get
+  // equal streams, so the pair compare sees equal and unequal pairs.
+  constexpr std::uint64_t kEven = 0x5555555555555555ULL;
+  constexpr std::uint64_t kSame = 0x0F0F0F0F0F0F0F0FULL;
+  Rng rng(0x115A);
+  for (std::size_t width = 1; width <= 64; ++width)
+    for (const unsigned W : {1u, 2u}) {
+      SCOPED_TRACE("width " + std::to_string(width) + ", " +
+                   std::to_string(W) + " lane words");
+      const std::size_t n_lanes = 64 * W;
+      LaneMisr lanes(width, W);
+      std::vector<Misr> scalar(n_lanes, Misr(width));
+      const auto run = [&](std::size_t cycles) {
+        for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
+          const std::size_t n =
+              cycle % 2 == 0 ? width
+                             : static_cast<std::size_t>(rng.below(width + 1));
+          std::vector<std::uint64_t> in(n_lanes, 0);
+          for (std::size_t k = 0; k < n; ++k) {
+            std::uint64_t* row = lanes.chunk_row(k);
+            for (unsigned w = 0; w < W; ++w) {
+              const std::uint64_t v = rng.next();
+              const std::uint64_t even = v & kEven;
+              row[w] = (v & ~kSame) | ((even | (even << 1)) & kSame);
+            }
+            for (std::size_t l = 0; l < n_lanes; ++l)
+              in[l] |= ((row[l >> 6] >> (l & 63)) & 1) << k;
+          }
+          lanes.absorb(n);
+          for (std::size_t l = 0; l < n_lanes; ++l) scalar[l].absorb(in[l]);
+        }
+        std::uint64_t diff[2] = {0, 0}, pair_diff[2] = {0, 0};
+        lanes.accumulate_diff(diff);
+        lanes.accumulate_pair_diff(pair_diff);
+        for (std::size_t l = 0; l < n_lanes; ++l) {
+          ASSERT_EQ(lanes.lane_signature(l), scalar[l].signature()) << l;
+          const bool differs = scalar[l].signature() != scalar[0].signature();
+          EXPECT_EQ((diff[l >> 6] >> (l & 63)) & 1, differs ? 1u : 0u) << l;
+          const bool pair_differs =
+              scalar[l & ~std::size_t{1}].signature() !=
+              scalar[l | 1].signature();
+          const bool flagged = (pair_diff[l >> 6] >> (l & 63)) & 1;
+          EXPECT_EQ(flagged, l % 2 == 0 && pair_differs) << l;
+        }
+      };
+      run(2 * width + 3);  // the head wraps at least twice
+      lanes.reset();
+      for (Misr& m : scalar) m.reset();
+      run(width + 1);
+    }
 }
 
 // --- BILBO --------------------------------------------------------------------

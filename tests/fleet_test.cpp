@@ -373,10 +373,10 @@ TEST(Fleet, WorkLimitCountsInstances) {
 
 FleetShardStats shard_at(const ControllerStructure& cs, CampaignWarmState& warm,
                          std::size_t misr_width, std::uint64_t count) {
-  SelfTestPlan plan = SelfTestPlan::two_session(48);
-  plan.output_misr_width = misr_width;
-  return run_fleet_shard(cs, plan, warm, 0xF1EE7, 0, count,
-                         make_defect_sampler(cs, DefectSpec{}), Budget{});
+  return run_fleet_shard(cs, SelfTestPlan::two_session(48),
+                         {FleetObserver{misr_width}}, warm, 0xF1EE7, 0, count,
+                         make_defect_sampler(cs, DefectSpec{}), Budget{})
+      .front();
 }
 
 TEST(FleetWarmState, OneStateServesAWidthChangeLikeAFreshOne) {
@@ -410,6 +410,136 @@ TEST(FleetWarmState, SharedStateMatchesAFreshStatePerWidth) {
     }
   }
   EXPECT_EQ(campaign_warm_builds(*shared), 3u);  // one scratch per lane width
+}
+
+// --- one simulation, every observer -----------------------------------------
+
+/// What the fused run must reproduce: each width run alone with no curve,
+/// and each curve point run as one width on the first n chips with every
+/// session cut to the point's length.
+struct SeparateRuns {
+  std::vector<FleetShardStats> widths, curve;
+};
+
+SeparateRuns run_separately(const ControllerStructure& cs,
+                            const FleetOptions& fused) {
+  SeparateRuns ref;
+  for (const std::size_t w : fused.misr_widths) {
+    FleetOptions one = fused;
+    one.misr_widths = {w};
+    one.curve_cycles.clear();
+    const FleetReport rep = run_fleet(cs, one);
+    EXPECT_TRUE(rep.curve.empty());
+    ref.widths.push_back(rep.widths.front().stats);
+  }
+  for (const std::size_t c : fused.curve_cycles) {
+    FleetOptions one = fused;
+    one.misr_widths = {fused.misr_widths.front()};
+    one.curve_cycles.clear();
+    one.instances = std::min(fused.curve_instances, fused.instances);
+    for (SessionSpec& spec : one.plan.sessions) spec.cycles = c;
+    ref.curve.push_back(run_fleet(cs, one).widths.front().stats);
+  }
+  return ref;
+}
+
+void expect_fused_matches(const FleetReport& fused, const SeparateRuns& ref,
+                          const std::string& what) {
+  ASSERT_EQ(fused.widths.size(), ref.widths.size()) << what;
+  ASSERT_EQ(fused.curve.size(), ref.curve.size()) << what;
+  for (std::size_t i = 0; i < ref.widths.size(); ++i)
+    expect_same_stats(fused.widths[i].stats, ref.widths[i],
+                      (what + ", width " + std::to_string(i)).c_str());
+  for (std::size_t i = 0; i < ref.curve.size(); ++i)
+    expect_same_stats(fused.curve[i].stats, ref.curve[i],
+                      (what + ", curve point " + std::to_string(i)).c_str());
+}
+
+FleetOptions fused_fleet() {
+  FleetOptions opt;
+  opt.instances = 1500;
+  opt.misr_widths = {8, 16, 24, 40};
+  opt.plan = SelfTestPlan::two_session(48);
+  // 100 is longer than the plan's sessions; 300 chips is not a multiple
+  // of any packed run (32, 128 or 256 instances), so runs straddle it.
+  opt.curve_cycles = {4, 16, 48, 100};
+  opt.curve_instances = 300;
+  return opt;
+}
+
+TEST(FleetObservers, FusedRunEqualsOneRunPerWidthAndCurvePoint) {
+  const ControllerStructure cs = fleet_structure();
+  FleetOptions base = fused_fleet();
+  const SeparateRuns ref = run_separately(cs, base);
+  for (const std::size_t jobs : {1u, 4u})
+    for (const std::size_t shard : {32u, 256u, 1000u}) {
+      FleetOptions opt = base;
+      opt.jobs = jobs;
+      opt.shard_instances = shard;
+      expect_fused_matches(run_fleet(cs, opt), ref,
+                           "jobs " + std::to_string(jobs) + ", shard " +
+                               std::to_string(shard));
+    }
+}
+
+TEST(FleetObservers, SessionsOfDifferentLengthsKeepTheirOwnHorizons) {
+  // The thorough plan's four sessions have coprime lengths: a width
+  // observer reads each session to its own end, a curve point cuts every
+  // session to its length.
+  const ControllerStructure cs = fleet_structure();
+  FleetOptions opt = fused_fleet();
+  opt.plan = SelfTestPlan::thorough(40);
+  opt.misr_widths = {2, 16};
+  opt.shard_instances = 256;
+  expect_fused_matches(run_fleet(cs, opt), run_separately(cs, opt),
+                       "thorough");
+}
+
+TEST(FleetObservers, RunsAndCyclesCountEachSimulatedRunOnce) {
+  // Shards of 32 chips run at 64 lanes, 32 chips per run: 1500 chips take
+  // 47 runs. Runs that hold one of the first 300 chips (the first 10) last
+  // the longest curve point, 100 cycles per session; the rest the plan's
+  // 48. Everything is charged to the first width.
+  const ControllerStructure cs = fleet_structure();
+  FleetOptions opt = fused_fleet();
+  opt.shard_instances = 32;
+  const FleetReport rep = run_fleet(cs, opt);
+  EXPECT_EQ(rep.widths.front().stats.session_runs, 47u);
+  EXPECT_EQ(rep.widths.front().stats.cycles, 10u * 2 * 100 + 37u * 2 * 48);
+  for (std::size_t i = 1; i < rep.widths.size(); ++i) {
+    EXPECT_EQ(rep.widths[i].stats.session_runs, 0u) << i;
+    EXPECT_EQ(rep.widths[i].stats.cycles, 0u) << i;
+    EXPECT_EQ(rep.widths[i].stats.instances, opt.instances) << i;
+  }
+  for (const FleetCurvePoint& pt : rep.curve) {
+    EXPECT_EQ(pt.stats.session_runs, 0u);
+    EXPECT_EQ(pt.stats.cycles, 0u);
+    EXPECT_EQ(pt.stats.instances, opt.curve_instances);
+  }
+  EXPECT_FALSE(rep.degradation.degraded);
+  EXPECT_EQ(rep.degradation.work_done, opt.instances);
+  EXPECT_EQ(rep.degradation.work_total, opt.instances);
+}
+
+TEST(FleetObservers, WorkLimitCountsSimulatedChips) {
+  // One work unit is one simulated chip, read by every observer: on one
+  // shard, work_limit(k) gives every width k chips and every curve point
+  // the min(k, n) of them below its sample bound n.
+  const ControllerStructure cs = fleet_structure();
+  for (const std::uint64_t k : {1u, 100u, 300u, 700u}) {
+    FleetOptions opt = fused_fleet();
+    opt.instances = 1000;
+    opt.shard_instances = 1000;
+    opt.budget = Budget::work_limit(k);
+    const FleetReport rep = run_fleet(cs, opt);
+    for (const FleetWidthResult& w : rep.widths)
+      EXPECT_EQ(w.stats.instances, k) << k;
+    for (const FleetCurvePoint& pt : rep.curve)
+      EXPECT_EQ(pt.stats.instances, std::min<std::uint64_t>(k, 300)) << k;
+    EXPECT_TRUE(rep.degradation.degraded);
+    EXPECT_EQ(rep.degradation.work_done, k);
+    EXPECT_EQ(rep.degradation.work_total, 1000u);
+  }
 }
 
 TEST(Fleet, ValidateRejectsBadOptions) {

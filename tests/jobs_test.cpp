@@ -17,7 +17,10 @@
 
 #include <atomic>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "benchdata/iwls93.hpp"
 #include "encoding/encoding.hpp"
@@ -123,9 +126,11 @@ TEST(CampaignValidate, RejectsMismatchedWarmState) {
   const ControllerStructure fig2 = build_fig2(enc);
   const SelfTestPlan plan = SelfTestPlan::two_session(16);
   const FleetDefectSampler no_defects = [](std::uint64_t, std::vector<Fault>&) {};
+  const std::vector<FleetObserver> one_width = {FleetObserver{16}};
   auto warm = make_campaign_warm_state(fig3);
   try {
-    run_fleet_shard(fig2, plan, *warm, 1, 0, 32, no_defects, Budget{});
+    run_fleet_shard(fig2, plan, one_width, *warm, 1, 0, 32, no_defects,
+                    Budget{});
     FAIL() << "expected Error";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidInput);
@@ -133,11 +138,35 @@ TEST(CampaignValidate, RejectsMismatchedWarmState) {
   }
   EXPECT_EQ(campaign_warm_builds(*warm), 0u);  // rejected before any lease
   // Matching structure: accepted.
-  const FleetShardStats st =
-      run_fleet_shard(fig3, plan, *warm, 1, 0, 32, no_defects, Budget{});
+  const FleetShardStats st = run_fleet_shard(fig3, plan, one_width, *warm, 1,
+                                             0, 32, no_defects, Budget{})
+                                 .front();
   EXPECT_EQ(st.instances, 32u);
   EXPECT_EQ(st.sig_detected, 0u);  // fault-free instances never flag
   EXPECT_EQ(campaign_warm_builds(*warm), 1u);
+}
+
+TEST(CorpusRow, LongJobTimeStaysItsOwnField) {
+  // A job of 10 s or more is as wide as the time column: the row must
+  // still split into whitespace fields with the time as field 9 and the
+  // cache flags as field 10, which is how scripts drop those two columns.
+  CampaignJobResult row;
+  row.spec.machine = "s1";
+  row.spec.arch = ArchKind::kFig4;
+  row.report.technology = "multi_level";
+  row.report.flipflops = 10;
+  row.report.area_ge = 21972.0;
+  row.report.depth = 9;
+  row.seconds = 12.3;
+  row.machine_cached = true;
+  std::istringstream in(render_corpus_row(row));
+  std::vector<std::string> fields;
+  for (std::string f; in >> f;) fields.push_back(f);
+  ASSERT_EQ(fields.size(), 10u) << render_corpus_row(row);
+  EXPECT_EQ(fields[6], "-");
+  EXPECT_EQ(fields[7], "-");
+  EXPECT_EQ(fields[8], "12300.0ms");
+  EXPECT_EQ(fields[9], "M.");
 }
 
 // --- JobCache: cold vs warm determinism -------------------------------------
