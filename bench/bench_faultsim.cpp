@@ -37,6 +37,11 @@ ControllerStructure fig1_for(const char* name) {
   return build_fig1(encode_fsm(m, natural_encoding(m.num_states())));
 }
 
+ControllerStructure fig2_for(const char* name) {
+  const MealyMachine m = load_benchmark(name);
+  return build_fig2(encode_fsm(m, natural_encoding(m.num_states())));
+}
+
 void run_campaign_bench(benchmark::State& state, const ControllerStructure& cs,
                         std::size_t cycles, std::size_t threads) {
   CampaignOptions opt;
@@ -146,6 +151,21 @@ void BM_EventCampaign_s1_fig1(benchmark::State& state) {
   run_campaign_bench(state, cs, 64, 1);
 }
 BENCHMARK(BM_EventCampaign_s1_fig1);
+
+// Fig. 2 puts the test-mode mux (test_mode ? T : R) in front of C, so its
+// product literals sit at net level 3-4: the dense sweep admits them
+// through its boundary level. Same length and thread count as s1 fig1.
+void BM_EventCampaign_s1_fig2(benchmark::State& state) {
+  static const ControllerStructure cs = fig2_for("s1");
+  run_campaign_bench(state, cs, 64, 1);
+}
+BENCHMARK(BM_EventCampaign_s1_fig2);
+
+void BM_EventCampaign_tbk_fig2(benchmark::State& state) {
+  static const ControllerStructure cs = fig2_for("tbk");
+  run_campaign_bench(state, cs, 64, 1);
+}
+BENCHMARK(BM_EventCampaign_tbk_fig2);
 
 // shiftreg: the other machine named by the PR 2 acceptance bar.
 void BM_CampaignSerialShiftreg(benchmark::State& state) {

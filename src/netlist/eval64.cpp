@@ -2,10 +2,73 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <string>
 
 namespace stc {
+
+namespace {
+
+/// Per-product term-slot lists in one flat pool: list p is
+/// pool[begin[p], begin[p] + size[p]).
+struct TermLists {
+  std::vector<std::uint16_t> pool;
+  std::vector<std::uint32_t> begin, size;
+  std::uint16_t* list(std::size_t p) { return pool.data() + begin[p]; }
+};
+
+std::uint32_t pair_key(std::uint16_t a, std::uint16_t b) {
+  return (static_cast<std::uint32_t>(a) << 16) | b;
+}
+
+/// Open-addressing map from a term pair to the number of lists that fold
+/// it this round and to its shared AND node, if any (linear probing over a
+/// power-of-two table kept at most half full). Counts carry the round
+/// they were made in, so a new round needs no clearing pass.
+class PairTable {
+ public:
+  static constexpr std::uint32_t kNoNode = UINT32_MAX;
+  struct Entry {
+    std::uint32_t key = 0;
+    std::uint32_t round = 0;  // 0: empty slot
+    std::uint32_t count = 0;  // lists folding this pair in `round`
+    std::uint32_t node = kNoNode;
+  };
+
+  /// The entry of `key`, inserted if absent, with its count reset when it
+  /// was last counted in an earlier round (round >= 1).
+  Entry& at(std::uint32_t key, std::uint32_t round) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    Entry& e = slots_[find(key)];
+    if (e.round == 0) {
+      e.key = key;
+      ++used_;
+    }
+    if (e.round != round) {
+      e.round = round;
+      e.count = 0;
+    }
+    return e;
+  }
+
+ private:
+  std::size_t find(std::uint32_t key) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = (key * std::uint64_t{0x9E3779B97F4A7C15}) >> 32 & mask;
+    while (slots_[i].round != 0 && slots_[i].key != key) i = (i + 1) & mask;
+    return i;
+  }
+  void grow() {
+    std::vector<Entry> old(std::max<std::size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const Entry& e : old)
+      if (e.round != 0) slots_[find(e.key)] = e;
+  }
+
+  std::vector<Entry> slots_;
+  std::size_t used_ = 0;
+};
+
+}  // namespace
 
 CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
   if (!nl.finalized()) throw std::logic_error("CompiledNetlist: finalize() not called");
@@ -72,49 +135,98 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
     level_base_[l + 1] = level_base_[l] + per_level[l];
 
   // Dense PLA-product sweep. Two-level structures put thousands of wide AND
-  // products directly behind the literal nets (sources and their NOT/BUFs),
-  // and pseudo-random BIST stimulus toggles about half of those literals
-  // every cycle -- so per-edge event scheduling would wake nearly every
-  // product anyway, paying pointer-chasing costs for nothing. Instead,
-  // products whose fanins are all literal-shaped (net level <= 1, or the
-  // output of an earlier dense product) are compiled into one contiguous
-  // uint16 index stream evaluated sequentially: literal-only products are
+  // products directly behind the literal nets, and pseudo-random BIST
+  // stimulus toggles about half of those literals every cycle -- so
+  // per-edge event scheduling would wake nearly every product anyway,
+  // paying pointer-chasing costs for nothing. Instead, the products are
+  // compiled into one contiguous uint16 index stream evaluated sequentially
+  // between two halves of the level sweep: CSR levels [0, Ls) run first,
+  // then the dense sweep, then levels [Ls, end). Literal-only products are
   // grouped by fanin count (fixed inner trip counts, no mispredicted
   // exits), literal-shaped XOR planes follow (parity-heavy netlists would
   // otherwise fall back to CSR cone evaluation), then product-reading
   // chains in topo order, and the whole sweep is skipped on cycles where
   // no product input changed. Requires net ids to fit uint16.
+  //
+  // A product is dense at boundary Ls when each fanin is either a
+  // non-dense net of level <= Ls (a literal: final once levels [0, Ls)
+  // have run) or an earlier dense product (AND only: XOR planes have no
+  // chained path). Exactness needs one more rule: no non-dense op below
+  // Ls may read a dense product (it would run before the sweep and read a
+  // stale word), so such a product is demoted back to CSR -- and, now
+  // swept below Ls itself, demotes the dense products it reads in turn.
+  // Both rules reduce to two per-product levels computed in one pass each:
+  //   need[i]: the lowest Ls at which every fanin is final -- a literal's
+  //            net level, or a chainable product's own need (below its
+  //            net level, so it is dense or a literal at any Ls >= need);
+  //   keep[i]: the highest Ls that demotion leaves it dense at -- the
+  //            op level of each never-dense reader, or a product reader's
+  //            own keep (reverse topo order; the demotion fixpoint).
+  // Product i is dense iff need[i] <= Ls <= keep[i]; Ls is the boundary
+  // that admits the most products (ties to the lowest), found with one
+  // difference array over the levels.
   dense_.assign(ops_.size(), 0);
   is_dense_input_.assign(num_nets_, 0);
   std::vector<std::uint32_t> main_ops, xor_ops, chain_ops;  // topo order
-  if (num_nets_ <= UINT16_MAX + 1) {
+  if (num_nets_ <= UINT16_MAX + 1 && num_levels_ > 0) {
+    constexpr std::uint32_t kNever = UINT32_MAX;
+    constexpr std::uint32_t kProduct = 1u << 31;  // net driven by a product
+    // Per net: the boundary a reader waits for through it (its need when a
+    // product drives it, else its level), tagged with kProduct.
+    std::vector<std::uint32_t> wait(net_level.begin(), net_level.end());
+    std::vector<std::uint32_t> need(ops_.size(), kNever);
+    std::vector<std::uint8_t> reads_product(ops_.size(), 0);
     for (std::size_t i = 0; i < ops_.size(); ++i) {
       const Op& op = ops_[i];
       if ((op.type != GateType::kAnd && op.type != GateType::kXor) ||
           op.fanin_count < 2)
         continue;
-      bool ok = true, chained = false;
-      for (std::uint32_t k = 0; ok && k < op.fanin_count; ++k) {
-        const NetId f = fanins_[op.fanin_begin + k];
-        // The dense-producer check must come first: a level-1 net driven
-        // by another dense product is NOT a slab literal -- the reader has
-        // to go through the chained (values[]-reading) path, which runs
-        // after the producer's commit, or it would AND a stale term word.
-        // XOR planes have no chained path: a dense-product fanin keeps the
-        // XOR in the CSR graph (its readers are scheduled past the sweep).
-        if (op_of_net_[f] != kNoOp && dense_[op_of_net_[f]]) {
-          if (op.type == GateType::kXor) {
-            ok = false;
-            break;
-          }
-          chained = true;
-          continue;
-        }
-        if (net_level[f] <= 1) continue;
-        ok = false;
+      std::uint32_t n = 1;  // the boundary is at least 1, as the level-0 sweep
+      std::uint32_t tags = 0;
+      for (std::uint32_t k = 0; k < op.fanin_count; ++k) {
+        const std::uint32_t w = wait[fanins_[op.fanin_begin + k]];
+        n = std::max(n, w & ~kProduct);
+        tags |= w;
       }
-      if (!ok) continue;
+      reads_product[i] = (tags & kProduct) != 0;
+      if (reads_product[i] && op.type == GateType::kXor) continue;
+      need[i] = n;
+      wait[op.out] = n | kProduct;
+    }
+    // Per net: the highest boundary its readers leave a driving product
+    // dense at (reverse topo order visits every reader before the driver).
+    std::vector<std::uint32_t> keep(num_nets_, num_levels_);
+    for (std::size_t i = ops_.size(); i-- > 0;) {
+      const Op& op = ops_[i];
+      const std::uint32_t bound = need[i] != kNever ? keep[op.out] : op_level_[i];
+      for (std::uint32_t k = 0; k < op.fanin_count; ++k) {
+        std::uint32_t& kf = keep[fanins_[op.fanin_begin + k]];
+        kf = std::min(kf, bound);
+      }
+    }
+    std::vector<std::int64_t> delta(num_levels_ + 2, 0);
+    for (std::size_t i = 0; i < ops_.size(); ++i)
+      if (need[i] != kNever) {  // keep >= net level > need: never empty
+        ++delta[need[i]];
+        --delta[keep[ops_[i].out] + 1];
+      }
+    std::int64_t admitted = 0, best = -1;
+    for (std::uint32_t l = 1; l <= num_levels_; ++l) {
+      admitted += delta[l];
+      if (admitted > best) {
+        best = admitted;
+        boundary_ = l;
+      }
+    }
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      const Op& op = ops_[i];
+      if (need[i] > boundary_ || keep[op.out] < boundary_) continue;
       dense_[i] = 1;
+      bool chained = false;
+      for (std::uint32_t k = 0; reads_product[i] && k < op.fanin_count; ++k) {
+        const std::uint32_t src = op_of_net_[fanins_[op.fanin_begin + k]];
+        chained |= src != kNoOp && dense_[src];
+      }
       if (op.type == GateType::kXor)
         xor_ops.push_back(static_cast<std::uint32_t>(i));
       else
@@ -146,85 +258,90 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
   for (std::size_t t = 0; t < slab_net_.size(); ++t)
     slot_of[slab_net_[t]] = static_cast<std::uint16_t>(t);
 
+  // Term-slot lists, one per product, in a flat pool.
+  const auto slot_lists = [&](const std::vector<std::uint32_t>& op_list) {
+    TermLists t;
+    for (std::uint32_t op_idx : op_list) {
+      const Op& op = ops_[op_idx];
+      t.begin.push_back(static_cast<std::uint32_t>(t.pool.size()));
+      t.size.push_back(op.fanin_count);
+      for (std::uint32_t k = 0; k < op.fanin_count; ++k)
+        t.pool.push_back(slot_of[fanins_[op.fanin_begin + k]]);
+    }
+    return t;
+  };
+
   // Factor the AND products through shared AND nodes: sort each product's
   // term list, fold consecutive term pairs into deduplicated (a & b) nodes,
   // and repeat until the lists stop shrinking or the id space / node budget
   // is exhausted. Exact by associativity: internal nodes are not nets, so
   // they never carry fault masks. (XOR planes read raw slab slots only --
   // the node table is AND-combined.)
-  std::vector<std::vector<std::uint16_t>> terms(main_ops.size());
-  for (std::size_t p = 0; p < main_ops.size(); ++p) {
-    const Op& op = ops_[main_ops[p]];
-    for (std::uint32_t k = 0; k < op.fanin_count; ++k)
-      terms[p].push_back(slot_of[fanins_[op.fanin_begin + k]]);
-    std::sort(terms[p].begin(), terms[p].end());
-  }
+  TermLists terms = slot_lists(main_ops);
+  for (std::size_t p = 0; p < terms.size.size(); ++p)
+    std::sort(terms.list(p), terms.list(p) + terms.size[p]);
   {
     const std::size_t kNodeBudget = 8192;  // term table stays cache-resident
-    std::unordered_map<std::uint32_t, std::uint16_t> node_id;
+    PairTable pairs;
     bool shrunk = true;
-    while (shrunk) {
+    for (std::uint32_t round = 1; shrunk; ++round) {
       shrunk = false;
       // Only pairs ANDed by at least two products become nodes; a node
       // with a single reader would move work around instead of removing
       // it (same AND count, worse locality).
-      std::unordered_map<std::uint32_t, std::uint32_t> freq;
-      for (const auto& list : terms)
-        for (std::size_t i = 0; i + 1 < list.size(); i += 2)
-          ++freq[(static_cast<std::uint32_t>(list[i]) << 16) | list[i + 1]];
-      for (auto& list : terms) {
-        if (list.size() < 2) continue;
-        std::vector<std::uint16_t> next;
-        next.reserve(list.size());
-        for (std::size_t i = 0; i < list.size(); i += 2) {
-          if (i + 1 == list.size()) {
-            next.push_back(list[i]);
+      for (std::size_t p = 0; p < terms.size.size(); ++p) {
+        const std::uint16_t* l = terms.list(p);
+        for (std::uint32_t i = 0; i + 1 < terms.size[p]; i += 2)
+          ++pairs.at(pair_key(l[i], l[i + 1]), round).count;
+      }
+      // Fold in place: a pair shrinks to one id, so writes never pass the
+      // reads.
+      for (std::size_t p = 0; p < terms.size.size(); ++p) {
+        std::uint16_t* l = terms.list(p);
+        const std::uint32_t len = terms.size[p];
+        std::uint32_t out = 0;
+        for (std::uint32_t i = 0; i < len; i += 2) {
+          if (i + 1 == len) {
+            l[out++] = l[i];
             break;
           }
-          const std::uint32_t key =
-              (static_cast<std::uint32_t>(list[i]) << 16) | list[i + 1];
-          auto it = node_id.find(key);
-          std::uint16_t id;
-          if (it != node_id.end()) {
-            id = it->second;
-          } else if (freq[key] >= 2 && node_a_.size() < kNodeBudget &&
-                     slab_net_.size() + node_a_.size() <= UINT16_MAX) {
-            id = static_cast<std::uint16_t>(slab_net_.size() + node_a_.size());
-            node_a_.push_back(list[i]);
-            node_b_.push_back(list[i + 1]);
-            node_id.emplace(key, id);
-          } else {
-            next.push_back(list[i]);  // unshared or over budget: keep both
-            next.push_back(list[i + 1]);
-            continue;
+          const std::uint16_t a = l[i], b = l[i + 1];
+          PairTable::Entry& e = pairs.at(pair_key(a, b), round);
+          if (e.node == PairTable::kNoNode) {
+            if (e.count < 2 || node_a_.size() >= kNodeBudget ||
+                slab_net_.size() + node_a_.size() > UINT16_MAX) {
+              l[out++] = a;  // unshared or over budget: keep both
+              l[out++] = b;
+              continue;
+            }
+            e.node = static_cast<std::uint32_t>(slab_net_.size() + node_a_.size());
+            node_a_.push_back(a);
+            node_b_.push_back(b);
           }
-          next.push_back(id);
+          l[out++] = static_cast<std::uint16_t>(e.node);
           shrunk = true;
         }
-        list = std::move(next);
+        terms.size[p] = out;
       }
     }
   }
 
   // Emit products grouped by final term count (sequential stream per group).
   const auto emit_groups = [&](const std::vector<std::uint32_t>& op_list,
-                               const std::vector<std::vector<std::uint16_t>>& lists,
-                               std::vector<DenseGroup>& groups) {
+                               TermLists& lists, std::vector<DenseGroup>& groups) {
+    const std::vector<std::uint32_t>& size = lists.size;
     std::vector<std::uint32_t> order(op_list.size());
     for (std::size_t p = 0; p < order.size(); ++p) order[p] = static_cast<std::uint32_t>(p);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return lists[a].size() != lists[b].size()
-                           ? lists[a].size() < lists[b].size()
-                           : a < b;
-              });
+    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return size[a] != size[b] ? size[a] < size[b] : a < b;
+    });
     for (std::size_t i = 0; i < order.size();) {
-      const std::uint32_t width = static_cast<std::uint32_t>(lists[order[i]].size());
+      const std::uint32_t width = size[order[i]];
       std::size_t j = i;
-      while (j < order.size() && lists[order[j]].size() == width) {
+      while (j < order.size() && size[order[j]] == width) {
         dense_out_.push_back(ops_[op_list[order[j]]].out);
-        dense_prog_.insert(dense_prog_.end(), lists[order[j]].begin(),
-                           lists[order[j]].end());
+        const std::uint16_t* l = lists.list(order[j]);
+        dense_prog_.insert(dense_prog_.end(), l, l + width);
         ++j;
       }
       groups.push_back({static_cast<std::uint32_t>(j - i), width});
@@ -233,12 +350,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
   };
   emit_groups(main_ops, terms, dense_groups_);
   {
-    std::vector<std::vector<std::uint16_t>> xterms(xor_ops.size());
-    for (std::size_t p = 0; p < xor_ops.size(); ++p) {
-      const Op& op = ops_[xor_ops[p]];
-      for (std::uint32_t k = 0; k < op.fanin_count; ++k)
-        xterms[p].push_back(slot_of[fanins_[op.fanin_begin + k]]);
-    }
+    TermLists xterms = slot_lists(xor_ops);
     emit_groups(xor_ops, xterms, xor_groups_);
   }
   for (NetId n : slab_net_) is_dense_input_[n] = 1;

@@ -26,16 +26,23 @@
 //   * evaluate_event() -- event-driven: the previous cycle's net words stay
 //     resident in an EventScratch, source word groups are diffed against
 //     them, and only the fanout cones of changed nets are re-evaluated via
-//     a per-level bucket queue. PLA products (ANDs over literal-shaped
-//     fanins) are compiled into a separate dense sweep -- factored through
-//     a shared AND-node table, grouped by term count, evaluated as one
-//     sequential pass and skipped whenever no product input changed -- and
-//     literal-shaped XOR planes run in the same sweep; wide ORs keep
-//     incremental active-fanin sets (see DESIGN.md, "Event-driven fault
-//     simulation" and "Wide-lane fault simulation"). Bit-identical to
-//     evaluate() by construction: any state the scheduler cannot trust
-//     (fresh scratch, set_faults / clear_faults since the last call) falls
-//     back to one full evaluation.
+//     a per-level bucket queue. PLA products are compiled into a separate
+//     dense sweep -- factored through a shared AND-node table, grouped by
+//     term count, evaluated as one sequential pass and skipped whenever no
+//     product input changed -- and literal-shaped XOR planes run in the
+//     same sweep; wide ORs keep incremental active-fanin sets. The sweep
+//     runs between the CSR levels [0, Ls) and [Ls, end), where the
+//     boundary level Ls is fixed at compile time: a product is dense when
+//     each fanin is a non-dense net of level <= Ls (a literal, finalized
+//     by the levels below Ls) or an earlier dense product, and no
+//     non-dense op below Ls reads it (such products are demoted back to
+//     the CSR graph). Ls is the level that admits the most products, so
+//     the mux-fed state literals of the Fig. 2 structures (net level 3-4)
+//     feed the sweep like the NOT literals of Fig. 1 (see DESIGN.md,
+//     "Event-driven fault simulation" and "Wide-lane fault simulation").
+//     Bit-identical to evaluate() by construction: any state the scheduler
+//     cannot trust (fresh scratch, set_faults / clear_faults since the last
+//     call) falls back to one full evaluation.
 
 #include <cstdint>
 #include <vector>
@@ -215,6 +222,9 @@ class CompiledNetlist {
   std::size_t num_levels() const { return num_levels_; }
   /// Ops compiled into the dense PLA-product sweep (AND + XOR + chained).
   std::size_t num_dense_ops() const { return dense_out_.size(); }
+  /// The sweep boundary Ls: event cycles run CSR levels [0, Ls), then the
+  /// dense sweep, then levels [Ls, num_levels()).
+  std::size_t dense_boundary_level() const { return boundary_; }
   /// XOR planes admitted into the dense sweep.
   std::size_t num_dense_xor_ops() const { return num_xor_ops_; }
   /// Shared AND nodes in the dense term table.
@@ -312,7 +322,9 @@ class CompiledNetlist {
   // covered by the dense sweep instead of per-edge scheduling).
   std::vector<std::uint32_t> fanout_offset_; // per-net reader range ...
   std::vector<std::uint32_t> fanout_pool_;   // ... into this flat op-index pool
-  // Dense PLA-product sweep (see DESIGN.md). Literal-only products are
+  // Dense PLA-product sweep (see DESIGN.md), run after the CSR levels
+  // below boundary_ (the admission rule is in the constructor). Literal-only
+  // products are
   // factored through a shared AND-node table: term slot t < num_slab_ holds
   // literal net slab_net_[t], slot num_slab_+j holds node_a_[j] & node_b_[j]
   // (ids always smaller, so one sequential pass evaluates the table).
@@ -320,6 +332,7 @@ class CompiledNetlist {
   // by literal-shaped XOR planes (same slot space, XOR-combined), followed
   // by product-reading ("chained") products in topo order whose stream
   // entries are raw net ids instead of term slots.
+  std::uint32_t boundary_ = 1;                 // sweep boundary level Ls
   std::vector<std::uint8_t> dense_;            // per op: member of the sweep
   std::vector<std::uint32_t> slab_net_;        // term slot -> literal net
   std::vector<std::uint16_t> node_a_, node_b_; // shared AND nodes

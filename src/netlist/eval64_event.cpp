@@ -226,15 +226,18 @@ void CompiledNetlist::evaluate_event_impl(const std::uint64_t* input_lanes,
     }
   };
 
-  // Level 0 first: it finalizes every literal net (level <= 1) the dense
-  // products read.
-  if (num_levels_ > 0) sweep_level(0);
+  // Levels below the boundary first: they finalize every literal net
+  // (non-dense, level <= boundary_) the dense products read, and none of
+  // them reads a dense product (the compile demotes any such product).
+  const std::uint32_t split = std::min(boundary_, num_levels_);
+  for (std::uint32_t lvl = 0; lvl < split; ++lvl) sweep_level(lvl);
 
   // Dense product sweep. All product inputs are final here: literals were
-  // finalized by the level-0 sweep, chained products read earlier dense
-  // products (emitted in topo order after the groups), and deeper ops
-  // cannot feed a dense product by construction. Skipped outright when no
-  // product input changed (then no product output can change either).
+  // finalized by the sweep below the boundary, chained products read
+  // earlier dense products (emitted in topo order after the groups), and
+  // deeper ops cannot feed a dense product by construction. Skipped
+  // outright when no product input changed (then no product output can
+  // change either).
   // Every memory stream in the common path is sequential: the uint16 fanin
   // program, the resident product word groups, and the mask flags;
   // values[] is only touched for the literal loads (a few dozen hot nets)
@@ -349,7 +352,7 @@ void CompiledNetlist::evaluate_event_impl(const std::uint64_t* input_lanes,
     }
   }
 
-  for (std::uint32_t lvl = 1; lvl < num_levels_; ++lvl) sweep_level(lvl);
+  for (std::uint32_t lvl = split; lvl < num_levels_; ++lvl) sweep_level(lvl);
 
   s.ops_evaluated += evaluated;
   ++s.cycles;

@@ -1,10 +1,11 @@
 // Tests for the event-driven 64-lane evaluator: word-for-word agreement
-// with the flat engine over the whole corpus (with and without installed
-// fault batches), the reset-to-full-eval invariant around set_faults /
-// clear_faults / session boundaries, and targeted edge cases -- const-only
-// cones, XOR gates, glitch suppression (a word that returns to its old
-// value mid-cascade kills the cone), and faults injected on primary-input
-// and DFF-output nets.
+// with the flat engine over the whole corpus and every structure (with and
+// without installed fault batches), the reset-to-full-eval invariant
+// around set_faults / clear_faults / session boundaries, and targeted edge
+// cases -- const-only cones, XOR gates, glitch suppression (a word that
+// returns to its old value mid-cascade kills the cone), faults injected on
+// primary-input and DFF-output nets, and the dense sweep's boundary level
+// (mux-fed literals, demotion of products read below the boundary).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include "bist/lfsr.hpp"
 #include "bist/session.hpp"
 #include "netlist/eval64.hpp"
+#include "ostr/ostr.hpp"
+#include "ostr/realization.hpp"
 #include "util/rng.hpp"
 
 namespace stc {
@@ -22,6 +25,29 @@ namespace {
 ControllerStructure fig1_for(const std::string& name) {
   const MealyMachine m = load_benchmark(name);
   return build_fig1(encode_fsm(m, natural_encoding(m.num_states())));
+}
+
+/// Every structure the dense sweep sees: fig1-4 two-level and multi-level
+/// fig2. Fig. 2's test-mode mux puts the state literals at net level 3-4,
+/// so its products join the sweep only past boundary level 1.
+struct NamedStructure {
+  std::string name;
+  ControllerStructure cs;
+};
+std::vector<NamedStructure> structures_for(const std::string& name) {
+  const MealyMachine m = load_benchmark(name);
+  const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
+  OstrOptions opts;
+  opts.max_nodes = 4000;  // budgeted: fig4 shape, not OSTR quality, matters
+  const OstrResult ostr = solve_ostr(m, opts);
+  const Realization real = build_realization(m, ostr.best.pi, ostr.best.tau);
+  std::vector<NamedStructure> out;
+  out.push_back({"fig1", build_fig1(enc)});
+  out.push_back({"fig2", build_fig2(enc)});
+  out.push_back({"fig3", build_fig3(enc)});
+  out.push_back({"fig4", build_fig4(m, real)});
+  out.push_back({"fig2 multi_level", build_fig2(enc, Technology::kMultiLevel)});
+  return out;
 }
 
 std::set<std::pair<NetId, bool>> fault_set(const std::vector<Fault>& faults) {
@@ -78,31 +104,9 @@ void expect_engines_identical_wide(const Netlist& nl, CompiledNetlist& cn,
   }
 }
 
-// --- corpus-wide differential ------------------------------------------------
-
-class EventEvaluator : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(EventEvaluator, MatchesFlatEngineWordForWord) {
-  const ControllerStructure cs = fig1_for(GetParam());
-  CompiledNetlist cn(cs.nl);
-  // Fault-free.
-  expect_engines_identical(cs.nl, cn, 48, 0xE1);
-  // With a full 63-fault batch installed (set_faults invalidates resident
-  // state, so the next evaluate_event must re-seed via a full evaluation).
-  const auto faults = enumerate_stuck_faults(cs.nl);
-  std::vector<LaneFault> batch;
-  for (unsigned l = 1; l <= 63 && l <= faults.size(); ++l)
-    batch.push_back({faults[(l * 7) % faults.size()].net,
-                     faults[(l * 7) % faults.size()].stuck_value, l});
-  cn.set_faults(batch);
-  expect_engines_identical(cs.nl, cn, 48, 0xE2);
-  // And again after clearing -- the masks must be fully gone.
-  cn.clear_faults();
-  expect_engines_identical(cs.nl, cn, 24, 0xE3);
-}
-
-TEST_P(EventEvaluator, WideLanesMatchFlatEngineWordForWord) {
-  const ControllerStructure cs = fig1_for(GetParam());
+/// Both engines at 256 and 512 lanes: fault-free, with a full wide batch
+/// installed, and again after clearing it.
+void expect_wide_lanes_identical(const ControllerStructure& cs) {
   const auto faults = enumerate_stuck_faults(cs.nl);
   for (const unsigned W : {4u, 8u}) {
     CompiledNetlist cn(cs.nl, W);
@@ -122,6 +126,39 @@ TEST_P(EventEvaluator, WideLanesMatchFlatEngineWordForWord) {
     expect_engines_identical_wide(cs.nl, cn, 24, 0xB0 + W);
     cn.clear_faults();
     expect_engines_identical_wide(cs.nl, cn, 12, 0xC0 + W);
+  }
+}
+
+// --- corpus-wide differential ------------------------------------------------
+
+class EventEvaluator : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(EventEvaluator, MatchesFlatEngineWordForWord) {
+  for (const NamedStructure& s : structures_for(GetParam())) {
+    SCOPED_TRACE(s.name);
+    const ControllerStructure& cs = s.cs;
+    CompiledNetlist cn(cs.nl);
+    // Fault-free.
+    expect_engines_identical(cs.nl, cn, 48, 0xE1);
+    // With a full 63-fault batch installed (set_faults invalidates resident
+    // state, so the next evaluate_event must re-seed via a full evaluation).
+    const auto faults = enumerate_stuck_faults(cs.nl);
+    std::vector<LaneFault> batch;
+    for (unsigned l = 1; l <= 63 && l <= faults.size(); ++l)
+      batch.push_back({faults[(l * 7) % faults.size()].net,
+                       faults[(l * 7) % faults.size()].stuck_value, l});
+    cn.set_faults(batch);
+    expect_engines_identical(cs.nl, cn, 48, 0xE2);
+    // And again after clearing -- the masks must be fully gone.
+    cn.clear_faults();
+    expect_engines_identical(cs.nl, cn, 24, 0xE3);
+  }
+}
+
+TEST_P(EventEvaluator, WideLanesMatchFlatEngineWordForWord) {
+  for (const NamedStructure& s : structures_for(GetParam())) {
+    SCOPED_TRACE(s.name);
+    expect_wide_lanes_identical(s.cs);
   }
 }
 
@@ -285,6 +322,137 @@ TEST(EventEvaluator, ProductReadingALevelOneProductIsChainedNotSlab) {
     ASSERT_EQ(ev.values[p1], flat[p1]) << "cycle " << cyc;
     ASSERT_EQ(ev.values[p2], flat[p2]) << "cycle " << cyc;
   }
+}
+
+// --- the dense sweep's boundary level -----------------------------------------
+
+/// Fig. 2 in miniature: m = t ? x : r is an AND-OR mux at net level 3 and
+/// nm = NOT m sits at level 4. Three products read them, so boundary 4
+/// admits the most products; the mux's own 2-input ANDs (final at level 1)
+/// are read by the mux OR at level 2, below it, and stay in the CSR graph.
+struct MuxFed {
+  NetId t, x, r, a, b;  // sources
+  NetId m, nm;          // the mux output and its NOT
+  NetId p1, p2, p3;     // products over them
+};
+MuxFed add_mux_fed(Netlist& nl) {
+  MuxFed f;
+  f.t = nl.add_input("t");
+  f.x = nl.add_input("x");
+  f.r = nl.add_input("r");
+  f.a = nl.add_input("a");
+  f.b = nl.add_input("b");
+  const NetId nt = nl.add_not(f.t);
+  f.m = nl.add_or({nl.add_and({f.t, f.x}), nl.add_and({nt, f.r})});
+  f.nm = nl.add_not(f.m);
+  f.p1 = nl.add_and({f.m, f.a});
+  f.p2 = nl.add_and({f.nm, f.a, f.b});
+  f.p3 = nl.add_and({f.nm, f.b});
+  return f;
+}
+
+/// Flat and event engines word for word: fault-free, then with a batch
+/// that puts both stuck-at faults of every net on lanes of their own, then
+/// after clearing it.
+void expect_identical_under_every_fault(const Netlist& nl, CompiledNetlist& cn) {
+  expect_engines_identical(nl, cn, 64, 0xD1);
+  std::vector<LaneFault> batch;
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    batch.push_back({n, false, 2 * n + 1});
+    batch.push_back({n, true, 2 * n + 2});
+  }
+  ASSERT_LT(batch.size(), 64u);
+  cn.set_faults(batch);
+  expect_engines_identical(nl, cn, 64, 0xD2);
+  cn.clear_faults();
+  expect_engines_identical(nl, cn, 32, 0xD3);
+}
+
+TEST(EventEvaluator, MuxFedProductsJoinTheSweepPastTheBoundary) {
+  Netlist nl;
+  const MuxFed f = add_mux_fed(nl);
+  nl.add_output(nl.add_or({f.p1, f.p2, f.p3}), "o");
+  nl.finalize();
+
+  CompiledNetlist cn(nl);
+  EXPECT_EQ(cn.dense_boundary_level(), 4u);
+  EXPECT_EQ(cn.num_dense_ops(), 3u);  // p1-p3; the mux ANDs stay CSR
+  expect_identical_under_every_fault(nl, cn);
+}
+
+TEST(EventEvaluator, ProductReadBelowTheBoundaryIsDemoted) {
+  // d = AND(a, b) reads only sources, but the OR e reads it at level 1:
+  // with the boundary at 4 that OR runs before the sweep, so d must stay
+  // in the CSR graph or e would read last cycle's word. e (level 2) is
+  // then an ordinary literal of p4.
+  Netlist nl;
+  const MuxFed f = add_mux_fed(nl);
+  const NetId d = nl.add_and({f.a, f.b});
+  const NetId e = nl.add_or({d, f.x});
+  const NetId p4 = nl.add_and({e, f.nm});
+  nl.add_output(nl.add_or({f.p1, f.p2, f.p3, p4}), "o");
+  nl.finalize();
+
+  CompiledNetlist cn(nl);
+  EXPECT_EQ(cn.dense_boundary_level(), 4u);
+  EXPECT_EQ(cn.num_dense_ops(), 4u);  // p1-p4; d and the mux ANDs demoted
+  expect_identical_under_every_fault(nl, cn);
+}
+
+TEST(EventEvaluator, DemotionCascadesToTheProductsADemotedProductReads) {
+  // q = AND(d2, r) chains through d2 = AND(x, b); the OR g reads q at level
+  // 2, below the boundary, so q is demoted -- and then q itself runs before
+  // the sweep, so d2 must be demoted too or q would read last cycle's d2.
+  Netlist nl;
+  const MuxFed f = add_mux_fed(nl);
+  const NetId d2 = nl.add_and({f.x, f.b});
+  const NetId q = nl.add_and({d2, f.r});
+  const NetId g = nl.add_or({q, f.a});
+  const NetId p4 = nl.add_and({g, f.nm});
+  const NetId p5 = nl.add_and({g, f.a, f.nm});
+  nl.add_output(nl.add_or({f.p1, f.p2, f.p3, p4, p5}), "o");
+  nl.finalize();
+
+  CompiledNetlist cn(nl);
+  EXPECT_EQ(cn.dense_boundary_level(), 4u);
+  EXPECT_EQ(cn.num_dense_ops(), 5u);  // p1-p5; q, d2 and the mux ANDs demoted
+  expect_identical_under_every_fault(nl, cn);
+}
+
+TEST(EventEvaluator, ChainedProductReadsADemotedProductAsALiteral) {
+  // c = AND(p1, d) chains through the dense p1 and reads d, which the OR
+  // e below the boundary demotes: d is a CSR net of level 1 by the time
+  // the sweep runs, and the chained stream reads it from the resident
+  // values like any literal.
+  Netlist nl;
+  const MuxFed f = add_mux_fed(nl);
+  const NetId d = nl.add_and({f.a, f.b});
+  const NetId e = nl.add_or({d, f.x});
+  const NetId c = nl.add_and({f.p1, d});
+  nl.add_output(e, "e");
+  nl.add_output(nl.add_or({c, f.p2, f.p3}), "o");
+  nl.finalize();
+
+  CompiledNetlist cn(nl);
+  EXPECT_EQ(cn.dense_boundary_level(), 4u);
+  EXPECT_EQ(cn.num_dense_ops(), 4u);  // p1-p3 and c; d and the mux ANDs demoted
+  expect_identical_under_every_fault(nl, cn);
+}
+
+TEST(EventEvaluator, Fig2ProductsRunInTheDenseSweep) {
+  // tbk's Fig. 2: the test-mode mux in front of C puts every state literal
+  // at net level 3-4. With the boundary fixed at level 1 only 12 of 1338
+  // ops were dense and the campaign re-evaluated nearly every op every
+  // cycle; a silent fallback to that shape must fail here.
+  const MealyMachine m = load_benchmark("tbk");
+  const ControllerStructure cs =
+      build_fig2(encode_fsm(m, natural_encoding(m.num_states())));
+  const CompiledNetlist cn(cs.nl);
+  EXPECT_GE(cn.num_dense_ops() * 10, cn.num_ops() * 9)
+      << cn.num_dense_ops() << " of " << cn.num_ops() << " ops dense";
+  const CampaignResult res =
+      run_fault_campaign(cs, SelfTestPlan::two_session(64), {});
+  EXPECT_LT(res.mean_activity(), 0.1);
 }
 
 TEST(EventEvaluator, FaultsOnPrimaryInputAndDffOutputNets) {
