@@ -14,6 +14,7 @@ struct TermLists {
   std::vector<std::uint16_t> pool;
   std::vector<std::uint32_t> begin, size;
   std::uint16_t* list(std::size_t p) { return pool.data() + begin[p]; }
+  const std::uint16_t* list(std::size_t p) const { return pool.data() + begin[p]; }
 };
 
 std::uint32_t pair_key(std::uint16_t a, std::uint16_t b) {
@@ -168,7 +169,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
   dense_.assign(ops_.size(), 0);
   is_dense_input_.assign(num_nets_, 0);
   std::vector<std::uint32_t> main_ops, xor_ops, chain_ops;  // topo order
-  if (num_nets_ <= UINT16_MAX + 1 && num_levels_ > 0) {
+  if (num_nets_ <= UINT16_MAX + 1) {
     constexpr std::uint32_t kNever = UINT32_MAX;
     constexpr std::uint32_t kProduct = 1u << 31;  // net driven by a product
     // Per net: the boundary a reader waits for through it (its need when a
@@ -181,7 +182,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
       if ((op.type != GateType::kAnd && op.type != GateType::kXor) ||
           op.fanin_count < 2)
         continue;
-      std::uint32_t n = 1;  // the boundary is at least 1, as the level-0 sweep
+      std::uint32_t n = 1;  // boundaries range over levels 1..num_levels_
       std::uint32_t tags = 0;
       for (std::uint32_t k = 0; k < op.fanin_count; ++k) {
         const std::uint32_t w = wait[fanins_[op.fanin_begin + k]];
@@ -222,6 +223,9 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
       const Op& op = ops_[i];
       if (need[i] > boundary_ || keep[op.out] < boundary_) continue;
       dense_[i] = 1;
+      // A product reading a dense product takes the chained (values[]-
+      // reading) path, which runs after the producer's commit: as a slab
+      // literal it would AND the term word seeded before that commit.
       bool chained = false;
       for (std::uint32_t k = 0; reads_product[i] && k < op.fanin_count; ++k) {
         const std::uint32_t src = op_of_net_[fanins_[op.fanin_begin + k]];
@@ -328,7 +332,8 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
 
   // Emit products grouped by final term count (sequential stream per group).
   const auto emit_groups = [&](const std::vector<std::uint32_t>& op_list,
-                               TermLists& lists, std::vector<DenseGroup>& groups) {
+                               const TermLists& lists,
+                               std::vector<DenseGroup>& groups) {
     const std::vector<std::uint32_t>& size = lists.size;
     std::vector<std::uint32_t> order(op_list.size());
     for (std::size_t p = 0; p < order.size(); ++p) order[p] = static_cast<std::uint32_t>(p);
@@ -349,10 +354,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, unsigned lane_words) {
     }
   };
   emit_groups(main_ops, terms, dense_groups_);
-  {
-    TermLists xterms = slot_lists(xor_ops);
-    emit_groups(xor_ops, xterms, xor_groups_);
-  }
+  emit_groups(xor_ops, slot_lists(xor_ops), xor_groups_);
   for (NetId n : slab_net_) is_dense_input_[n] = 1;
   // Chained products read values[] directly: their stream entries are net
   // ids, not term slots.
