@@ -1,8 +1,9 @@
 // Logic-minimizer benchmarks (google-benchmark).
 //
 // Families:
-//   * BM_Espresso_* -- the single-output espresso wrapper per next-state
-//     function, the per-output covers multi-level factoring starts from.
+//   * BM_Espresso_* -- the single-output espresso wrapper on each
+//     next-state function's dense table (a reference input; the flow
+//     minimizes from cube-form specs, see BM_PerOutputCovers_s1).
 //   * BM_EspressoMv_<machine> -- the multi-output cube-calculus engine on
 //     the full encoded specification of every corpus machine (next-state
 //     and output bits minimized together over the shared input space), with
@@ -17,6 +18,10 @@
 //     at zero rounds) factored under a 255-step work allowance: the shape
 //     of every s1 multi-level job of a 200 ms sweep, whose deadline is
 //     first checked at step 256, but deterministic.
+//   * BM_PerOutputCovers_s1/{C,lambda} -- the cover stage that feeds every
+//     multi-level factoring: one espresso cover per output, minimized from
+//     the block's cube-form spec, for s1's combined block C and its fig. 4
+//     output block lambda.
 //   * BM_BuildAllFigs/<machine> -- figs. 1-4 in both technologies from one
 //     EncodedFsm, as the synthesis flow builds them: figs. 1-3 share the
 //     combined block through the encoding's memo, so the counters show one
@@ -84,20 +89,12 @@ void run_mv(benchmark::State& state, const std::string& machine) {
   state.counters["gate_equivalents"] = cost.gate_equivalents;
 }
 
-/// Next-state and output tables of the combined block, in the order of
-/// EncodedFsm::spec.
-std::vector<TruthTable> combined_tables(const EncodedFsm& enc) {
-  std::vector<TruthTable> tables = enc.next_state;
-  tables.insert(tables.end(), enc.outputs.begin(), enc.outputs.end());
-  return tables;
-}
-
 /// Greedy multi-level extraction on one machine's per-output covers: the
 /// timed region is the extraction alone (the espresso input is hoisted),
 /// and the counters carry both technology cost points.
 void run_factor(benchmark::State& state, const std::string& machine) {
   const EncodedFsm enc = encoded(machine);
-  const std::vector<Cover> covers = per_output_covers(combined_tables(enc));
+  const std::vector<Cover> covers = per_output_covers(enc.spec);
   const LogicCost two = pla_cost(minimize_espresso_mv(enc.spec));
   LogicCost ml;
   std::size_t nodes = 0;
@@ -119,8 +116,7 @@ void run_factor(benchmark::State& state, const std::string& machine) {
 /// extraction after 255 steps.
 void BM_FactorTruncated_s1(benchmark::State& state) {
   const EncodedFsm enc = encoded("s1");
-  const std::vector<Cover> covers =
-      per_output_covers(combined_tables(enc), Budget::work_limit(0));
+  const std::vector<Cover> covers = per_output_covers(enc.spec, Budget::work_limit(0));
   const Budget budget = Budget::work_limit(255);
   LogicCost ml;
   std::size_t nodes = 0;
@@ -134,6 +130,36 @@ void BM_FactorTruncated_s1(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(nodes);
 }
 BENCHMARK(BM_FactorTruncated_s1)->Unit(benchmark::kMillisecond);
+
+/// The cover stage of the s1 multi-level flow: per_output_covers of C (the
+/// combined block of figs. 1-3, 13 variables) and of fig. 4's lambda
+/// (inputs, R2 and R1 bits), each from its cube-form spec.
+void run_per_output_covers(benchmark::State& state, const PlaSpec& spec) {
+  std::size_t cubes = 0, lits = 0;
+  for (auto _ : state) {
+    cubes = lits = 0;
+    for (const Cover& c : per_output_covers(spec)) {
+      cubes += c.num_cubes();
+      lits += c.num_literals();
+    }
+    benchmark::DoNotOptimize(cubes);
+  }
+  state.counters["vars"] = static_cast<double>(spec.num_vars);
+  state.counters["outputs"] = static_cast<double>(spec.num_outputs);
+  state.counters["cubes"] = static_cast<double>(cubes);
+  state.counters["literals"] = static_cast<double>(lits);
+}
+
+/// s1's fig. 4 lambda block, on the realization of a default OSTR search.
+EncodedLambda s1_lambda() {
+  const MealyMachine m = load_benchmark("s1");
+  const OstrResult ostr = solve_ostr(m, OstrOptions{});
+  const Realization real = build_realization(m, ostr.best.pi, ostr.best.tau);
+  const FactorTables& ft = real.tables;
+  return encode_lambda(
+      ft.lambda, ft.n1, ft.n2, ft.num_inputs, m.effective_input_bits(),
+      m.effective_output_bits(), natural_encoding(ft.n1), natural_encoding(ft.n2));
+}
 
 /// Every structure of one machine from one fresh encoding per iteration.
 void run_build_all(benchmark::State& state, const std::string& machine) {
@@ -167,6 +193,12 @@ const int kRegistered = [] {
     benchmark::RegisterBenchmark(("BM_Factor_" + name).c_str(),
                                  [name](benchmark::State& s) { run_factor(s, name); });
   }
+  benchmark::RegisterBenchmark("BM_PerOutputCovers_s1/C", [](benchmark::State& s) {
+    run_per_output_covers(s, encoded("s1").spec);
+  })->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_PerOutputCovers_s1/lambda", [](benchmark::State& s) {
+    run_per_output_covers(s, s1_lambda().spec);
+  })->Unit(benchmark::kMillisecond);
   for (const std::string name : {"dk16", "tbk"})
     benchmark::RegisterBenchmark(("BM_BuildAllFigs/" + name).c_str(),
                                  [name](benchmark::State& s) { run_build_all(s, name); })

@@ -1,5 +1,7 @@
 #include "bist/architectures.hpp"
 
+#include <stdexcept>
+
 #include "logic/espresso_lite.hpp"
 
 namespace stc {
@@ -25,12 +27,11 @@ std::vector<std::size_t> dff_indices(const Netlist& nl, const RegisterBank& bank
 }
 
 /// Instantiate a minimized block: factored DAG when extraction ran,
-/// shared-product PLA when the multi-output engine ran, per-cover AND-OR
-/// logic otherwise.
+/// shared-product PLA otherwise.
 std::vector<NetId> build_minimized(Netlist& nl, const MinimizedBlock& mb,
                                    const std::vector<NetId>& vars) {
   if (mb.factored) return build_factored(nl, *mb.factored, vars);
-  return mb.pla ? build_pla(nl, *mb.pla, vars) : build_block(nl, mb.covers, vars);
+  return build_pla(nl, *mb.pla, vars);
 }
 
 /// The one multi-level routing policy (shared by minimize_for, the
@@ -59,20 +60,11 @@ void add_block_cost(ControllerStructure& cs, const MinimizedBlock& mb) {
 /// keeps the shared products of the first `state_bits` outputs (used for
 /// the duplicated copy of C in the fig3 ring).
 CubeList restrict_to_low_outputs(const CubeList& pla, std::size_t state_bits) {
-  const std::uint64_t mask = state_bits >= 64 ? ~std::uint64_t{0}
-                                              : (std::uint64_t{1} << state_bits) - 1;
+  const std::uint64_t mask = (std::uint64_t{1} << state_bits) - 1;
   CubeList out(pla.num_vars(), state_bits);
   for (const MCube& m : pla.cubes())
     if (m.out & mask) out.add(m.in, m.out & mask);
   return out;
-}
-
-/// Combined (next-state low, outputs high) dense tables of an EncodedFsm,
-/// matching the output order of EncodedFsm::spec.
-std::vector<TruthTable> combined_tables(const EncodedFsm& enc) {
-  std::vector<TruthTable> tables = enc.next_state;
-  tables.insert(tables.end(), enc.outputs.begin(), enc.outputs.end());
-  return tables;
 }
 
 /// C of figs 1-3: the combined block of `enc`, minimized (and on the
@@ -81,18 +73,22 @@ std::vector<TruthTable> combined_tables(const EncodedFsm& enc) {
 /// recomputing it (one a deadline or cancel cut short is not stored; one
 /// cut at the allowance is, with its labels). On the multi-level
 /// path `factoring`, when given, receives the memo entry the network came
-/// from.
+/// from. Throws std::invalid_argument when the spec does not carry every
+/// next-state and output bit of `enc`.
 MinimizedBlock combined_block(const EncodedFsm& enc, Technology tech,
                               const Budget& budget,
                               std::vector<Degradation>* degradations,
                               std::shared_ptr<const FactoredBlock>* factoring = nullptr) {
+  if (enc.spec.num_vars != enc.num_vars() ||
+      enc.spec.num_outputs != enc.state_bits + enc.output_bits)
+    throw std::invalid_argument(
+        "combined block: the spec does not carry every next-state and output bit");
   BlockMemo& memo = *enc.block_memo;
   const BlockMemo::Key key = budget.work_allowance();
   MinimizedBlock mb = *memo.two_level(
       key,
       [&](std::vector<Degradation>* d) {
-        return minimize_for(enc.spec, combined_tables(enc), Technology::kTwoLevel,
-                            budget, d);
+        return minimize_for(enc.spec, Technology::kTwoLevel, budget, d);
       },
       degradations);
   if (tech == Technology::kMultiLevel) {
@@ -100,7 +96,7 @@ MinimizedBlock combined_block(const EncodedFsm& enc, Technology tech,
         key,
         [&](std::vector<Degradation>* d) {
           FactoredBlock out;
-          out.covers = per_output_covers(combined_tables(enc), budget, d);
+          out.covers = per_output_covers(enc.spec, budget, d);
           out.network = factor_block(out.covers, budget, d);
           return out;
         },
@@ -113,36 +109,37 @@ MinimizedBlock combined_block(const EncodedFsm& enc, Technology tech,
 
 }  // namespace
 
-std::vector<Cover> per_output_covers(const std::vector<TruthTable>& tables,
-                                     const Budget& budget,
+std::vector<Cover> per_output_covers(const PlaSpec& spec, const Budget& budget,
                                      std::vector<Degradation>* degradations) {
   std::vector<Cover> covers;
-  covers.reserve(tables.size());
-  for (const auto& tt : tables) {
+  covers.reserve(spec.num_outputs);
+  for (std::size_t b = 0; b < spec.num_outputs; ++b) {
+    const std::uint64_t bit = std::uint64_t{1} << b;
+    PlaSpec one{spec.num_vars, 1, CubeList(spec.num_vars, 1), CubeList(spec.num_vars, 1)};
+    for (const MCube& m : spec.on.cubes())
+      if (m.out & bit) one.on.add(m.in, 1);
+    if (one.on.empty()) {
+      covers.emplace_back(spec.num_vars);
+      continue;
+    }
+    for (const MCube& m : spec.dc.cubes())
+      if (m.out & bit) one.dc.add(m.in, 1);
     Degradation deg;
-    covers.push_back(minimize_espresso(tt, budget, &deg));
+    covers.push_back(minimize_espresso_mv(one, budget, &deg).output_cover(0));
     if (degradations && deg.degraded) degradations->push_back(std::move(deg));
   }
   return covers;
 }
 
-MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& tables,
-                            Technology tech, const Budget& budget,
+MinimizedBlock minimize_for(const PlaSpec& spec, Technology tech, const Budget& budget,
                             std::vector<Degradation>* degradations) {
   MinimizedBlock mb;
-  if (!tables.empty() && spec.num_outputs == tables.size()) {
-    Degradation deg;
-    mb.pla = minimize_espresso_mv(spec, budget, &deg);
-    if (degradations && deg.degraded) degradations->push_back(std::move(deg));
-  } else {
-    // No usable spec for this block (e.g. more outputs than the 64-bit
-    // output part can carry): per-output, no product sharing.
-    mb.covers = per_output_covers(tables, budget, degradations);
-  }
+  Degradation deg;
+  mb.pla = minimize_espresso_mv(spec, budget, &deg);
+  if (degradations && deg.degraded) degradations->push_back(std::move(deg));
   if (tech == Technology::kMultiLevel)
-    mb.factored = factor_block(
-        mb.pla ? per_output_covers(tables, budget, degradations) : mb.covers, budget,
-        degradations);
+    mb.factored = factor_block(per_output_covers(spec, budget, degradations), budget,
+                               degradations);
   return mb;
 }
 
@@ -251,11 +248,7 @@ ControllerStructure build_fig3(const EncodedFsm& enc, Technology tech,
   std::vector<NetId> vars2 = cs.pi;
   vars2.insert(vars2.end(), r2.q.begin(), r2.q.end());
   MinimizedBlock next_mb;
-  if (mb.pla) {
-    next_mb.pla = restrict_to_low_outputs(*mb.pla, enc.state_bits);
-  } else {
-    next_mb.covers.assign(mb.covers.begin(), mb.covers.begin() + enc.state_bits);
-  }
+  next_mb.pla = restrict_to_low_outputs(*mb.pla, enc.state_bits);
   if (factoring) {
     const std::vector<Cover> next_covers(factoring->covers.begin(),
                                          factoring->covers.begin() + enc.state_bits);
@@ -305,8 +298,7 @@ ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
   // C1: (inputs, R1) -> D of R2.
   std::vector<NetId> vars1 = cs.pi;
   vars1.insert(vars1.end(), r1.q.begin(), r1.q.end());
-  const MinimizedBlock mb1 = minimize_for(f1.spec, f1.next_state, tech, budget,
-                                          &cs.degradations);
+  const MinimizedBlock mb1 = minimize_for(f1.spec, tech, budget, &cs.degradations);
   add_block_cost(cs, mb1);
   const auto c1 = build_minimized(nl, mb1, vars1);
   for (std::size_t b = 0; b < enc2.width; ++b) nl.connect_dff(r2.q[b], c1[b]);
@@ -314,8 +306,7 @@ ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
   // C2: (inputs, R2) -> D of R1.
   std::vector<NetId> vars2 = cs.pi;
   vars2.insert(vars2.end(), r2.q.begin(), r2.q.end());
-  const MinimizedBlock mb2 = minimize_for(f2.spec, f2.next_state, tech, budget,
-                                          &cs.degradations);
+  const MinimizedBlock mb2 = minimize_for(f2.spec, tech, budget, &cs.degradations);
   add_block_cost(cs, mb2);
   const auto c2 = build_minimized(nl, mb2, vars2);
   for (std::size_t b = 0; b < enc1.width; ++b) nl.connect_dff(r1.q[b], c2[b]);
@@ -325,8 +316,7 @@ ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
   std::vector<NetId> lvars = cs.pi;
   lvars.insert(lvars.end(), r2.q.begin(), r2.q.end());
   lvars.insert(lvars.end(), r1.q.begin(), r1.q.end());
-  const MinimizedBlock mbl = minimize_for(lam.spec, lam.outputs, tech, budget,
-                                          &cs.degradations);
+  const MinimizedBlock mbl = minimize_for(lam.spec, tech, budget, &cs.degradations);
   add_block_cost(cs, mbl);
   const auto po_nets = build_minimized(nl, mbl, lvars);
   for (std::size_t b = 0; b < po_nets.size(); ++b) {

@@ -31,6 +31,8 @@ namespace stc {
 //   * kTwoLevel   -- flat AND-OR planes (the historical netlists);
 //   * kMultiLevel -- algebraic factoring on per-output espresso covers
 //     (logic/factor.hpp): intermediate nodes shared via fanout.
+// Every block is minimized and factored from its cube-form PlaSpec; no
+// build_fig* reads a truth table.
 // Both styles implement the encoded machine; they can differ only on its
 // don't-cares (unused state codes, padding input patterns), so under legal
 // inputs from reset the multi-level netlists are simulation-equivalent to
@@ -61,27 +63,23 @@ struct ControllerStructure {
   std::vector<Degradation> degradations;
 };
 
-/// One espresso cover per table, no product sharing: the multi-level
-/// factoring input of every block, and the two-level form of a block too
-/// wide for one PLA. Each output gets its own copy of the budget (the
-/// deadline stays absolute across them).
-std::vector<Cover> per_output_covers(const std::vector<TruthTable>& tables,
-                                     const Budget& budget = {},
+/// One espresso cover per output of `spec`, no product sharing: the
+/// multi-level factoring input of every block. Output b's cover minimizes
+/// the one-output spec made of the ON and DC rows whose output part has
+/// bit b; an output with no ON row gets an empty cover. Each output gets
+/// its own copy of the budget (the deadline stays absolute across them).
+std::vector<Cover> per_output_covers(const PlaSpec& spec, const Budget& budget = {},
                                      std::vector<Degradation>* degradations = nullptr);
 
-/// Minimize one block with espresso. When `spec` carries every output of
-/// `tables` the multi-output engine runs and its shared-product PLA is the
-/// two-level form; otherwise (an empty spec, or a block of more than 64
-/// outputs) each table is minimized on its own. With
-/// Technology::kMultiLevel the block is additionally run through greedy
-/// kernel/cube extraction over per-output espresso covers of `tables`,
-/// whatever its number of outputs: a product prime for its own output
+/// Minimize one block with the multi-output espresso engine: its
+/// shared-product PLA is the two-level form. With Technology::kMultiLevel
+/// the block is additionally run through greedy kernel/cube extraction
+/// over per_output_covers(spec): a product prime for its own output
 /// factors into fewer literals than the PLA's multi-output primes. The
 /// budget governs espresso and the extraction; truncations are appended
-/// to `degradations` when given. The block implements the tables at any
+/// to `degradations` when given. The block implements the spec at any
 /// budget.
-MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& tables,
-                            Technology tech = Technology::kTwoLevel,
+MinimizedBlock minimize_for(const PlaSpec& spec, Technology tech = Technology::kTwoLevel,
                             const Budget& budget = {},
                             std::vector<Degradation>* degradations = nullptr);
 
@@ -96,6 +94,9 @@ MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& 
 // multi-level path factors -- C, the later ones reuse the complete result.
 // A build served from the memo reports no degradation for C. Fig. 3's
 // second copy factors the next-state prefix of C's per-output covers.
+// Figs. 1-3 throw std::invalid_argument when the EncodedFsm's spec does
+// not carry every next-state and output bit (C is built from the spec
+// alone).
 
 /// Fig. 1: conventional structure.
 ControllerStructure build_fig1(const EncodedFsm& enc,
@@ -119,9 +120,10 @@ ControllerStructure build_fig4(const MealyMachine& fsm, const Realization& real,
                                const Budget& budget = {});
 
 // Forms with the retired, ignored MinimizerKind argument, which
-// perfbench/driver.cpp still passes positionally.
-inline MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>& tables,
-                                   MinimizerKind) { return minimize_for(spec, tables); }
+// perfbench/driver.cpp still passes positionally. The tables are ignored
+// too: every block is minimized from its spec.
+inline MinimizedBlock minimize_for(const PlaSpec& spec, const std::vector<TruthTable>&,
+                                   MinimizerKind) { return minimize_for(spec); }
 inline ControllerStructure build_fig1(const EncodedFsm& enc, MinimizerKind,
                                       Technology tech) { return build_fig1(enc, tech); }
 inline ControllerStructure build_fig2(const EncodedFsm& enc, MinimizerKind,

@@ -40,17 +40,11 @@ EncodedFsm encode_fsm(const MealyMachine& fsm, const Encoding& enc) {
 
   e.next_state.assign(e.state_bits, TruthTable(e.num_vars()));
   e.outputs.assign(e.output_bits, TruthTable(e.num_vars()));
-  // The cover-based spec carries its output set in a 64-bit mask; a wider
-  // machine keeps the dense tables only and minimize_for falls back to
-  // per-output minimization.
   const std::size_t spec_outputs = e.state_bits + e.output_bits;
-  const bool build_spec = spec_outputs <= 64;
-  if (build_spec) {
-    e.spec.num_vars = e.num_vars();
-    e.spec.num_outputs = spec_outputs;
-    e.spec.on = CubeList(e.num_vars(), spec_outputs);
-    e.spec.dc = CubeList(e.num_vars(), spec_outputs);
-  }
+  e.spec.num_vars = e.num_vars();
+  e.spec.num_outputs = spec_outputs;
+  e.spec.on = CubeList(e.num_vars(), spec_outputs);
+  e.spec.dc = CubeList(e.num_vars(), spec_outputs);
   const std::uint64_t all_out = low_mask(spec_outputs);
 
   const auto inv = inverse_codes(enc);
@@ -59,7 +53,7 @@ EncodedFsm encode_fsm(const MealyMachine& fsm, const Encoding& enc) {
 
   for (std::uint64_t code = 0; code < code_span; ++code) {
     const State s = inv[code];
-    if (s == kNoState && build_spec)
+    if (s == kNoState)
       e.spec.dc.add(state_row_cube(code, e.state_bits, e.input_bits), all_out);
     for (std::uint64_t in = 0; in < input_span; ++in) {
       const Minterm m = (code << e.input_bits) | in;
@@ -67,7 +61,7 @@ EncodedFsm encode_fsm(const MealyMachine& fsm, const Encoding& enc) {
         // Unused state code or padding input pattern: full don't care.
         for (auto& t : e.next_state) t.set_dc(m);
         for (auto& t : e.outputs) t.set_dc(m);
-        if (s != kNoState && build_spec)  // unused codes got one whole-row cube above
+        if (s != kNoState)  // unused codes got one whole-row cube above
           e.spec.dc.add(Cube::minterm(m, e.num_vars()), all_out);
         continue;
       }
@@ -80,7 +74,7 @@ EncodedFsm encode_fsm(const MealyMachine& fsm, const Encoding& enc) {
       const std::uint64_t on_mask =
           (next_code & low_mask(e.state_bits)) |
           ((static_cast<std::uint64_t>(out) & low_mask(e.output_bits)) << e.state_bits);
-      if (on_mask && build_spec) e.spec.on.add(Cube::minterm(m, e.num_vars()), on_mask);
+      if (on_mask) e.spec.on.add(Cube::minterm(m, e.num_vars()), on_mask);
     }
   }
   return e;
@@ -100,7 +94,6 @@ EncodedFactor encode_factor(const std::vector<State>& table, std::size_t num_inp
   e.input_bits = input_bits;
   if (e.num_vars() > 20)
     throw std::invalid_argument("encode_factor: too many variables");
-  e.next_state.assign(e.out_state_bits, TruthTable(e.num_vars()));
   e.spec.num_vars = e.num_vars();
   e.spec.num_outputs = e.out_state_bits;
   e.spec.on = CubeList(e.num_vars(), e.out_state_bits);
@@ -117,13 +110,10 @@ EncodedFactor encode_factor(const std::vector<State>& table, std::size_t num_inp
     for (std::uint64_t in = 0; in < input_span; ++in) {
       const Minterm m = (code << input_bits) | in;
       if (s == kNoState || in >= num_inputs) {
-        for (auto& t : e.next_state) t.set_dc(m);
         if (s != kNoState) e.spec.dc.add(Cube::minterm(m, e.num_vars()), all_out);
         continue;
       }
       const std::uint64_t target = rng.code_of(table[s * num_inputs + in]);
-      for (std::size_t b = 0; b < e.out_state_bits; ++b)
-        if ((target >> b) & 1) e.next_state[b].set_on(m);
       if (target & all_out) e.spec.on.add(Cube::minterm(m, e.num_vars()), target & all_out);
     }
   }
@@ -143,7 +133,6 @@ EncodedLambda encode_lambda(const std::vector<Output>& lambda, std::size_t n1,
   e.output_bits = output_bits;
   if (e.num_vars() > 20)
     throw std::invalid_argument("encode_lambda: too many variables");
-  e.outputs.assign(output_bits, TruthTable(e.num_vars()));
   e.spec.num_vars = e.num_vars();
   e.spec.num_outputs = output_bits;
   e.spec.on = CubeList(e.num_vars(), output_bits);
@@ -171,14 +160,11 @@ EncodedLambda encode_lambda(const std::vector<Output>& lambda, std::size_t n1,
         const State s1 = inv1[c1];
         const State s2 = inv2[c2];
         if (s1 == kNoState || s2 == kNoState || in >= num_inputs) {
-          for (auto& t : e.outputs) t.set_dc(m);
           if (s1 != kNoState && s2 != kNoState)
             e.spec.dc.add(Cube::minterm(m, e.num_vars()), all_out);
           continue;
         }
         const Output out = lambda[(static_cast<std::size_t>(s1) * n2 + s2) * num_inputs + in];
-        for (std::size_t b = 0; b < output_bits; ++b)
-          if ((out >> b) & 1) e.outputs[b].set_on(m);
         const std::uint64_t on_mask = static_cast<std::uint64_t>(out) & all_out;
         if (on_mask) e.spec.on.add(Cube::minterm(m, e.num_vars()), on_mask);
       }

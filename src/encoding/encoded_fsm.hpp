@@ -1,7 +1,10 @@
 #pragma once
-// Encoded FSM: the boolean truth tables obtained from a symbolic machine
-// plus a state encoding. These tables are the specification handed to the
-// two-level minimizer and the netlist builder.
+// Encoded FSM: the boolean specification obtained from a symbolic machine
+// plus a state encoding. Each encoder emits its block in cube form, as a
+// PlaSpec (logic/cubelist.hpp): one ON cube per transition, compact DC
+// cubes for unused codes and padding inputs. That spec is the only block
+// input of the flow: bist/architectures minimizes and factors every block
+// from it, and no stage reads a truth table.
 //
 // Minterm layout convention used everywhere downstream:
 //     minterm = (state_code << input_bits) | input_bits_value
@@ -26,14 +29,17 @@ struct EncodedFsm {
   std::size_t input_bits = 0;
   std::size_t output_bits = 0;
   std::uint64_t reset_code = 0;
-  std::vector<TruthTable> next_state;  // one table per state bit
-  std::vector<TruthTable> outputs;     // one table per output bit
-  /// Cover-based form of the same specification, built alongside the dense
-  /// tables: one ON cube per transition whose output part spans the
-  /// next-state bits (low) and the output bits (high), plus compact DC
-  /// cubes (one whole-row cube per unused state code, one minterm cube per
-  /// padding input pattern). This is what the multi-output minimizer
-  /// consumes -- it never touches the dense tables.
+  /// Dense view of the same specification, one table per state bit and
+  /// per output bit. Tests and perfbench's traced probe read it as an
+  /// oracle; no flow stage does.
+  std::vector<TruthTable> next_state;
+  std::vector<TruthTable> outputs;
+  /// The block C of figs. 1-3: one ON cube per transition whose output
+  /// part spans the next-state bits (low) and the output bits (high), plus
+  /// compact DC cubes (one whole-row cube per unused state code, one
+  /// minterm cube per padding input pattern). At most 20 state bits and
+  /// 32 output bits (kMaxOutputBits), so every output fits its 64-bit
+  /// output part.
   PlaSpec spec;
   /// Stored minimized / factored forms of the combined (next-state,
   /// outputs) block, shared by the fig1-3 builders (bist/architectures).
@@ -44,8 +50,8 @@ struct EncodedFsm {
   std::size_t num_vars() const { return state_bits + input_bits; }
 };
 
-/// Build the truth tables for `fsm` under `enc`. Unused state codes (and,
-/// for one-hot, all non-code patterns) become don't-cares in every table.
+/// Encode `fsm` under `enc`. Unused state codes (and, for one-hot, all
+/// non-code patterns) become don't-cares of every output.
 EncodedFsm encode_fsm(const MealyMachine& fsm, const Encoding& enc);
 
 /// Encoded form of one half-machine of a pipeline realization:
@@ -55,8 +61,7 @@ struct EncodedFactor {
   std::size_t in_state_bits = 0;   // bits of the domain register
   std::size_t out_state_bits = 0;  // bits of the range register
   std::size_t input_bits = 0;
-  std::vector<TruthTable> next_state;  // one per range-register bit
-  PlaSpec spec;                        // cover form (outputs = range bits)
+  PlaSpec spec;  // outputs = range-register bits
 
   std::size_t num_vars() const { return in_state_bits + input_bits; }
 };
@@ -74,8 +79,7 @@ struct EncodedLambda {
   std::size_t s2_bits = 0;
   std::size_t input_bits = 0;
   std::size_t output_bits = 0;
-  std::vector<TruthTable> outputs;
-  PlaSpec spec;  // cover form (outputs = output bits)
+  PlaSpec spec;  // outputs = output bits
 
   std::size_t num_vars() const { return s1_bits + s2_bits + input_bits; }
 };

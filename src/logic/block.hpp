@@ -30,17 +30,18 @@ namespace stc {
 /// ignored, only for the positional argument of perfbench/driver.cpp.
 enum class MinimizerKind { kAuto };
 
-/// One minimized multi-output block: `pla` when the spec carried every
-/// output (products shared across outputs), else one `covers` entry per
-/// output (blocks of more than 64 outputs). `factored` is set when the
-/// block was routed through algebraic extraction (Technology::kMultiLevel).
+/// One minimized multi-output block: `pla` is its shared-product
+/// two-level form, set on every block the flow builds. `factored` is set
+/// when the block was routed through algebraic extraction
+/// (Technology::kMultiLevel). `covers` is never filled: it stays only
+/// because perfbench/driver.cpp still reads it.
 struct MinimizedBlock {
   std::vector<Cover> covers;
   std::optional<CubeList> pla;
   std::optional<FactoredNetwork> factored;
 
-  /// Two-level cost point (always available).
-  LogicCost cost() const { return pla ? pla_cost(*pla) : block_cost(covers); }
+  /// Two-level cost point (std::bad_optional_access without a PLA).
+  LogicCost cost() const { return pla_cost(pla.value()); }
   /// Multi-level cost point (only after extraction).
   std::optional<LogicCost> multilevel_cost() const {
     return factored ? std::optional<LogicCost>(factored_cost(*factored))

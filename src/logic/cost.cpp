@@ -51,12 +51,6 @@ LogicCost cover_cost(const Cover& cover) {
   return c;
 }
 
-LogicCost block_cost(const std::vector<Cover>& outputs) {
-  LogicCost total;
-  for (const auto& cover : outputs) total += cover_cost(cover);
-  return total;
-}
-
 LogicCost pla_cost(const CubeList& pla) {
   LogicCost c;
   c.cubes = pla.num_cubes();

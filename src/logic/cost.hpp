@@ -11,7 +11,7 @@
 // networks C1 and C2 need to implement less state transitions than C".
 //
 // Every LogicCost is tagged with the technology it measured: two-level
-// counts (pla_cost / cover_cost / block_cost) assume each product is an
+// counts (pla_cost / cover_cost) assume each product is an
 // AND of input literals feeding OR planes, which silently undercounts a
 // factored network (intermediate nodes fan out, node references are not
 // input literals). Mixing the two in one accumulation throws, and the
@@ -52,9 +52,6 @@ struct LogicCost {
 
 /// Cost of one single-output cover.
 LogicCost cover_cost(const Cover& cover);
-
-/// Cost of a multi-output block (no term sharing assumed -- conservative).
-LogicCost block_cost(const std::vector<Cover>& outputs);
 
 /// Cost of a multi-output PLA with shared product terms: each distinct
 /// product's AND tree is counted once regardless of how many outputs it

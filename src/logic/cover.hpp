@@ -1,10 +1,10 @@
 #pragma once
 // Sum-of-products covers and single-output truth tables.
 //
-// TruthTable is the dense (on/dc bitset) representation used as the
-// specification for logic minimization; Cover is the cube-list result.
-// Variable counts stay small in this library (state bits + input bits of a
-// controller), so dense enumeration up to 20 variables is acceptable.
+// TruthTable is the dense (on/dc bitset) view of one output: the oracle
+// the tests check covers against, and EncodedFsm's dense view. The flow
+// specifies its blocks in cube form instead (PlaSpec, logic/cubelist.hpp)
+// and never enumerates a table. Cover is the cube-list result.
 
 #include <vector>
 

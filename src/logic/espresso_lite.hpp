@@ -15,8 +15,10 @@
 // exact on the containment invariants: the result always implements the
 // specification. This is the flow's only minimizer: every block's
 // two-level form is a minimize_espresso_mv PLA, and the multi-level path
-// factors per-output minimize_espresso covers (bist/architectures.hpp).
-// QM (logic/qm.hpp) is kept only as the exact oracle of the tests.
+// factors one minimize_espresso_mv cover per output, each minimized from
+// the block's one-output sub-spec (per_output_covers in
+// bist/architectures.hpp). QM (logic/qm.hpp) is kept only as the exact
+// oracle of the tests.
 
 #include "logic/cubelist.hpp"
 #include "util/budget.hpp"
@@ -40,9 +42,10 @@ namespace stc {
 CubeList minimize_espresso_mv(const PlaSpec& spec, const Budget& budget = {},
                               Degradation* degradation = nullptr);
 
-/// Single-output wrapper over the multi-output engine, with the same
-/// budget semantics: the per-output covers that multi-level factoring
-/// starts from, and the two-level form of blocks too wide for one PLA.
+/// Single-output wrapper over the multi-output engine for a dense table,
+/// with the same budget semantics. Builds its spec with
+/// PlaSpec::from_tables (2^n minterms), so it serves small tables and the
+/// tests; the flow minimizes every block from its cube-form spec.
 Cover minimize_espresso(const TruthTable& tt, const Budget& budget = {},
                         Degradation* degradation = nullptr);
 

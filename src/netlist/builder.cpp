@@ -64,14 +64,6 @@ NetId build_mux(Netlist& nl, NetId sel, NetId a, NetId b) {
   return nl.add_or({ta, tb});
 }
 
-std::vector<NetId> build_block(Netlist& nl, const std::vector<Cover>& covers,
-                               const std::vector<NetId>& var_nets) {
-  std::vector<NetId> outs;
-  outs.reserve(covers.size());
-  for (const Cover& c : covers) outs.push_back(build_sop(nl, c, var_nets));
-  return outs;
-}
-
 std::vector<NetId> build_pla(Netlist& nl, const CubeList& pla,
                              const std::vector<NetId>& var_nets) {
   if (pla.num_vars() > var_nets.size())

@@ -27,13 +27,6 @@ RegisterBank build_register(Netlist& nl, const std::string& name, std::size_t wi
 /// 2:1 mux: sel ? a : b.
 NetId build_mux(Netlist& nl, NetId sel, NetId a, NetId b);
 
-/// Combinational block computing every cover of a multi-output function
-/// over shared variable nets. Returns one net per cover. Each cover gets
-/// its own AND-OR logic, including its own inverters -- nothing is shared
-/// between outputs (use build_pla for shared-product instantiation).
-std::vector<NetId> build_block(Netlist& nl, const std::vector<Cover>& covers,
-                               const std::vector<NetId>& var_nets);
-
 /// Multi-output PLA: every product term is instantiated once and fans out
 /// to the OR of each output whose bit is set in its output part. Input
 /// inverters are shared across the whole block. Returns one net per

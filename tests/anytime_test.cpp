@@ -166,7 +166,7 @@ TEST_P(CorpusAnytime, FactoringStaysExactUnderEveryBudget) {
   }
 
   // The flow's own factoring input: one espresso cover per output.
-  const std::vector<Cover> covers = per_output_covers(tables);
+  const std::vector<Cover> covers = per_output_covers(enc.spec);
   for (const Budget& b : budget_grid()) {
     Degradation deg;
     const FactoredNetwork fn = extract_factored(covers, b, &deg);

@@ -7,8 +7,10 @@
 //     and word for word in simulation;
 //   * C is minimized once and factored once per machine across the six
 //     builds, and a fresh encode_fsm minimizes again;
-//   * a combined block of more than 64 outputs is factored too, and its
-//     multi-level figs equal their two-level twins word for word;
+//   * the widest block an encoder makes (36 outputs, reaching the high
+//     half of the output part) is factored too, and its multi-level figs
+//     equal their two-level twins word for word; a spec that lacks
+//     outputs is rejected;
 //   * a result a deadline cut is never stored, so a later unlimited build
 //     gets the full-quality block; one cut at its work allowance is stored
 //     and served, labels and all, under the same allowance;
@@ -26,6 +28,7 @@
 #include "encoding/encoding.hpp"
 #include "fsm/generate.hpp"
 #include "netlist/eval64.hpp"
+#include "ostr/ostr.hpp"
 #include "util/rng.hpp"
 
 namespace stc {
@@ -187,47 +190,65 @@ TEST(BlockMemo, HandBuiltEncodingGetsItsOwnMemo) {
   EXPECT_EQ(ref.block_memo->stats().minimizations, 1u);
 }
 
-// --- (b') a combined block too wide for one PLA ------------------------------
+// --- (b') the widest block an encoder makes ------------------------------------
 
-/// A random 6-state machine widened to 64 random output bits, so C has
-/// 3 + 64 = 67 outputs. Filled field by field: encode_fsm reads output
-/// symbols of at most 32 bits. The spec stays empty (67 outputs exceed
-/// its 64-bit output part), so C is minimized one output at a time.
-EncodedFsm wide_encoding(std::uint64_t seed) {
-  const EncodedFsm narrow = encode(random_mealy(seed, 6, 4, 2));
-  EncodedFsm wide;
-  wide.state_bits = narrow.state_bits;
-  wide.input_bits = narrow.input_bits;
-  wide.output_bits = 64;
-  wide.reset_code = narrow.reset_code;
-  wide.next_state = narrow.next_state;
-  Rng rng(seed);
-  for (std::size_t b = 0; b < wide.output_bits; ++b) {
-    TruthTable t(narrow.num_vars());
-    for (Minterm m = 0; m < t.num_minterms(); ++m) {
-      if (narrow.next_state[0].is_dc(m)) {
-        t.set_dc(m);  // unused state code
-      } else if (rng.next() & 1) {
-        t.set_on(m);
-      }
-    }
-    wide.outputs.push_back(t);
-  }
-  return wide;
-}
+TEST(BlockMemo, WidestEncodableBlockIsFactoredAndMatchesTwoLevel) {
+  // A random 12-state machine with 32 output bits (KISS2's limit), so C
+  // has 4 + 32 = 36 outputs and its top output bits sit in the high half
+  // of the 64-bit output part. Output symbols stay below kNoOutput.
+  const MealyMachine m = random_mealy(0x36, 12, 4, (std::uint64_t{1} << 32) - 1);
+  const EncodedFsm enc = encode(m);
+  ASSERT_EQ(enc.output_bits, 32u);
+  ASSERT_GT(enc.spec.num_outputs, 32u);
+  ASSERT_EQ(enc.spec.num_outputs, enc.state_bits + enc.output_bits);
+  std::uint64_t high = 0;
+  for (const MCube& c : enc.spec.on.cubes()) high |= c.out >> 32;
+  ASSERT_NE(high, 0u) << "no ON row reaches the high half of the output part";
 
-TEST(BlockMemo, BlockOfMoreThan64OutputsIsFactoredAndMatchesTwoLevel) {
-  const EncodedFsm enc = wide_encoding(0x67);
-  ASSERT_GT(enc.state_bits + enc.output_bits, 64u);
-  ASSERT_EQ(enc.spec.num_outputs, 0u);
-  for (std::size_t f = 0; f < 3; ++f) {
+  OstrOptions opts;
+  opts.max_nodes = 4000;
+  const OstrResult res = solve_ostr(m, opts);
+  const Realization real = build_realization(m, res.best.pi, res.best.tau);
+  for (std::size_t f = 0; f < 4; ++f) {
     SCOPED_TRACE("fig" + std::to_string(f + 1));
-    const ControllerStructure two = kFigs[f](enc, Technology::kTwoLevel, {});
-    const ControllerStructure multi = kFigs[f](enc, Technology::kMultiLevel, {});
+    const auto build = [&](Technology tech) {
+      return f < 3 ? kFigs[f](enc, tech, {}) : build_fig4(m, real, tech);
+    };
+    const ControllerStructure two = build(Technology::kTwoLevel);
+    const ControllerStructure multi = build(Technology::kMultiLevel);
+    ASSERT_EQ(multi.po.size(), 32u);
     ASSERT_TRUE(multi.logic_ml.has_value());
     EXPECT_EQ(multi.logic_ml->tech, Technology::kMultiLevel);
     EXPECT_GT(multi.factored_nodes, 0u);
-    expect_word_for_word_equal(two.nl, multi.nl, 64, 0x67);
+    expect_word_for_word_equal(two.nl, multi.nl, 64, 0x36);
+  }
+}
+
+TEST(BlockMemo, SpecMissingOutputsIsRejected) {
+  // C is built from the spec alone, so a hand-built encoding whose spec
+  // lacks outputs (here: none at all, then the output bits) is a typed
+  // error, not a build that indexes past the block's nets.
+  const EncodedFsm ref = encode(load_benchmark("dk27"));
+  EncodedFsm empty;
+  empty.state_bits = ref.state_bits;
+  empty.input_bits = ref.input_bits;
+  empty.output_bits = ref.output_bits;
+  empty.reset_code = ref.reset_code;
+  EncodedFsm next_only = empty;
+  next_only.block_memo = std::make_shared<BlockMemo>();
+  next_only.spec.num_vars = ref.spec.num_vars;
+  next_only.spec.num_outputs = ref.state_bits;
+  next_only.spec.on = CubeList(ref.spec.num_vars, ref.state_bits);
+  next_only.spec.dc = CubeList(ref.spec.num_vars, ref.state_bits);
+  const std::uint64_t next_mask = (std::uint64_t{1} << ref.state_bits) - 1;
+  for (const MCube& c : ref.spec.on.cubes())
+    if (c.out & next_mask) next_only.spec.on.add(c.in, c.out & next_mask);
+  for (const MCube& c : ref.spec.dc.cubes()) next_only.spec.dc.add(c.in, c.out & next_mask);
+  for (const EncodedFsm* enc : {&empty, &next_only}) {
+    for (const BuildFn& fig : kFigs) {
+      EXPECT_THROW(fig(*enc, Technology::kTwoLevel, {}), std::invalid_argument);
+      EXPECT_THROW(fig(*enc, Technology::kMultiLevel, {}), std::invalid_argument);
+    }
   }
 }
 

@@ -1,6 +1,9 @@
-// Tests for state assignment and encoded truth tables (src/encoding).
+// Tests for state assignment and the encoded specifications (src/encoding).
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <utility>
 
 #include "util/bitvec.hpp"
 
@@ -138,39 +141,69 @@ TEST(EncodedFsm, MismatchedEncodingRejected) {
   EXPECT_THROW(encode_fsm(m, bad), std::invalid_argument);
 }
 
+/// ON and DC output masks of `spec` at minterm `m`.
+std::pair<std::uint64_t, std::uint64_t> spec_at(const PlaSpec& spec, Minterm m) {
+  std::uint64_t on = 0, dc = 0;
+  for (const MCube& c : spec.on.cubes())
+    if (c.in.contains_minterm(m)) on |= c.out;
+  for (const MCube& c : spec.dc.cubes())
+    if (c.in.contains_minterm(m)) dc |= c.out;
+  return {on, dc};
+}
+
+/// At minterm `m`, every output of `spec` is DC (`expect` empty) or ON
+/// exactly where `expect` has a 1 -- never both, never DC on a care point.
+void expect_spec_at(const PlaSpec& spec, Minterm m, std::optional<std::uint64_t> expect) {
+  const auto [on, dc] = spec_at(spec, m);
+  const std::uint64_t all = (std::uint64_t{1} << spec.num_outputs) - 1;
+  if (!expect) {
+    EXPECT_EQ(on, 0u) << "minterm " << m;
+    EXPECT_EQ(dc, all) << "minterm " << m;
+  } else {
+    EXPECT_EQ(dc, 0u) << "minterm " << m;
+    EXPECT_EQ(on, *expect & all) << "minterm " << m;
+  }
+}
+
 TEST(EncodedFactor, FactorTableRoundTrip) {
-  // delta1-style table: 3 domain states x 2 inputs -> 2 range states.
-  const std::vector<State> table{0, 1, 1, 0, 1, 1};
+  // delta1-style table: 3 domain states x 3 inputs -> 2 range states. Code
+  // 3 of the domain and input pattern 3 are unused: don't-cares.
+  const std::vector<State> table{0, 1, 1, 0, 1, 1, 1, 0, 0};
   const Encoding dom = natural_encoding(3);
   const Encoding rng = natural_encoding(2);
-  const EncodedFactor f = encode_factor(table, 2, 1, dom, rng);
-  ASSERT_EQ(f.next_state.size(), 1u);
-  for (std::size_t s = 0; s < 3; ++s) {
-    for (std::size_t i = 0; i < 2; ++i) {
-      const Minterm mt = (dom.code_of(static_cast<State>(s)) << 1) | i;
-      EXPECT_EQ(f.next_state[0].is_on(mt), table[s * 2 + i] == 1);
+  const EncodedFactor f = encode_factor(table, 3, 2, dom, rng);
+  ASSERT_EQ(f.spec.num_vars, 4u);
+  ASSERT_EQ(f.spec.num_outputs, 1u);
+  for (Minterm mt = 0; mt < 16; ++mt) {
+    const std::uint64_t code = mt >> 2, in = mt & 3;
+    if (code >= 3 || in >= 3) {
+      expect_spec_at(f.spec, mt, std::nullopt);
+      continue;
     }
+    const State s = static_cast<State>(code);  // natural codes
+    expect_spec_at(f.spec, mt, rng.code_of(table[s * 3 + in]));
   }
   EXPECT_THROW(encode_factor(table, 3, 1, dom, rng), std::invalid_argument);
 }
 
 TEST(EncodedLambda, LambdaTableRoundTrip) {
-  // 2 x 2 blocks, 2 inputs, 2 output bits.
-  std::vector<Output> lambda(2 * 2 * 2);
+  // 3 x 2 blocks, 3 inputs on 2 bits, 2 output bits. R1 code 3 and input
+  // pattern 3 are unused: don't-cares.
+  std::vector<Output> lambda(3 * 2 * 3);
   for (std::size_t k = 0; k < lambda.size(); ++k)
-    lambda[k] = static_cast<Output>(k % 4);
-  const Encoding e1 = natural_encoding(2), e2 = natural_encoding(2);
-  const EncodedLambda el = encode_lambda(lambda, 2, 2, 2, 1, 2, e1, e2);
-  ASSERT_EQ(el.outputs.size(), 2u);
-  for (std::size_t b1 = 0; b1 < 2; ++b1) {
-    for (std::size_t b2 = 0; b2 < 2; ++b2) {
-      for (std::size_t in = 0; in < 2; ++in) {
-        const Minterm mt = (((b1 << 1) | b2) << 1) | in;
-        const Output expect = lambda[(b1 * 2 + b2) * 2 + in];
-        for (std::size_t b = 0; b < 2; ++b)
-          EXPECT_EQ(el.outputs[b].is_on(mt), ((expect >> b) & 1) != 0);
-      }
+    lambda[k] = static_cast<Output>((k * 7) % 4);
+  const Encoding e1 = natural_encoding(3), e2 = natural_encoding(2);
+  const EncodedLambda el = encode_lambda(lambda, 3, 2, 3, 2, 2, e1, e2);
+  ASSERT_EQ(el.spec.num_vars, 5u);
+  ASSERT_EQ(el.spec.num_outputs, 2u);
+  // Variable order, low to high: inputs, then R2 bits, then R1 bits.
+  for (Minterm mt = 0; mt < 32; ++mt) {
+    const std::uint64_t in = mt & 3, b2 = (mt >> 2) & 1, b1 = mt >> 3;
+    if (b1 >= 3 || in >= 3) {
+      expect_spec_at(el.spec, mt, std::nullopt);
+      continue;
     }
+    expect_spec_at(el.spec, mt, lambda[(b1 * 2 + b2) * 3 + in]);
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "benchdata/iwls93.hpp"
@@ -499,9 +500,7 @@ TEST(Extraction, CoversFactorLikeTheirOneOutputPerCubePla) {
     if (name == "s1") continue;  // seconds per factoring
     const MealyMachine m = load_benchmark(name);
     const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
-    std::vector<TruthTable> tables = enc.next_state;
-    tables.insert(tables.end(), enc.outputs.begin(), enc.outputs.end());
-    const std::vector<Cover> covers = per_output_covers(tables);
+    const std::vector<Cover> covers = per_output_covers(enc.spec);
     CubeList pla(enc.num_vars(), covers.size());
     for (std::size_t b = 0; b < covers.size(); ++b)
       for (const Cube& c : covers[b].cubes()) pla.add(c, std::uint64_t{1} << b);
@@ -569,33 +568,6 @@ TEST(CostTechnology, MixingTechnologiesInOneAccumulationThrows) {
   LogicCost total2;
   total2 += two;
   EXPECT_THROW(total2 += ml, std::logic_error);
-}
-
-TEST(CostTechnology, Over64OutputBlocksAreFactored) {
-  // A block without a usable multi-output spec (here 70 outputs, more
-  // than a PLA output part carries) is minimized one output at a time,
-  // and the multi-level path factors it like any other block.
-  Rng rng(0x70);
-  std::vector<TruthTable> tables;
-  for (int b = 0; b < 70; ++b) {
-    TruthTable t(4);
-    for (Minterm m = 0; m < t.num_minterms(); ++m)
-      if (rng.below(3) == 0) t.set_on(m);
-    tables.push_back(t);
-  }
-  const MinimizedBlock mb = minimize_for(PlaSpec{}, tables, Technology::kMultiLevel);
-  EXPECT_EQ(mb.covers.size(), 70u);
-  ASSERT_TRUE(mb.factored.has_value());
-  ASSERT_TRUE(mb.multilevel_cost().has_value());
-  const FactoredNetwork& fn = *mb.factored;
-  ASSERT_EQ(fn.num_outputs, 70u);
-  EXPECT_GT(fn.num_nodes(), 0u);
-  std::vector<bool> node_vals, out_vals;
-  for (Minterm m = 0; m < tables[0].num_minterms(); ++m) {
-    fn.evaluate_all(m, node_vals, out_vals);
-    for (std::size_t b = 0; b < tables.size(); ++b)
-      EXPECT_EQ(out_vals[b], tables[b].is_on(m)) << "output " << b << " minterm " << m;
-  }
 }
 
 // --- corpus-wide technology equivalence (the differential harness) -----------
@@ -679,28 +651,114 @@ INSTANTIATE_TEST_SUITE_P(AllKissMachines, CorpusTechEquivalence,
 
 // --- the factoring input: one espresso cover per output ------------------------
 
-/// Multi-level factoring starts from per_output_covers of each block. Every
-/// cover implements its table, and every cube is prime for its own output:
-/// no literal can be dropped without covering a minterm of that output's
-/// OFF set (checked against the explicit OFF set up to 8 variables).
+/// Multi-level factoring starts from per_output_covers of each block's
+/// spec. Each cover must implement its output's dense table, tabulated by
+/// the test from the machine (C of figs. 1-3) or from the realization's
+/// FactorTables (C1, C2 and lambda of fig. 4), and every cube must be prime
+/// for its own output: no literal can be dropped without covering a
+/// minterm of that output's OFF set (checked against the explicit OFF set
+/// up to 8 variables).
+void expect_covers_implement(const PlaSpec& spec, const std::vector<TruthTable>& tables,
+                             const std::string& block) {
+  SCOPED_TRACE(block);
+  const std::vector<Cover> covers = per_output_covers(spec);
+  ASSERT_EQ(covers.size(), tables.size());
+  for (std::size_t b = 0; b < tables.size(); ++b) {
+    EXPECT_TRUE(covers[b].implements(tables[b])) << "output " << b;
+    if (spec.num_vars > 8) continue;
+    const std::vector<Minterm> off = tables[b].off_minterms();
+    for (const Cube& c : covers[b].cubes()) {
+      EXPECT_TRUE(expand_against_off(c, off, spec.num_vars) == c)
+          << "output " << b << ": a literal of a cube can be dropped";
+    }
+  }
+}
+
+/// Dense oracle of an encoded block: minterm (code << input_bits) | in is
+/// a don't-care when `value` returns nothing (unused code, padding input),
+/// else output b is bit b of the value.
+template <typename Value>
+std::vector<TruthTable> tabulate(std::size_t num_vars, std::size_t outputs,
+                                 const Value& value) {
+  std::vector<TruthTable> tables(outputs, TruthTable(num_vars));
+  for (Minterm m = 0; m < (Minterm{1} << num_vars); ++m) {
+    const std::optional<std::uint64_t> v = value(m);
+    for (std::size_t b = 0; b < outputs; ++b) {
+      if (!v) {
+        tables[b].set_dc(m);
+      } else if ((*v >> b) & 1) {
+        tables[b].set_on(m);
+      }
+    }
+  }
+  return tables;
+}
+
+/// State of each code of `enc`, kNoState for unused codes.
+std::vector<State> states_by_code(const Encoding& enc) {
+  std::vector<State> inv(std::size_t{1} << enc.width, kNoState);
+  for (State s = 0; s < enc.codes.size(); ++s) inv[enc.codes[s]] = s;
+  return inv;
+}
+
 class FactoringInput : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(FactoringInput, CoversImplementTheirTablesWithPerOutputPrimes) {
   const MealyMachine m = load_benchmark(GetParam());
-  const EncodedFsm enc = encode_fsm(m, natural_encoding(m.num_states()));
-  std::vector<TruthTable> tables = enc.next_state;
-  tables.insert(tables.end(), enc.outputs.begin(), enc.outputs.end());
-  const std::vector<Cover> covers = per_output_covers(tables);
-  ASSERT_EQ(covers.size(), tables.size());
-  for (std::size_t b = 0; b < tables.size(); ++b) {
-    EXPECT_TRUE(covers[b].implements(tables[b])) << "output " << b;
-    if (enc.num_vars() > 8) continue;
-    const std::vector<Minterm> off = tables[b].off_minterms();
-    for (const Cube& c : covers[b].cubes()) {
-      EXPECT_TRUE(expand_against_off(c, off, enc.num_vars()) == c)
-          << "output " << b << ": a literal of a cube can be dropped";
-    }
-  }
+  const Encoding code = natural_encoding(m.num_states());
+  const EncodedFsm enc = encode_fsm(m, code);
+  const std::size_t ib = enc.input_bits;
+  const std::vector<State> by_code = states_by_code(code);
+  const auto c_value = [&](Minterm mt) -> std::optional<std::uint64_t> {
+    const State s = by_code[mt >> ib];
+    const Input in = static_cast<Input>(mt & ((Minterm{1} << ib) - 1));
+    if (s == kNoState || in >= m.num_inputs()) return std::nullopt;
+    return code.code_of(m.next(s, in)) |
+           (static_cast<std::uint64_t>(m.output(s, in)) << enc.state_bits);
+  };
+  expect_covers_implement(
+      enc.spec, tabulate(enc.num_vars(), enc.state_bits + enc.output_bits, c_value), "C");
+}
+
+TEST_P(FactoringInput, Fig4CoversImplementTheirTablesWithPerOutputPrimes) {
+  const MealyMachine m = load_benchmark(GetParam());
+  OstrOptions opts;
+  opts.max_nodes = 4000;  // the blocks' shape, not OSTR quality, matters
+  const OstrResult res = solve_ostr(m, opts);
+  const Realization real = build_realization(m, res.best.pi, res.best.tau);
+  const FactorTables& ft = real.tables;
+  const Encoding e1 = natural_encoding(ft.n1), e2 = natural_encoding(ft.n2);
+  const std::vector<State> by1 = states_by_code(e1), by2 = states_by_code(e2);
+  const std::size_t ib = m.effective_input_bits();
+  const auto input_of = [&](Minterm mt) { return mt & ((Minterm{1} << ib) - 1); };
+
+  // C1: (inputs, R1) -> R2 code; C2: (inputs, R2) -> R1 code.
+  const auto factor_tables = [&](const EncodedFactor& f, const std::vector<State>& table,
+                                 const std::vector<State>& dom, const Encoding& rng) {
+    return tabulate(f.num_vars(), rng.width, [&](Minterm mt) -> std::optional<std::uint64_t> {
+      const State s = dom[mt >> ib];
+      const Minterm in = input_of(mt);
+      if (s == kNoState || in >= ft.num_inputs) return std::nullopt;
+      return rng.code_of(table[s * ft.num_inputs + in]);
+    });
+  };
+  const EncodedFactor f1 = encode_factor(ft.delta1, ft.num_inputs, ib, e1, e2);
+  expect_covers_implement(f1.spec, factor_tables(f1, ft.delta1, by1, e2), "C1");
+  const EncodedFactor f2 = encode_factor(ft.delta2, ft.num_inputs, ib, e2, e1);
+  expect_covers_implement(f2.spec, factor_tables(f2, ft.delta2, by2, e1), "C2");
+
+  // lambda: (inputs, R2, R1) -> outputs.
+  const std::size_t ob = m.effective_output_bits();
+  const EncodedLambda lam =
+      encode_lambda(ft.lambda, ft.n1, ft.n2, ft.num_inputs, ib, ob, e1, e2);
+  const auto lambda_value = [&](Minterm mt) -> std::optional<std::uint64_t> {
+    const State s2 = by2[(mt >> ib) & ((Minterm{1} << e2.width) - 1)];
+    const State s1 = by1[mt >> (ib + e2.width)];
+    const Minterm in = input_of(mt);
+    if (s1 == kNoState || s2 == kNoState || in >= ft.num_inputs) return std::nullopt;
+    return ft.lambda[(static_cast<std::size_t>(s1) * ft.n2 + s2) * ft.num_inputs + in];
+  };
+  expect_covers_implement(lam.spec, tabulate(lam.num_vars(), ob, lambda_value), "lambda");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKissMachines, FactoringInput,
